@@ -181,13 +181,18 @@ let ablation_tests =
   ]
 
 (* Batched vs bin-at-a-time estimation: same inputs, same results, the
-   batch path hoists the tomogravity plan and scratch buffers across bins. *)
+   batch path builds one tomogravity plan and reuses its structure and
+   scratch buffers across bins. *)
 let batch_tests =
   [
     Test.make ~name:"batch/tomogravity-series-64bins"
       (Staged.stage (fun () ->
-           Ic_estimation.Tomogravity.estimate_series routing
-             ~link_loads:series_link_loads ~priors:series_priors));
+           let plan = Ic_estimation.Tomogravity.make_plan routing in
+           Array.map2
+             (fun y p ->
+               Ic_estimation.Tomogravity.estimate_with_plan plan
+                 ~link_loads:y ~prior:p)
+             series_link_loads series_priors));
     Test.make ~name:"batch/tomogravity-64-independent"
       (Staged.stage (fun () ->
            Array.map2
@@ -195,18 +200,6 @@ let batch_tests =
                Ic_estimation.Tomogravity.estimate routing ~link_loads:y
                  ~prior:p)
              series_link_loads series_priors));
-    (* Shared frozen weights across the series: one factorization, then
-       interleaved multi-RHS triangular solves (Chol.solve_many_into). *)
-    Test.make ~name:"batch/tomogravity-series-shared-weights"
-      (Staged.stage
-         (let weights =
-            Ic_linalg.Vec.clamp_nonneg
-              (Ic_traffic.Tm.to_vector (Ic_traffic.Series.tm fit_series 0))
-          in
-          let plan = Ic_estimation.Tomogravity.make_plan routing in
-          fun () ->
-            Ic_estimation.Tomogravity.estimate_many ~weights plan
-              ~link_loads:series_link_loads ~priors:series_priors));
   ]
 
 (* Streaming engine: per-bin serving cost (prior + tomogravity + IPF over a
@@ -239,20 +232,6 @@ let stream_tests =
             let loads, missing = stream_observations.(!k) in
             ignore (Ic_runtime.Engine.step engine ~loads ~missing);
             k := (!k + 1) mod Array.length stream_observations));
-    (* The same serving loop with the fast path disabled: per-bin prior
-       weights, a fresh Gram + factorization every bin, uncached activity
-       recovery. The gap to stream/engine-per-bin is the fast path's win. *)
-    Test.make ~name:"stream/engine-per-bin-unfrozen"
-      (Staged.stage
-         (let engine =
-            Ic_runtime.Engine.create
-              { stream_config with Ic_runtime.Engine.fast_path = false }
-          in
-          let k = ref 0 in
-          fun () ->
-            let loads, missing = stream_observations.(!k) in
-            ignore (Ic_runtime.Engine.step engine ~loads ~missing);
-            k := (!k + 1) mod Array.length stream_observations));
     Test.make ~name:"stream/refit-window"
       (Staged.stage
          (let engine = Ic_runtime.Engine.create stream_config in
@@ -264,15 +243,26 @@ let stream_tests =
   ]
 
 (* Parallel execution layer. The work is FIXED across [--jobs] settings —
-   a 256-bin series sharded over the pool, and one multiplexing round over
-   an 8-engine fleet — so ns/run at --jobs 1 vs --jobs 4 measures speedup
-   directly. (On a single-CPU host the pool cannot beat sequential; the
-   numbers then measure the coordination overhead instead.) *)
+   a 256-bin tomogravity series sharded over the pool by [Pipeline.run_par]
+   (IPF off, so the per-bin work is the least-squares refinement), and one
+   multiplexing round over an 8-engine fleet — so ns/run at --jobs 1 vs
+   --jobs 4 measures speedup directly. (On a single-CPU host the pool
+   cannot beat sequential; the numbers then measure the coordination
+   overhead instead.) *)
 let parallel_tests ~pool =
   let bins = 256 in
-  let src = Array.length series_link_loads in
-  let par_loads = Array.init bins (fun k -> series_link_loads.(k mod src)) in
-  let par_priors = Array.init bins (fun k -> series_priors.(k mod src)) in
+  let src = Ic_traffic.Series.length fit_series in
+  let cycle f =
+    Ic_traffic.Series.make binning (Array.init bins (fun k -> f (k mod src)))
+  in
+  let par_truth = cycle (Ic_traffic.Series.tm fit_series) in
+  let par_prior = cycle (fun k -> series_priors.(k)) in
+  let par_config =
+    {
+      (Ic_estimation.Pipeline.default_config routing) with
+      Ic_estimation.Pipeline.apply_ipf = false;
+    }
+  in
   let fleet = 8 in
   let engines =
     Array.init fleet (fun _ -> Ic_runtime.Engine.create stream_config)
@@ -281,8 +271,8 @@ let parallel_tests ~pool =
   [
     Test.make ~name:"parallel/tomogravity-series-256"
       (Staged.stage (fun () ->
-           Ic_estimation.Tomogravity.estimate_series_par ~pool routing
-             ~link_loads:par_loads ~priors:par_priors));
+           Ic_estimation.Pipeline.run_par ~pool par_config ~truth:par_truth
+             ~prior:par_prior));
     Test.make ~name:"parallel/fleet-round-8-engines"
       (Staged.stage (fun () ->
            ignore
@@ -524,47 +514,6 @@ let substrate_tests =
       (Staged.stage
          (let l = Ic_linalg.Mat.create 122 122 in
           fun () -> Ic_linalg.Chol.factorize_into ~l spd_122));
-    (* One rank-1 update + downdate pair on a held factor: the matrix
-       returns to itself, so the factor cannot drift across runs. This is
-       the per-carrier cost of the tomogravity rank-k update tier. *)
-    Test.make ~name:"linalg/chol-update-downdate-122"
-      (Staged.stage
-         (let ch =
-            match Ic_linalg.Chol.factorize spd_122 with
-            | Ok ch -> ch
-            | Error _ -> assert false
-          in
-          let rng = Ic_prng.Rng.create 12 in
-          let x =
-            Array.init 122 (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.)
-          in
-          let buf = Array.make 122 0. in
-          fun () ->
-            Array.blit x 0 buf 0 122;
-            Ic_linalg.Chol.update ch buf;
-            Array.blit x 0 buf 0 122;
-            match Ic_linalg.Chol.downdate ch buf with
-            | Ok () -> ()
-            | Error _ -> assert false));
-    Test.make ~name:"linalg/chol-solve-many-16x122"
-      (Staged.stage
-         (let ch =
-            match Ic_linalg.Chol.factorize spd_122 with
-            | Ok ch -> ch
-            | Error _ -> assert false
-          in
-          let lt = Ic_linalg.Mat.create 122 122 in
-          let () = Ic_linalg.Chol.transpose_into ch ~lt in
-          let rng = Ic_prng.Rng.create 13 in
-          let rhss =
-            Array.init 16 (fun _ ->
-                Array.init 122 (fun _ ->
-                    Ic_prng.Rng.float_range rng (-1.) 1.))
-          in
-          let bufs = Array.map Array.copy rhss in
-          fun () ->
-            Array.iteri (fun i b -> Array.blit rhss.(i) 0 b 0 122) bufs;
-            Ic_linalg.Chol.solve_many_into ~lt ch bufs));
     Test.make ~name:"linalg/svd-44x22"
       (Staged.stage (fun () -> Ic_linalg.Svd.decompose qr_tall));
     Test.make ~name:"linalg/eig-60"
@@ -796,7 +745,7 @@ let run_group ~repeat label tests =
     results;
   results
 
-let write_json path results =
+let write_json (path, oc) results =
   let label =
     let base = Filename.remove_extension (Filename.basename path) in
     if String.length base > 6 && String.sub base 0 6 = "BENCH_" then
@@ -804,7 +753,6 @@ let write_json path results =
     else base
   in
   let results = List.sort (fun (a, _) (b, _) -> compare a b) results in
-  let oc = open_out path in
   Printf.fprintf oc "{\n  \"label\": %S,\n  \"unit\": \"ns/run\",\n" label;
   Printf.fprintf oc "  \"results\": {\n";
   let n = List.length results in
@@ -821,32 +769,46 @@ let write_json path results =
   Printf.printf "wrote %s (%d results)\n%!" path n
 
 let () =
-  let json_path = ref None in
+  let json_out = ref None in
   let jobs = ref 1 in
   let repeat = ref 3 in
   let group_filter = ref None in
   let argv = Sys.argv in
+  let usage why =
+    Printf.eprintf
+      "usage: %s [--json <path>] [--jobs <n>] [--repeat <n>] \
+       [--group <prefix>[,<prefix>...]] (%s)\n"
+      argv.(0) why;
+    exit 2
+  in
+  let positive flag v =
+    match int_of_string_opt v with
+    | Some n when n >= 1 -> n
+    | _ -> usage (Printf.sprintf "%s needs a positive integer, got %s" flag v)
+  in
   let i = ref 1 in
   while !i < Array.length argv do
     (match argv.(!i) with
     | "--json" when !i + 1 < Array.length argv ->
         incr i;
-        json_path := Some argv.(!i)
+        (* Opened before the first group runs, so a bad path fails in
+           milliseconds rather than after the whole suite. *)
+        let path = argv.(!i) in
+        (match open_out path with
+        | oc -> json_out := Some (path, oc)
+        | exception Sys_error e ->
+            Printf.eprintf "cannot write --json output: %s\n" e;
+            exit 2)
     | "--jobs" when !i + 1 < Array.length argv ->
         incr i;
-        jobs := int_of_string argv.(!i)
+        jobs := positive "--jobs" argv.(!i)
     | "--repeat" when !i + 1 < Array.length argv ->
         incr i;
-        repeat := int_of_string argv.(!i)
+        repeat := positive "--repeat" argv.(!i)
     | "--group" when !i + 1 < Array.length argv ->
         incr i;
         group_filter := Some argv.(!i)
-    | arg ->
-        Printf.eprintf
-          "usage: %s [--json <path>] [--jobs <n>] [--repeat <n>] \
-           [--group <prefix>[,<prefix>...]] (unknown argument %s)\n"
-          argv.(0) arg;
-        exit 2);
+    | arg -> usage ("unknown argument " ^ arg));
     incr i
   done;
   Printf.printf
@@ -894,5 +856,5 @@ let () =
       let all =
         if serve_selected then all @ serve_results ~repeat:!repeat () else all
       in
-      Option.iter (fun path -> write_json path all) !json_path);
+      Option.iter (fun out -> write_json out all) !json_out);
   print_endline "done."

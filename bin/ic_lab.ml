@@ -4,15 +4,25 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let dataset_of_string = function
-  | "geant" -> `Geant
-  | "totem" -> `Totem
-  | s -> invalid_arg ("unknown dataset " ^ s ^ " (expected geant|totem)")
+(* Named choices of the CLI. Each is declared to cmdliner as an enum over
+   these names (see [names_of] below), so an unknown name is a usage error
+   before any work starts, and the lookups here cannot fail. *)
+let datasets =
+  [
+    ("geant", Ic_datasets.Geant.generate);
+    ("totem", Ic_datasets.Totem.generate);
+  ]
 
-let load_dataset which weeks seed =
-  match which with
-  | `Geant -> Ic_datasets.Geant.generate ?weeks ?seed ()
-  | `Totem -> Ic_datasets.Totem.generate ?weeks ?seed ()
+let load_dataset which weeks seed = (List.assoc which datasets) ?weeks ?seed ()
+
+let topologies =
+  [
+    ("geant", Ic_topology.Topologies.geant_like);
+    ("totem", Ic_topology.Topologies.totem_like);
+    ("abilene", Ic_topology.Topologies.abilene_like);
+  ]
+
+let build_topology name = (List.assoc name topologies) ()
 
 (* --- span tracing (--trace FILE) --------------------------------------- *)
 
@@ -81,7 +91,7 @@ let run_experiments ids stride out_dir verbose =
 (* --- gen --------------------------------------------------------------- *)
 
 let run_gen which weeks seed out =
-  let ds = load_dataset (dataset_of_string which) weeks seed in
+  let ds = load_dataset which weeks seed in
   Ic_traffic.Csv_io.write_series ~path:out ds.Ic_datasets.Dataset.series;
   Printf.printf "wrote %d bins x %d nodes to %s\n"
     (Ic_traffic.Series.length ds.Ic_datasets.Dataset.series)
@@ -116,7 +126,7 @@ let run_fit which weeks seed week stride input nodes bin_minutes =
         let series = Ic_traffic.Csv_io.read_series ~path ~binning ~n in
         (series, string_of_int)
     | None ->
-        let ds = load_dataset (dataset_of_string which) weeks seed in
+        let ds = load_dataset which weeks seed in
         ( Ic_datasets.Dataset.week ds week,
           fun i -> Ic_topology.Graph.name ds.Ic_datasets.Dataset.graph i )
   in
@@ -143,10 +153,32 @@ let check_estimator name =
     exit 1
   end
 
+(* The [--prior] choices of [estimate]: each builds the prior series for the
+   target week, fitting on the calibration week (forced only by the priors
+   that need it) where it needs a fit. *)
+let priors =
+  [
+    ("gravity", fun ~calib:_ truth -> Ic_estimation.Prior.gravity truth);
+    ( "measured",
+      fun ~calib:_ truth ->
+        let fit = Ic_core.Fit.fit_stable_fp truth in
+        Ic_estimation.Prior.ic_measured fit.params
+          truth.Ic_traffic.Series.binning );
+    ( "stable-fp",
+      fun ~calib truth ->
+        let fit = Ic_core.Fit.fit_stable_fp (calib ()) in
+        Ic_estimation.Prior.ic_stable_fp ~f:fit.params.f
+          ~preference:fit.params.preference truth );
+    ( "stable-f",
+      fun ~calib truth ->
+        let fit = Ic_core.Fit.fit_stable_fp (calib ()) in
+        Ic_estimation.Prior.ic_stable_f ~f:fit.params.f truth );
+  ]
+
 let run_estimate which weeks seed calib_week target_week prior_name estimator
     stride jobs trace =
   Option.iter check_estimator estimator;
-  let ds = load_dataset (dataset_of_string which) weeks seed in
+  let ds = load_dataset which weeks seed in
   let take w = subsample stride (Ic_datasets.Dataset.week ds w) in
   let truth = take target_week in
   let routing = Ic_topology.Routing.build ds.Ic_datasets.Dataset.graph in
@@ -170,22 +202,8 @@ let run_estimate which weeks seed calib_week target_week prior_name estimator
       export_trace tracer trace
   | None ->
   let config = Ic_estimation.Pipeline.default_config routing in
-  let prior =
-    match prior_name with
-    | "gravity" -> Ic_estimation.Prior.gravity truth
-    | "measured" ->
-        let fit = Ic_core.Fit.fit_stable_fp truth in
-        Ic_estimation.Prior.ic_measured fit.params
-          truth.Ic_traffic.Series.binning
-    | "stable-fp" ->
-        let fit = Ic_core.Fit.fit_stable_fp (take calib_week) in
-        Ic_estimation.Prior.ic_stable_fp ~f:fit.params.f
-          ~preference:fit.params.preference truth
-    | "stable-f" ->
-        let fit = Ic_core.Fit.fit_stable_fp (take calib_week) in
-        Ic_estimation.Prior.ic_stable_f ~f:fit.params.f truth
-    | s -> invalid_arg ("unknown prior " ^ s)
-  in
+  let calib () = take calib_week in
+  let prior = (List.assoc prior_name priors) ~calib truth in
   (* The parallel path is qcheck-pinned bit-identical to the sequential
      one, so --jobs only changes wall-clock, never the numbers below.
      Tracing likewise only observes. *)
@@ -411,11 +429,11 @@ let run_stream_sharded which series routing config ~shards ~jobs ~total
 
 let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
     kill_after resume checkpoint_path refit_every window recover_after
-    telemetry_mode estimator shards jobs trace verbose =
+    with_timings estimator shards jobs trace verbose =
   setup_logs verbose;
   check_estimator estimator;
   let tracer = make_tracer trace in
-  let ds = load_dataset (dataset_of_string which) weeks seed in
+  let ds = load_dataset which weeks seed in
   let series = ds.Ic_datasets.Dataset.series in
   let routing = Ic_topology.Routing.build ds.Ic_datasets.Dataset.graph in
   let binning = series.Ic_traffic.Series.binning in
@@ -556,12 +574,6 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
         (Ic_runtime.Degrade.level_name tr.to_)
         (Ic_runtime.Degrade.reason_name tr.reason))
     transitions;
-  let with_timings =
-    match telemetry_mode with
-    | "counters" -> false
-    | "full" -> true
-    | s -> invalid_arg ("unknown telemetry mode " ^ s ^ " (counters|full)")
-  in
   print_string
     (Ic_runtime.Telemetry.dump ~with_timings
        (Ic_runtime.Engine.telemetry engine));
@@ -577,7 +589,7 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
 let run_metrics which weeks seed bins drop_rate corrupt_rate noise estimator
     serve_queries =
   check_estimator estimator;
-  let ds = load_dataset (dataset_of_string which) weeks seed in
+  let ds = load_dataset which weeks seed in
   let series = ds.Ic_datasets.Dataset.series in
   let routing = Ic_topology.Routing.build ds.Ic_datasets.Dataset.graph in
   let config =
@@ -643,7 +655,7 @@ let run_metrics which weeks seed bins drop_rate corrupt_rate noise estimator
 
 (* --- shootout ------------------------------------------------------------ *)
 
-let run_shootout datasets estimators folds seed stride timing_mode =
+let run_shootout datasets estimators folds seed stride timing =
   let split s =
     String.split_on_char ',' s |> List.filter (fun x -> x <> "")
   in
@@ -668,12 +680,6 @@ let run_shootout datasets estimators folds seed stride timing_mode =
         List.iter check_estimator names;
         Some names
   in
-  let timing =
-    match timing_mode with
-    | "on" -> true
-    | "off" -> false
-    | s -> invalid_arg ("unknown timing mode " ^ s ^ " (on|off)")
-  in
   let rows =
     Ic_experiments.Shootout.run ?estimators ~folds ~seed ~stride ~timing
       ~datasets ()
@@ -681,13 +687,6 @@ let run_shootout datasets estimators folds seed stride timing_mode =
   Ic_experiments.Shootout.render ~folds ~seed ~stride ~timing rows
 
 (* --- scenario ------------------------------------------------------------ *)
-
-let scenario_graph = function
-  | "geant" -> Ic_topology.Topologies.geant_like ()
-  | "totem" -> Ic_topology.Topologies.totem_like ()
-  | "abilene" -> Ic_topology.Topologies.abilene_like ()
-  | s ->
-      invalid_arg ("unknown topology " ^ s ^ " (expected geant|totem|abilene)")
 
 let split_once c s =
   match String.index_opt s c with
@@ -809,15 +808,7 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
     recover_after kill_after resume checkpoint_path robust_scale self_heal
     breaker verbose =
   setup_logs verbose;
-  let graph = scenario_graph topology in
-  let fam =
-    match Ic_core.Tm_family.of_name family with
-    | Some f -> f
-    | None ->
-        invalid_arg
-          ("unknown TM family " ^ family
-         ^ " (expected ic|bimodal|uniform-normal|nucci)")
-  in
+  let graph = build_topology topology in
   let seed_v = Option.value ~default:7 seed in
   let spec =
     {
@@ -827,7 +818,7 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
     }
   in
   let base =
-    Ic_core.Tm_family.generate fam spec (Ic_prng.Rng.create seed_v)
+    Ic_core.Tm_family.generate family spec (Ic_prng.Rng.create seed_v)
   in
   let events = parse_events ~fails ~reweights ~ddoses ~flashes ~outages in
   let events = if events = [] then default_events graph bins else events in
@@ -862,7 +853,9 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
   Printf.printf
     "scenario %s/%s: %d bins x %d nodes, seed %d (drop %.1f%%, corrupt \
      %.1f%%, noise %.1f%%)\n"
-    topology family total
+    topology
+    (Ic_core.Tm_family.name family)
+    total
     (Ic_topology.Graph.node_count graph)
     seed_v (100. *. drop_rate) (100. *. corrupt_rate) (100. *. noise);
   let sorted = Ic_scenario.Schedule.sorted schedule in
@@ -1024,7 +1017,7 @@ let run_serve which weeks seed bins socket port workers queue_cap max_inflight
     stop_after read_timeout kill_after resume checkpoint_path trace verbose =
   setup_logs verbose;
   let tracer = make_tracer trace in
-  let ds = load_dataset (dataset_of_string which) weeks seed in
+  let ds = load_dataset which weeks seed in
   let series = ds.Ic_datasets.Dataset.series in
   let routing = Ic_topology.Routing.build ds.Ic_datasets.Dataset.graph in
   let config =
@@ -1156,7 +1149,7 @@ let run_serve which weeks seed bins socket port workers queue_cap max_inflight
 (* --- loadgen -------------------------------------------------------------- *)
 
 let run_loadgen socket host port queries rate connections seed json paced
-    report_mode =
+    timings =
   let listen =
     match socket with
     | Some path -> Ic_serve.Server.Unix_path path
@@ -1173,12 +1166,6 @@ let run_loadgen socket host port queries rate connections seed json paced
       paced;
     }
   in
-  let timings =
-    match report_mode with
-    | "counts" -> false
-    | "full" -> true
-    | s -> invalid_arg ("unknown report mode " ^ s ^ " (counts|full)")
-  in
   let outcome = Ic_serve.Loadgen.run config in
   print_string (Ic_serve.Loadgen.report ~timings outcome);
   if outcome.Ic_serve.Loadgen.transport_failures > 0 then exit 1
@@ -1186,13 +1173,7 @@ let run_loadgen socket host port queries rate connections seed json paced
 (* --- topology ------------------------------------------------------------ *)
 
 let run_topology name out =
-  let graph =
-    match name with
-    | "geant" -> Ic_topology.Topologies.geant_like ()
-    | "totem" -> Ic_topology.Topologies.totem_like ()
-    | "abilene" -> Ic_topology.Topologies.abilene_like ()
-    | s -> invalid_arg ("unknown topology " ^ s)
-  in
+  let graph = build_topology name in
   (match out with
   | Some path ->
       Ic_topology.Topo_io.save path graph;
@@ -1214,6 +1195,11 @@ let run_topology name out =
 
 open Cmdliner
 
+(* An enum over the names of one of the association lists above; the value
+   is the name itself, kept for messages. *)
+let names_of choices =
+  Arg.enum (List.map (fun (name, _) -> (name, name)) choices)
+
 let stride_arg =
   let doc = "Keep every STRIDE-th time bin (1 = full resolution)." in
   Arg.(value & opt int 1 & info [ "stride" ] ~docv:"STRIDE" ~doc)
@@ -1228,7 +1214,10 @@ let seed_arg =
 
 let dataset_arg =
   let doc = "Dataset: geant or totem." in
-  Arg.(value & opt string "geant" & info [ "dataset"; "d" ] ~docv:"NAME" ~doc)
+  Arg.(
+    value
+    & opt (names_of datasets) "geant"
+    & info [ "dataset"; "d" ] ~docv:"NAME" ~doc)
 
 let jobs_arg =
   let doc =
@@ -1316,7 +1305,10 @@ let estimate_cmd =
   in
   let prior =
     let doc = "Prior: gravity, measured, stable-fp or stable-f." in
-    Arg.(value & opt string "stable-fp" & info [ "prior" ] ~docv:"PRIOR" ~doc)
+    Arg.(
+      value
+      & opt (names_of priors) "stable-fp"
+      & info [ "prior" ] ~docv:"PRIOR" ~doc)
   in
   let estimator =
     let doc =
@@ -1424,7 +1416,10 @@ let stream_cmd =
   in
   let telemetry =
     let doc = "Telemetry detail: counters (deterministic) or full." in
-    Arg.(value & opt string "counters" & info [ "telemetry" ] ~docv:"MODE" ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("counters", false); ("full", true) ]) false
+      & info [ "telemetry" ] ~docv:"MODE" ~doc)
   in
   let shards =
     let doc =
@@ -1530,7 +1525,10 @@ let shootout_cmd =
       "Per-bin latency measurement: on (wall-clock median) or off \
        (deterministic, pinnable output)."
     in
-    Arg.(value & opt string "on" & info [ "timing" ] ~docv:"MODE" ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("on", true); ("off", false) ]) true
+      & info [ "timing" ] ~docv:"MODE" ~doc)
   in
   let stride =
     let doc = "Keep every STRIDE-th bin of the evaluation week." in
@@ -1548,11 +1546,20 @@ let shootout_cmd =
 let scenario_cmd =
   let topology =
     let doc = "Topology: geant|totem|abilene." in
-    Arg.(value & opt string "geant" & info [ "topology" ] ~docv:"NAME" ~doc)
+    Arg.(
+      value
+      & opt (names_of topologies) "geant"
+      & info [ "topology" ] ~docv:"NAME" ~doc)
   in
   let family =
     let doc = "Base TM family: ic|bimodal|uniform-normal|nucci." in
-    Arg.(value & opt string "ic" & info [ "family" ] ~docv:"NAME" ~doc)
+    let families =
+      List.map (fun f -> (Ic_core.Tm_family.name f, f)) Ic_core.Tm_family.all
+    in
+    Arg.(
+      value
+      & opt (enum families) Ic_core.Tm_family.Ic
+      & info [ "family" ] ~docv:"NAME" ~doc)
   in
   let bins =
     let doc = "Scenario length in 5-minute bins." in
@@ -1820,7 +1827,10 @@ let loadgen_cmd =
       "Report detail: counts (deterministic: sent/answered taxonomy) or \
        full (adds qps and latency percentiles)."
     in
-    Arg.(value & opt string "full" & info [ "report" ] ~docv:"MODE" ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("counts", false); ("full", true) ]) true
+      & info [ "report" ] ~docv:"MODE" ~doc)
   in
   let doc =
     "Generate an open-loop query workload against 'ic-lab serve': Poisson \
@@ -1835,7 +1845,10 @@ let loadgen_cmd =
 let topology_cmd =
   let topo_name =
     let doc = "Built-in topology: geant, totem or abilene." in
-    Arg.(value & opt string "geant" & info [ "name"; "n" ] ~docv:"NAME" ~doc)
+    Arg.(
+      value
+      & opt (names_of topologies) "geant"
+      & info [ "name"; "n" ] ~docv:"NAME" ~doc)
   in
   let topo_out =
     let doc = "Export to a topology file instead of printing." in

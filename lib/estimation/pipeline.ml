@@ -20,6 +20,7 @@ type result = {
   estimate : Ic_traffic.Series.t;
   per_bin_error : float array;
   mean_error : float;
+  per_bin_clamped : int array;
   clamped_entries : int;
 }
 
@@ -78,8 +79,10 @@ let of_config config ~prior : (module Estimator.S) =
     let observe _state _ctx ~estimate:_ = ()
   end)
 
-let finish ~truth estimates clamped =
-  let estimate = Series.make truth.Series.binning estimates in
+let finish ~truth per_bin =
+  let estimate = Series.make truth.Series.binning (Array.map fst per_bin) in
+  let per_bin_clamped = Array.map snd per_bin in
+  let clamped_entries = Array.fold_left ( + ) 0 per_bin_clamped in
   let per_bin_error =
     Array.init (Series.length truth) (fun k ->
         let t = Series.tm truth k in
@@ -92,10 +95,10 @@ let finish ~truth estimates clamped =
       Ic_linalg.Vec.sum per_bin_error
       /. float_of_int (Array.length per_bin_error)
   in
-  if clamped > 0 then
+  if clamped_entries > 0 then
     Logs.debug (fun m ->
-        m "Pipeline.run: clamped %d negative estimate entries" clamped);
-  { estimate; per_bin_error; mean_error; clamped_entries = clamped }
+        m "Pipeline.run: clamped %d negative estimate entries" clamped_entries);
+  { estimate; per_bin_error; mean_error; per_bin_clamped; clamped_entries }
 
 (* The generic per-bin driver: observable link loads are derived from the
    truth exactly as an operator would measure them ([Y = R x], marginal
@@ -117,36 +120,23 @@ let drive ?link_loads ~tracer ?pool (module E : Estimator.S) state ~routing
     Estimator.estimate_bin (module E) state ctx
   in
   let attrs = [ ("bins", string_of_int bins) ] in
-  match pool with
-  | None ->
-      let plan = Tomogravity.make_plan ~tracer routing in
-      let clamped = ref 0 in
-      let estimates =
-        Trace.with_span tracer "pipeline.run" ~attrs (fun () ->
-            Array.init bins (fun k ->
-                let tm, c = one plan k in
-                clamped := !clamped + c;
-                tm))
-      in
-      finish ~truth estimates !clamped
-  | Some pool ->
-      let base = Tomogravity.make_plan ~tracer routing in
-      let plans =
-        Array.init (Ic_parallel.Pool.size pool) (fun s ->
-            if s = 0 then base else Tomogravity.plan_clone base)
-      in
-      (* Each bin's (estimate, clamp count) is computed on whichever domain
-         claimed it; the clamp total is then folded in bin order, so the
-         result record — floats included — is a pure function of the
-         inputs. *)
-      let per_bin =
-        Trace.with_span tracer "pipeline.run" ~attrs (fun () ->
+  let base = Tomogravity.make_plan ~tracer routing in
+  (* Each bin's (estimate, clamp count) is computed on whichever domain
+     claimed it; the clamp total is then folded in bin order, so the result
+     record — floats included — is a pure function of the inputs. *)
+  let per_bin =
+    Trace.with_span tracer "pipeline.run" ~attrs (fun () ->
+        match pool with
+        | None -> Array.init bins (one base)
+        | Some pool ->
+            let plans =
+              Array.init (Ic_parallel.Pool.size pool) (fun s ->
+                  if s = 0 then base else Tomogravity.plan_clone base)
+            in
             Ic_parallel.Pool.map pool ~n:bins (fun ~slot k ->
                 one plans.(slot) k))
-      in
-      let estimates = Array.map fst per_bin in
-      let clamped = Array.fold_left (fun acc (_, c) -> acc + c) 0 per_bin in
-      finish ~truth estimates clamped
+  in
+  finish ~truth per_bin
 
 let run ?link_loads ?(tracer = Trace.noop) config ~truth ~prior =
   validate ?link_loads config ~truth ~prior;

@@ -26,6 +26,8 @@ type result = {
   estimate : Ic_traffic.Series.t;
   per_bin_error : float array;  (** RelL2(t) vs the truth *)
   mean_error : float;
+  per_bin_clamped : int array;
+      (** entries the tomogravity non-negativity clamp zeroed, per bin *)
   clamped_entries : int;
       (** total estimate entries the tomogravity non-negativity clamp zeroed
           across all bins ({!Tomogravity.plan_last_clamp_count} summed) —

@@ -70,18 +70,16 @@ let estimate ?(solver = Cholesky) routing ~link_loads ~prior =
    follows the naive [estimate] operation-for-operation, so the two paths
    agree bit-for-bit. *)
 
-type fastpath_stats = { hits : int; updates : int; refactorizes : int }
+type fastpath_stats = { hits : int; refactorizes : int }
 
 (* The factor cache behind the per-bin fast path. The cached Cholesky
    factor of [R diag(w) Rᵀ + ridge] is fingerprinted by the exact bit
-   pattern of [w]; a solve whose weights match reuses it outright (tier 1,
-   bit-identical to refactorizing by determinism of the factorization), a
-   solve whose weights differ in at most [rank_update_limit] entries
-   adjusts it with rank-1 carriers (tier 2, within {!rank_update_tol} of
-   refactorizing), and anything else rebuilds Gram and factor from scratch
-   (tier 3, the pre-cache path). The factor buffers are owned by the cache
-   — not workspace keys — so [Entropy]'s use of the plan's "gram" buffer
-   cannot clobber a live factor. *)
+   pattern of [w]: a solve whose weights match reuses it outright (a hit,
+   bit-identical to refactorizing by determinism of the factorization), and
+   anything else rebuilds Gram and factor from scratch (the pre-cache
+   path). The factor buffers are owned by the cache — not workspace keys —
+   so [Entropy]'s use of the plan's "gram" buffer cannot clobber a live
+   factor. *)
 type fcache = {
   mutable fc_valid : bool;
   fc_weights : float array;  (* weights of the cached factor, length n_od *)
@@ -89,7 +87,6 @@ type fcache = {
   fc_lt : Mat.t;  (* transpose of fc_l: stride-1 backward substitution *)
   mutable fc_ch : Chol.t option;  (* aliases fc_l once factorized *)
   mutable fc_hits : int;
-  mutable fc_updates : int;
   mutable fc_refactorizes : int;
 }
 
@@ -104,10 +101,7 @@ type plan = {
   tracer : Trace.t;
   mutable last_clamp_count : int;
   cache : fcache;
-  mutable rank_update_limit : int;
 }
-
-let rank_update_tol = 1e-6
 
 let fresh_cache ~m ~n_od =
   {
@@ -117,11 +111,10 @@ let fresh_cache ~m ~n_od =
     fc_lt = Mat.create m m;
     fc_ch = None;
     fc_hits = 0;
-    fc_updates = 0;
     fc_refactorizes = 0;
   }
 
-let make_plan ?(tracer = Trace.noop) ?(rank_update_limit = 0) routing =
+let make_plan ?(tracer = Trace.noop) routing =
   let r = routing.Routing.matrix in
   let m = Sparse.rows r in
   let n_od = Sparse.cols r in
@@ -154,7 +147,6 @@ let make_plan ?(tracer = Trace.noop) ?(rank_update_limit = 0) routing =
     tracer;
     last_clamp_count = 0;
     cache = fresh_cache ~m ~n_od;
-    rank_update_limit;
   }
 
 let plan_clone plan =
@@ -176,14 +168,9 @@ let plan_last_clamp_count plan = plan.last_clamp_count
 
 let plan_fastpath_stats plan =
   let c = plan.cache in
-  { hits = c.fc_hits; updates = c.fc_updates; refactorizes = c.fc_refactorizes }
+  { hits = c.fc_hits; refactorizes = c.fc_refactorizes }
 
 let plan_invalidate plan = plan.cache.fc_valid <- false
-
-let plan_set_rank_update_limit plan limit =
-  if limit < 0 then
-    invalid_arg "Tomogravity.plan_set_rank_update_limit: negative limit";
-  plan.rank_update_limit <- limit
 
 let plan_weighted_gram plan weights =
   if Array.length weights <> plan.n_od then
@@ -213,112 +200,50 @@ let plan_weighted_gram plan weights =
   done;
   g
 
-(* --- the tiered factor fast path ---------------------------------------- *)
+(* --- the cached factor -------------------------------------------------- *)
 
-(* x := scale * (column c of R), scattered dense. The carrier of one rank-1
-   factor adjustment: G(w + dw e_c) = G(w) + dw a_c a_cᵀ for column a_c. *)
-let scatter_column plan c ~scale x =
-  Array.fill x 0 plan.m 0.;
-  let lo = plan.col_ptr.(c) and hi = plan.col_ptr.(c + 1) - 1 in
-  for k = lo to hi do
-    x.(plan.col_rows.(k)) <- scale *. plan.col_vals.(k)
-  done
+(* Bitwise rather than [=]: a hit must only ever fire on inputs that
+   reproduce the cached factor to the last ulp. *)
+let same_weights cache w =
+  let exception Differ in
+  try
+    for c = 0 to Array.length w - 1 do
+      if
+        Int64.bits_of_float (Array.unsafe_get cache.fc_weights c)
+        <> Int64.bits_of_float (Array.unsafe_get w c)
+      then raise_notrace Differ
+    done;
+    true
+  with Differ -> false
 
-(* Exact (bitwise) weight comparison against the cache fingerprint,
-   bailing out as soon as the delta count crosses the rank-update
-   crossover. Bitwise rather than [=]: the cache tier must only ever fire
-   on inputs that reproduce the cached factor to the last ulp. *)
-let weight_delta cache w ~limit =
-  let n = Array.length w in
-  let idxs = ref [] and count = ref 0 in
-  (try
-     for c = 0 to n - 1 do
-       if
-         Int64.bits_of_float (Array.unsafe_get cache.fc_weights c)
-         <> Int64.bits_of_float (Array.unsafe_get w c)
-       then begin
-         incr count;
-         if !count > limit then raise_notrace Exit;
-         idxs := c :: !idxs
-       end
-     done
-   with Exit -> ());
-  if !count = 0 then `Same
-  else if !count <= limit then `Few (List.rev !idxs)
-  else `Many
-
-let refactorize plan w =
-  let cache = plan.cache in
-  let g =
-    Trace.with_span plan.tracer "tomogravity.gram" (fun () ->
-        plan_weighted_gram plan w)
-  in
-  let ch =
-    Trace.with_span plan.tracer "tomogravity.factorize" (fun () ->
-        Chol.factorize_ridge_into ~ridge:Chol.default_ridge ~l:cache.fc_l g)
-  in
-  Array.blit w 0 cache.fc_weights 0 plan.n_od;
-  Chol.transpose_into ch ~lt:cache.fc_lt;
-  cache.fc_ch <- Some ch;
-  cache.fc_valid <- true;
-  cache.fc_refactorizes <- cache.fc_refactorizes + 1;
-  ch
-
-(* Tier decision: hit / rank-k update / full refactorization. The hit tier
-   is bit-identical to refactorizing (the factorization is a deterministic
-   function of the weights and the frozen symbolic structure); the update
-   tier is within [rank_update_tol] and only enabled when the caller set a
-   positive [rank_update_limit]; everything else is the pre-cache path plus
-   one O(m²) transpose. *)
+(* Hit or refactorize. The hit is bit-identical to refactorizing (the
+   factorization is a deterministic function of the weights and the frozen
+   symbolic structure); a refactorization is the pre-cache path plus one
+   O(m²) transpose. *)
 let ensure_factor plan w =
   let cache = plan.cache in
   match cache.fc_ch with
-  | Some ch when cache.fc_valid -> begin
-      match weight_delta cache w ~limit:plan.rank_update_limit with
-      | `Same ->
-          cache.fc_hits <- cache.fc_hits + 1;
-          ch
-      | `Few idxs -> begin
-          let outcome =
-            Trace.with_span plan.tracer "tomogravity.update" (fun () ->
-                let x = Workspace.vec plan.ws "rank1" plan.m in
-                let rec go = function
-                  | [] -> Ok ()
-                  | c :: rest -> begin
-                      let dw = w.(c) -. cache.fc_weights.(c) in
-                      scatter_column plan c ~scale:(sqrt (Float.abs dw)) x;
-                      if dw > 0. then begin
-                        Chol.update ch x;
-                        go rest
-                      end
-                      else
-                        match Chol.downdate ch x with
-                        | Ok () -> go rest
-                        | Error _ as e -> e
-                    end
-                in
-                go idxs)
-          in
-          match outcome with
-          | Ok () ->
-              List.iter (fun c -> cache.fc_weights.(c) <- w.(c)) idxs;
-              Chol.transpose_into ch ~lt:cache.fc_lt;
-              cache.fc_updates <- cache.fc_updates + 1;
-              ch
-          | Error (`Not_positive_definite _) ->
-              (* The downdate lost positive definiteness; the factor is
-                 garbage, rebuild it. *)
-              refactorize plan w
-        end
-      | `Many -> refactorize plan w
-    end
-  | _ -> refactorize plan w
+  | Some ch when cache.fc_valid && same_weights cache w ->
+      cache.fc_hits <- cache.fc_hits + 1;
+      ch
+  | _ ->
+      let g =
+        Trace.with_span plan.tracer "tomogravity.gram" (fun () ->
+            plan_weighted_gram plan w)
+      in
+      let ch =
+        Trace.with_span plan.tracer "tomogravity.factorize" (fun () ->
+            Chol.factorize_ridge_into ~ridge:Chol.default_ridge ~l:cache.fc_l
+              g)
+      in
+      Array.blit w 0 cache.fc_weights 0 plan.n_od;
+      Chol.transpose_into ch ~lt:cache.fc_lt;
+      cache.fc_ch <- Some ch;
+      cache.fc_valid <- true;
+      cache.fc_refactorizes <- cache.fc_refactorizes + 1;
+      ch
 
-(* Shared preamble of the planned estimators: flatten the prior, derive (or
-   validate) the weights, and build the residual right-hand side. Returns
-   [None] when the prior already satisfies the link constraints (the
-   early-exit of [estimate]). *)
-let prepare plan ?weights ~link_loads ~prior () =
+let estimate_with_plan ?(solver = Cholesky) ?weights plan ~link_loads ~prior =
   let m = plan.m and n_od = plan.n_od in
   if Array.length link_loads <> m then
     invalid_arg "Tomogravity.estimate: link-load dimension mismatch";
@@ -327,6 +252,7 @@ let prepare plan ?weights ~link_loads ~prior () =
     invalid_arg "Tomogravity.estimate: prior does not match routing matrix";
   let r = plan.routing.Routing.matrix in
   let ws = plan.ws in
+  let tracer = plan.tracer in
   let x0 = Workspace.vec ws "x0" n_od in
   Array.blit (Ic_traffic.Tm.unsafe_data prior) 0 x0 0 n_od;
   let w =
@@ -350,156 +276,42 @@ let prepare plan ?weights ~link_loads ~prior () =
       (Array.unsafe_get link_loads i -. Array.unsafe_get rhs i)
   done;
   let ynorm = Vec.nrm2 link_loads in
-  if Vec.nrm2 rhs <= 1e-12 *. Float.max ynorm 1. then None else Some (w, rhs)
-
-let clamp_result plan ~n ~u ~w =
-  let n_od = plan.n_od in
-  let r = plan.routing.Routing.matrix in
-  let ws = plan.ws in
-  let x0 = Workspace.vec ws "x0" n_od in
-  Trace.with_span plan.tracer "tomogravity.clamp" (fun () ->
-      let corr = Workspace.vec ws "corr" n_od in
-      Sparse.mulv_t_into r u ~into:corr;
-      let out = Workspace.vec ws "out" n_od in
-      let clamped = ref 0 in
-      for s = 0 to n_od - 1 do
-        let v =
-          Array.unsafe_get x0 s
-          +. (Array.unsafe_get w s *. Array.unsafe_get corr s)
-        in
-        if v < 0. then incr clamped;
-        Array.unsafe_set out s v
-      done;
-      plan.last_clamp_count <- !clamped;
-      Ic_traffic.Tm.of_vector_clamped n out)
-
-let estimate_with_plan ?(solver = Cholesky) ?weights plan ~link_loads ~prior =
-  let n = Ic_traffic.Tm.size prior in
-  match prepare plan ?weights ~link_loads ~prior () with
-  | None ->
-      plan.last_clamp_count <- 0;
-      prior
-  | Some (w, rhs) ->
-      let m = plan.m in
-      let r = plan.routing.Routing.matrix in
-      let ws = plan.ws in
-      let tracer = plan.tracer in
-      let u =
-        match solver with
-        | Cholesky ->
-            let ch = ensure_factor plan w in
-            let u = Workspace.vec ws "u" m in
-            Array.blit rhs 0 u 0 m;
-            Trace.with_span tracer "tomogravity.solve" (fun () ->
-                Chol.solve_into_t ch ~lt:plan.cache.fc_lt u);
-            u
-        | Cg ->
-            Trace.with_span tracer "tomogravity.solve" (fun () ->
-                let apply v =
-                  Sparse.mulv r (Vec.mul w (Sparse.mulv_t r v))
-                in
-                let u, _stats = Ic_linalg.Cg.solve apply (Vec.copy rhs) in
-                u)
-      in
-      clamp_result plan ~n ~u ~w
-
-(* Batched bins against one shared factor: the plan is traversed and the
-   factor ensured once, then the per-bin triangular solves run interleaved
-   ([Chol.solve_many_into]) so the factor streams through cache a single
-   time per substitution step. Bit-identical per bin to calling
-   [estimate_with_plan ~weights] in a loop. *)
-let estimate_many_shared plan ~weights ~link_loads ~priors =
-  let bins = Array.length link_loads in
-  let out = Array.make bins None in
-  let pending = ref [] in
-  for k = 0 to bins - 1 do
-    match
-      prepare plan ~weights ~link_loads:link_loads.(k) ~prior:priors.(k) ()
-    with
-    | None -> out.(k) <- Some (priors.(k), 0)
-    | Some (_, rhs) -> pending := (k, Array.copy rhs) :: !pending
-  done;
-  let pending = Array.of_list (List.rev !pending) in
-  if Array.length pending > 0 then begin
-    let ch = ensure_factor plan weights in
-    let rhss = Array.map snd pending in
-    Trace.with_span plan.tracer "tomogravity.solve"
-      ~attrs:[ ("batch", string_of_int (Array.length rhss)) ]
-      (fun () -> Chol.solve_many_into ~lt:plan.cache.fc_lt ch rhss);
-    Array.iter
-      (fun (k, u) ->
-        (* [clamp_result] reads the plan's "x0" buffer: restore bin k's
-           prior into it (prepare left the last bin's there). *)
-        let x0 = Workspace.vec plan.ws "x0" plan.n_od in
-        Array.blit
-          (Ic_traffic.Tm.unsafe_data priors.(k))
-          0 x0 0 plan.n_od;
-        let tm =
-          clamp_result plan
-            ~n:(Ic_traffic.Tm.size priors.(k))
-            ~u ~w:weights
-        in
-        out.(k) <- Some (tm, plan.last_clamp_count))
-      pending
-  end;
-  let total = ref 0 in
-  let tms =
-    Array.map
-      (function
-        | Some (tm, c) ->
-            total := !total + c;
-            tm
-        | None -> assert false)
-      out
-  in
-  plan.last_clamp_count <- !total;
-  tms
-
-let estimate_many ?(solver = Cholesky) ?weights plan ~link_loads ~priors =
-  let bins = Array.length link_loads in
-  if Array.length priors <> bins then
-    invalid_arg "Tomogravity.estimate_many: series length mismatch";
-  match (solver, weights) with
-  | Cholesky, Some w when bins > 1 ->
-      estimate_many_shared plan ~weights:w ~link_loads ~priors
-  | _ ->
-      let total = ref 0 in
-      let tms =
-        Array.init bins (fun k ->
-            let tm =
-              estimate_with_plan ~solver ?weights plan
-                ~link_loads:link_loads.(k) ~prior:priors.(k)
-            in
-            total := !total + plan.last_clamp_count;
-            tm)
-      in
-      plan.last_clamp_count <- !total;
-      tms
-
-let estimate_series ?solver ?tracer ?weights routing ~link_loads ~priors =
-  let bins = Array.length link_loads in
-  if Array.length priors <> bins then
-    invalid_arg "Tomogravity.estimate_series: series length mismatch";
-  let plan = make_plan ?tracer routing in
-  estimate_many ?solver ?weights plan ~link_loads ~priors
-
-let estimate_series_par ?solver ?tracer ?weights ~pool routing ~link_loads
-    ~priors =
-  let bins = Array.length link_loads in
-  if Array.length priors <> bins then
-    invalid_arg "Tomogravity.estimate_series_par: series length mismatch";
-  let base = make_plan ?tracer routing in
-  (* One plan per worker slot: the symbolic structure is shared read-only,
-     the workspaces and factor caches are private. Slot 0 reuses the base
-     plan. With shared [weights] each domain refactorizes once and serves
-     the rest of its bins from its cache. *)
-  let plans =
-    Array.init (Ic_parallel.Pool.size pool) (fun s ->
-        if s = 0 then base else plan_clone base)
-  in
-  Ic_parallel.Pool.map pool ~n:bins (fun ~slot k ->
-      estimate_with_plan ?solver ?weights plans.(slot)
-        ~link_loads:link_loads.(k) ~prior:priors.(k))
+  if Vec.nrm2 rhs <= 1e-12 *. Float.max ynorm 1. then begin
+    (* The prior already satisfies the link constraints: [estimate]'s
+       early exit. *)
+    plan.last_clamp_count <- 0;
+    prior
+  end
+  else begin
+    let u =
+      match solver with
+      | Cholesky ->
+          let ch = ensure_factor plan w in
+          Trace.with_span tracer "tomogravity.solve" (fun () ->
+              Chol.solve_into_t ch ~lt:plan.cache.fc_lt rhs);
+          rhs
+      | Cg ->
+          Trace.with_span tracer "tomogravity.solve" (fun () ->
+              let apply v = Sparse.mulv r (Vec.mul w (Sparse.mulv_t r v)) in
+              let u, _stats = Ic_linalg.Cg.solve apply (Vec.copy rhs) in
+              u)
+    in
+    Trace.with_span tracer "tomogravity.clamp" (fun () ->
+        let corr = Workspace.vec ws "corr" n_od in
+        Sparse.mulv_t_into r u ~into:corr;
+        let out = Workspace.vec ws "out" n_od in
+        let clamped = ref 0 in
+        for s = 0 to n_od - 1 do
+          let v =
+            Array.unsafe_get x0 s
+            +. (Array.unsafe_get w s *. Array.unsafe_get corr s)
+          in
+          if v < 0. then incr clamped;
+          Array.unsafe_set out s v
+        done;
+        plan.last_clamp_count <- !clamped;
+        Ic_traffic.Tm.of_vector_clamped n out)
+  end
 
 let residual routing ~link_loads tm =
   let r = routing.Routing.matrix in

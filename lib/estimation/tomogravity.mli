@@ -50,38 +50,21 @@ type plan
 (** Routing-dependent precomputation plus reusable scratch buffers. A plan
     is single-threaded state: concurrent estimates must not share one. *)
 
-val make_plan :
-  ?tracer:Ic_obs.Trace.t ->
-  ?rank_update_limit:int ->
-  Ic_topology.Routing.t ->
-  plan
+val make_plan : ?tracer:Ic_obs.Trace.t -> Ic_topology.Routing.t -> plan
 (** [tracer] (default the no-op tracer) receives a [tomogravity.gram] /
-    [tomogravity.factorize] / [tomogravity.update] / [tomogravity.solve] /
-    [tomogravity.clamp] span per stage of every {!estimate_with_plan} call
-    through the plan. Tracing only observes — enabled or not, the estimates
-    are bit-identical (qcheck-pinned).
+    [tomogravity.factorize] / [tomogravity.solve] / [tomogravity.clamp]
+    span per stage of every {!estimate_with_plan} call through the plan.
+    Tracing only observes — enabled or not, the estimates are bit-identical
+    (qcheck-pinned).
 
-    [rank_update_limit] (default [0]) is the rank-k crossover of the factor
-    cache: when the weights of a new bin differ from the cached factor's
-    weights in at most this many coordinates, the cached Cholesky factor is
-    adjusted by that many rank-1 update/downdate passes (O(k·m²)) instead of
-    rebuilt (O(m³/3) plus Gram assembly). [0] disables the update tier
-    entirely, leaving only the bit-exact tiers (cache hit on bitwise-equal
-    weights, full refactorization otherwise); see {!rank_update_tol} for the
-    accuracy contract of the update tier. *)
+    The plan caches the Cholesky factor of its last Cholesky-path solve.
+    The cache has two tiers, both bit-exact: a {e hit} when the weights are
+    bitwise equal to the cached factor's (Gram assembly and factorization
+    skipped), and a {e refactorization} otherwise. *)
 
-val rank_update_tol : float
-(** [1e-6] — documented relative tolerance of the rank-k update tier:
-    estimates produced through updated factors agree with fully
-    refactorized ones to within this relative error (suite 25 pins it; the
-    expected error is [O(k · eps · cond)], far below this bound on the
-    library's ridge-regularized systems). The hit and refactorize tiers are
-    bit-exact and not covered by this tolerance. *)
-
-type fastpath_stats = { hits : int; updates : int; refactorizes : int }
+type fastpath_stats = { hits : int; refactorizes : int }
 (** Cumulative tier counts of a plan's factor cache: [hits] served with the
-    cached factor untouched, [updates] served through rank-k adjustment,
-    [refactorizes] full Gram + Cholesky rebuilds. *)
+    cached factor untouched, [refactorizes] full Gram + Cholesky rebuilds. *)
 
 val plan_fastpath_stats : plan -> fastpath_stats
 
@@ -90,10 +73,6 @@ val plan_invalidate : plan -> unit
     the plan refactorizes unconditionally. Hosts call this when the process
     that produces the weights changes regime (the streaming engine does so
     on refits and degradation-level transitions). *)
-
-val plan_set_rank_update_limit : plan -> int -> unit
-(** Adjust the rank-k crossover after construction (see {!make_plan}).
-    Raises [Invalid_argument] on a negative limit. *)
 
 val plan_clone : plan -> plan
 (** A plan over the same routing that {e shares} the read-only symbolic
@@ -136,49 +115,5 @@ val estimate_with_plan :
     hosts may freeze the weights across bins to make consecutive calls hit
     the plan's factor cache: with bitwise-identical [weights] the Gram
     assembly and factorization are skipped and the result is bit-identical
-    to the uncached call (tier-1 hit; the factorization is a deterministic
-    function of the weights). Must have one entry per OD pair. *)
-
-val estimate_many :
-  ?solver:solver ->
-  ?weights:Ic_linalg.Vec.t ->
-  plan ->
-  link_loads:Ic_linalg.Vec.t array ->
-  priors:Ic_traffic.Tm.t array ->
-  Ic_traffic.Tm.t array
-(** A batch of bins through one plan. With the Cholesky solver and shared
-    [weights], the factor is ensured once and the per-bin triangular solves
-    run interleaved across the batch ({!Ic_linalg.Chol.solve_many_into}), so
-    the factor streams through cache once per substitution step instead of
-    once per bin. Bit-identical per bin to calling {!estimate_with_plan} in
-    a loop with the same arguments. After the call,
-    {!plan_last_clamp_count} is the {e sum} of clamped entries over the
-    batch. *)
-
-val estimate_series :
-  ?solver:solver ->
-  ?tracer:Ic_obs.Trace.t ->
-  ?weights:Ic_linalg.Vec.t ->
-  Ic_topology.Routing.t ->
-  link_loads:Ic_linalg.Vec.t array ->
-  priors:Ic_traffic.Tm.t array ->
-  Ic_traffic.Tm.t array
-(** Estimate one TM per bin, building the plan once ({!estimate_many} under
-    the hood). [link_loads] and [priors] must have equal lengths (one entry
-    per bin). *)
-
-val estimate_series_par :
-  ?solver:solver ->
-  ?tracer:Ic_obs.Trace.t ->
-  ?weights:Ic_linalg.Vec.t ->
-  pool:Ic_parallel.Pool.t ->
-  Ic_topology.Routing.t ->
-  link_loads:Ic_linalg.Vec.t array ->
-  priors:Ic_traffic.Tm.t array ->
-  Ic_traffic.Tm.t array
-(** {!estimate_series} with the bins sharded across the pool's domains.
-    One symbolic plan is built and shared read-only; each domain refines
-    its bins through a {!plan_clone} with a private workspace, so the
-    per-bin arithmetic is exactly the sequential kernel's and the output
-    is bit-identical to {!estimate_series} at every pool size (pinned by a
-    qcheck property for jobs 1, 2 and 4). *)
+    to the uncached call (the factorization is a deterministic function of
+    the weights). Must have one entry per OD pair. *)

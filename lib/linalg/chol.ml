@@ -127,11 +127,6 @@ let transpose_into { l } ~lt =
     done
   done
 
-let check_lt n lt =
-  if Mat.dims lt <> (n, n) then
-    invalid_arg "Chol: transposed factor has wrong dimensions";
-  lt.Mat.data
-
 let forward_sub ld n b =
   for i = 0 to n - 1 do
     let ibase = i * n in
@@ -160,7 +155,9 @@ let solve_into_t { l } ~lt b =
   let n, _ = Mat.dims l in
   if Array.length b <> n then
     invalid_arg "Chol.solve_into_t: bad right-hand side";
-  let td = check_lt n lt in
+  if Mat.dims lt <> (n, n) then
+    invalid_arg "Chol.solve_into_t: transposed factor has wrong dimensions";
+  let td = lt.Mat.data in
   forward_sub l.Mat.data n b;
   (* Backward pass on rows of lᵀ: lt[i, j] = l[j, i], identical values in
      identical order to [solve_into]'s column walk. *)
@@ -172,119 +169,6 @@ let solve_into_t { l } ~lt b =
     done;
     Array.unsafe_set b i (!acc /. Array.unsafe_get td (ibase + i))
   done
-
-(* Multi-RHS solves interleaved by row, so each factor row is loaded once
-   per substitution step and reused across the whole batch. The per-RHS
-   arithmetic is independent and ordered exactly as [solve_into], so every
-   column of the batch is bit-identical to a standalone solve. *)
-let solve_many_into ?lt { l } bs =
-  let n, _ = Mat.dims l in
-  let nb = Array.length bs in
-  Array.iteri
-    (fun k b ->
-      if Array.length b <> n then
-        invalid_arg
-          (Printf.sprintf "Chol.solve_many_into: rhs %d has bad length" k))
-    bs;
-  if nb > 0 then begin
-    let ld = l.Mat.data in
-    for i = 0 to n - 1 do
-      let ibase = i * n in
-      let lii = Array.unsafe_get ld (ibase + i) in
-      for k = 0 to nb - 1 do
-        let b = Array.unsafe_get bs k in
-        let acc = ref (Array.unsafe_get b i) in
-        for j = 0 to i - 1 do
-          acc :=
-            !acc -. (Array.unsafe_get ld (ibase + j) *. Array.unsafe_get b j)
-        done;
-        Array.unsafe_set b i (!acc /. lii)
-      done
-    done;
-    match lt with
-    | Some lt ->
-        let td = check_lt n lt in
-        for i = n - 1 downto 0 do
-          let ibase = i * n in
-          let lii = Array.unsafe_get td (ibase + i) in
-          for k = 0 to nb - 1 do
-            let b = Array.unsafe_get bs k in
-            let acc = ref (Array.unsafe_get b i) in
-            for j = i + 1 to n - 1 do
-              acc :=
-                !acc
-                -. (Array.unsafe_get td (ibase + j) *. Array.unsafe_get b j)
-            done;
-            Array.unsafe_set b i (!acc /. lii)
-          done
-        done
-    | None ->
-        for i = n - 1 downto 0 do
-          let lii = Array.unsafe_get ld ((i * n) + i) in
-          for k = 0 to nb - 1 do
-            let b = Array.unsafe_get bs k in
-            let acc = ref (Array.unsafe_get b i) in
-            for j = i + 1 to n - 1 do
-              acc :=
-                !acc
-                -. (Array.unsafe_get ld ((j * n) + i) *. Array.unsafe_get b j)
-            done;
-            Array.unsafe_set b i (!acc /. lii)
-          done
-        done
-  end
-
-(* --- rank-1 factor updates ---------------------------------------------- *)
-
-(* LINPACK-style hyperbolic/Givens sweeps (Golub & Van Loan §6.5.4): after
-   [update ch x] the factor satisfies [L'L'ᵀ = LLᵀ + xxᵀ] exactly in exact
-   arithmetic; in floats each sweep is backward stable, so a rank-k loop
-   drifts from a fresh factorization by O(k · eps · cond) — the documented
-   tolerance of the tomogravity rank-k tier, pinned by suite 25. [x] is
-   clobbered (it carries the sweep's running residual). *)
-let update { l } x =
-  let n, _ = Mat.dims l in
-  if Array.length x <> n then invalid_arg "Chol.update: bad vector";
-  let ld = l.Mat.data in
-  for k = 0 to n - 1 do
-    let lkk = Array.unsafe_get ld ((k * n) + k) in
-    let xk = Array.unsafe_get x k in
-    let r = Float.hypot lkk xk in
-    let c = r /. lkk and s = xk /. lkk in
-    Array.unsafe_set ld ((k * n) + k) r;
-    for i = k + 1 to n - 1 do
-      let lik = Array.unsafe_get ld ((i * n) + k) in
-      let xi = Array.unsafe_get x i in
-      let lik' = (lik +. (s *. xi)) /. c in
-      Array.unsafe_set ld ((i * n) + k) lik';
-      Array.unsafe_set x i ((c *. xi) -. (s *. lik'))
-    done
-  done
-
-let downdate { l } x =
-  let n, _ = Mat.dims l in
-  if Array.length x <> n then invalid_arg "Chol.downdate: bad vector";
-  let ld = l.Mat.data in
-  let exception Bad of int in
-  try
-    for k = 0 to n - 1 do
-      let lkk = Array.unsafe_get ld ((k * n) + k) in
-      let xk = Array.unsafe_get x k in
-      let d = (lkk -. xk) *. (lkk +. xk) in
-      if d <= 0. then raise (Bad k);
-      let r = sqrt d in
-      let c = r /. lkk and s = xk /. lkk in
-      Array.unsafe_set ld ((k * n) + k) r;
-      for i = k + 1 to n - 1 do
-        let lik = Array.unsafe_get ld ((i * n) + k) in
-        let xi = Array.unsafe_get x i in
-        let lik' = (lik -. (s *. xi)) /. c in
-        Array.unsafe_set ld ((i * n) + k) lik';
-        Array.unsafe_set x i ((c *. xi) -. (s *. lik'))
-      done
-    done;
-    Ok ()
-  with Bad k -> Error (`Not_positive_definite k)
 
 let solve { l } b =
   let n, _ = Mat.dims l in

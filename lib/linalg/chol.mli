@@ -60,33 +60,5 @@ val solve_into_t : t -> lt:Mat.t -> Vec.t -> unit
     instead of stride-n column walks). Bit-identical to {!solve_into}:
     the same values are combined in the same order. *)
 
-val solve_many_into : ?lt:Mat.t -> t -> Vec.t array -> unit
-(** [solve_many_into ch bs] solves [A x = b] in place for every
-    right-hand side in [bs], interleaving the substitutions by factor row
-    so each row of [L] is loaded once per step and amortized across the
-    whole batch. Each entry of [bs] ends up bit-identical to a standalone
-    {!solve_into} (or {!solve_into_t} when [lt] is given). *)
-
-(** {2 Rank-1 factor updates}
-
-    [update]/[downdate] rewrite the factor in place so that it factorizes
-    [A ± x xᵀ] without touching [A] — O(n²) per rank-1 carrier against
-    O(n³/3) for a fresh factorization. The results are {e not} bit-identical
-    to refactorizing: each sweep is backward-stable, so a rank-k loop agrees
-    with a fresh factorization to O(k · eps · cond(A)) — the documented
-    tolerance gate of the tomogravity rank-k tier (pinned by test suite 25).
-    Both clobber [x] (it carries the sweep's running residual). *)
-
-val update : t -> Vec.t -> unit
-(** [update ch x]: after the call [ch] factorizes [A + x xᵀ]. Always
-    succeeds (a positive-definite matrix plus a Gram rank-1 term stays
-    positive definite). Clobbers [x]. *)
-
-val downdate : t -> Vec.t -> (unit, [ `Not_positive_definite of int ]) result
-(** [downdate ch x]: on [Ok], [ch] factorizes [A - x xᵀ]. [Error] means the
-    downdated matrix is not positive definite (or numerically too close to
-    singular); the factor is then garbage and the caller must refactorize
-    from scratch. Clobbers [x] in both cases. *)
-
 val log_det : t -> float
 (** Log-determinant of [A]. *)

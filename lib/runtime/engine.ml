@@ -20,7 +20,6 @@ type config = {
   recover_after : int;
   fallback_f : float;
   initial_params : (float * Ic_linalg.Vec.t) option;
-  fast_path : bool;
   gate_refits : bool;
   gate_threshold : float;
   quarantine_limit : int;
@@ -43,7 +42,6 @@ let default_config routing binning =
     recover_after = 12;
     fallback_f = 0.35;
     initial_params = None;
-    fast_path = true;
     gate_refits = false;
     gate_threshold = 4.;
     quarantine_limit = 6;
@@ -94,7 +92,6 @@ type t = {
   mutable frozen_weights : (Degrade.level * Vec.t) option;
   mutable prior_cache : Ic_core.Estimate_a.cache option;
   mutable fp_hits : int;
-  mutable fp_updates : int;
   mutable fp_refactorizes : int;
   (* Arena buffers reused across bins: [step] fully overwrites each before
      reading and no callee retains them. *)
@@ -187,7 +184,6 @@ let create ?telemetry ?(tracer = Trace.noop) config =
     frozen_weights = None;
     prior_cache = None;
     fp_hits = 0;
-    fp_updates = 0;
     fp_refactorizes = 0;
     effective_buf = Array.make m 0.;
     ingress_buf = Array.make n 0.;
@@ -354,23 +350,18 @@ let build_prior t level ~ingress ~egress =
           | Some p -> p
           | None -> invalid_arg "Engine: IC rung without a fit (bug)"
         in
+        (* The activity design and its Gram depend only on the frozen
+           (f, preference); the cache is dropped on refit. *)
+        let cache =
+          match t.prior_cache with
+          | Some c -> c
+          | None ->
+              let c = Ic_core.Estimate_a.make_cache ~f:t.f ~preference in
+              t.prior_cache <- Some c;
+              c
+        in
         let activity =
-          if t.config.fast_path then begin
-            (* The activity design and its Gram depend only on the frozen
-               (f, preference); the cache is dropped on refit. *)
-            let cache =
-              match t.prior_cache with
-              | Some c -> c
-              | None ->
-                  let c =
-                    Ic_core.Estimate_a.make_cache ~f:t.f ~preference
-                  in
-                  t.prior_cache <- Some c;
-                  c
-            in
-            Ic_core.Estimate_a.activities_cached cache ~ingress ~egress
-          end
-          else Ic_core.Estimate_a.activities ~f:t.f ~preference ~ingress ~egress
+          Ic_core.Estimate_a.activities_cached cache ~ingress ~egress
         in
         Ic_core.Model.simplified ~f:t.f ~activity ~preference
     | Closed_form -> begin
@@ -383,6 +374,17 @@ let build_prior t level ~ingress ~egress =
             Ic_gravity.Gravity.from_marginals ~ingress ~egress
       end
     | Gravity -> Ic_gravity.Gravity.from_marginals ~ingress ~egress
+
+(* Refine-stage accounting shared by the native and plugin paths: the clamp
+   count, and the plan's factor-cache tier counts since the previous bin. *)
+let record_refine t ~clamped =
+  Telemetry.add t.tel "estimate.clamped_entries" clamped;
+  let fp = Tomogravity.plan_fastpath_stats t.plan in
+  Telemetry.add t.tel "fastpath.hit" (fp.Tomogravity.hits - t.fp_hits);
+  Telemetry.add t.tel "fastpath.refactorize"
+    (fp.Tomogravity.refactorizes - t.fp_refactorizes);
+  t.fp_hits <- fp.Tomogravity.hits;
+  t.fp_refactorizes <- fp.Tomogravity.refactorizes
 
 (* The native ic bin: build the ladder-rung prior from the marginals, refine
    against the link constraints with regime-frozen weights, project with
@@ -401,30 +403,25 @@ let native_bin t level ~effective ~ingress ~egress =
      ladder transitions) the weights are frozen at the first bin's prior.
      Consecutive bins then hit the plan's factor cache bitwise and skip the
      Gram assembly and Cholesky factorization entirely. *)
-  let weights =
-    if not t.config.fast_path then None
-    else begin
-      (match t.frozen_weights with
-      | Some (lvl, _) when lvl = level -> ()
-      | _ ->
-          t.frozen_weights <- None;
-          Tomogravity.plan_invalidate t.plan;
-          let data = Tm.unsafe_data prior in
-          let n_od = Array.length data in
-          let w = Array.make n_od 0. in
-          let sum = ref 0. in
-          for s = 0 to n_od - 1 do
-            let x = data.(s) in
-            let x = if x < 0. then 0. else x in
-            w.(s) <- x;
-            sum := !sum +. x
-          done;
-          (* A degenerate (all-zero) bin must not pin zero weights for the
-             rest of the regime; leave unfrozen and retry next bin. *)
-          if !sum > 0. then t.frozen_weights <- Some (level, w));
-      Option.map snd t.frozen_weights
-    end
-  in
+  (match t.frozen_weights with
+  | Some (lvl, _) when lvl = level -> ()
+  | _ ->
+      t.frozen_weights <- None;
+      Tomogravity.plan_invalidate t.plan;
+      let data = Tm.unsafe_data prior in
+      let n_od = Array.length data in
+      let w = Array.make n_od 0. in
+      let sum = ref 0. in
+      for s = 0 to n_od - 1 do
+        let x = data.(s) in
+        let x = if x < 0. then 0. else x in
+        w.(s) <- x;
+        sum := !sum +. x
+      done;
+      (* A degenerate (all-zero) bin must not pin zero weights for the rest
+         of the regime; leave unfrozen and retry next bin. *)
+      if !sum > 0. then t.frozen_weights <- Some (level, w));
+  let weights = Option.map snd t.frozen_weights in
   (* Refine against the link constraints, then project onto the measured
      marginals. *)
   let refined =
@@ -434,15 +431,7 @@ let native_bin t level ~effective ~ingress ~egress =
               ~link_loads:effective ~prior))
   in
   let clamped = Tomogravity.plan_last_clamp_count t.plan in
-  Telemetry.add t.tel "estimate.clamped_entries" clamped;
-  let fp = Tomogravity.plan_fastpath_stats t.plan in
-  Telemetry.add t.tel "fastpath.hit" (fp.Tomogravity.hits - t.fp_hits);
-  Telemetry.add t.tel "fastpath.update" (fp.Tomogravity.updates - t.fp_updates);
-  Telemetry.add t.tel "fastpath.refactorize"
-    (fp.Tomogravity.refactorizes - t.fp_refactorizes);
-  t.fp_hits <- fp.Tomogravity.hits;
-  t.fp_updates <- fp.Tomogravity.updates;
-  t.fp_refactorizes <- fp.Tomogravity.refactorizes;
+  record_refine t ~clamped;
   let estimate =
     if Vec.sum ingress <= 0. then refined
     else
@@ -558,16 +547,7 @@ let step t ~loads ~missing =
               Telemetry.time t.tel "estimate" (fun () ->
                   E.refine state ctx ~prior))
         in
-        Telemetry.add t.tel "estimate.clamped_entries" clamped;
-        let fp = Tomogravity.plan_fastpath_stats t.plan in
-        Telemetry.add t.tel "fastpath.hit" (fp.Tomogravity.hits - t.fp_hits);
-        Telemetry.add t.tel "fastpath.update"
-          (fp.Tomogravity.updates - t.fp_updates);
-        Telemetry.add t.tel "fastpath.refactorize"
-          (fp.Tomogravity.refactorizes - t.fp_refactorizes);
-        t.fp_hits <- fp.Tomogravity.hits;
-        t.fp_updates <- fp.Tomogravity.updates;
-        t.fp_refactorizes <- fp.Tomogravity.refactorizes;
+        record_refine t ~clamped;
         let estimate =
           Trace.with_span t.tracer "engine.ipf" (fun () ->
               Telemetry.time t.tel "ipf" (fun () -> E.project state ctx refined))
@@ -678,7 +658,6 @@ let set_routing ?(degrade = true) t r =
   (* The fresh plan starts its fast-path stats at zero; realign the engine's
      per-plan deltas so the next bin's counters stay non-negative. *)
   t.fp_hits <- 0;
-  t.fp_updates <- 0;
   t.fp_refactorizes <- 0;
   if degrade then begin
     t.topo_pending <- true;

@@ -11,6 +11,15 @@
     (warm-started from the current [f]), which is what keeps the
     [Measured_ic] rung honest on a live feed.
 
+    On the native ["ic"] path the tomogravity weights are frozen at the
+    first bin of each regime (refit / ladder-transition epoch), so
+    consecutive bins hit the plan's cached Cholesky factor, and the
+    measured-ic prior reuses a cached activity design and Gram with an
+    interior-first NNLS. The link constraints hold at the solution for any
+    psd weight matrix, so frozen weights change only the least-norm
+    geometry of the correction (second order; IPF reimposes the marginals
+    regardless). Frozen weights are checkpointed state.
+
     The engine is deterministic: identical observation streams produce
     bit-identical estimates, and {!snapshot}/{!restore} (see {!Checkpoint})
     reproduce the uninterrupted stream bit-for-bit after a kill. *)
@@ -36,19 +45,6 @@ type config = {
   initial_params : (float * Ic_linalg.Vec.t) option;
       (** a pre-calibrated [(f, preference)], treated as a fit completed at
           bin 0 (the engine starts at [Measured_ic]) *)
-  fast_path : bool;
-      (** enable the per-bin fast path (default [true]): the tomogravity
-          weights are frozen at the first bin of each regime (refit /
-          ladder-transition epoch) so consecutive bins reuse the cached
-          Cholesky factor, and the measured-ic prior reuses a cached
-          activity design and Gram with an interior-first NNLS. The link
-          constraints hold at the solution for any psd weight matrix, so
-          frozen weights change only the least-norm geometry of the
-          correction (second order; the marginals are reimposed by IPF
-          regardless). [false] restores the pre-fast-path per-bin
-          arithmetic bit-for-bit. Either setting, the engine stays
-          deterministic and kill/resume bit-identical — frozen weights are
-          checkpointed state. *)
   gate_refits : bool;
       (** anomaly-gate the sliding-window refit (default [false]): each
           bin's estimate is tested against the trailing non-quarantined
@@ -92,8 +88,8 @@ val default_config :
   Ic_topology.Routing.t -> Ic_timeseries.Timebin.t -> config
 (** Daily refit window and period, 6 warm sweeps, staleness at two refit
     periods, soft/hard missing thresholds 0.2/0.5, imputation budget 2,
-    recovery after 12 healthy bins, fallback [f] 0.35, cold start, fast
-    path enabled; the resilience knobs conservative and off —
+    recovery after 12 healthy bins, fallback [f] 0.35, cold start; the
+    resilience knobs conservative and off —
     [gate_refits = false], threshold 4, quarantine limit 6,
     [epoch_refit = None]; the native ["ic"] estimator. *)
 

@@ -21,6 +21,16 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== benchmark correctness checks =="
+# One short pass of every perfbench workload. Its exit code is 0 only when
+# every check passed: finite non-negative estimates, mid-run checkpoint
+# save/load bit-identity, the determinism self-test, and bit-exact serve
+# answers. Timings are printed but not gated here.
+if ! bash perfbench/run.sh --workload all --seed 1 --seconds 1 --trace 0; then
+  echo "check.sh: perfbench correctness checks failed (see above)" >&2
+  exit 1
+fi
+
 echo "== bench smoke (--jobs 1) =="
 dune exec bench/main.exe -- --jobs 1 --repeat 1 --json /dev/null
 

@@ -1,8 +1,11 @@
 (* Differential properties over random topologies: the parallel estimation
    paths must be bit-identical to the sequential ones on arbitrary graphs,
-   not just the fixtures the other suites use. Topologies are rings (so
-   routing always exists) with random extra chords, random sizes and IGP
-   weights, all derived from a qcheck-supplied seed. *)
+   not just the fixtures the other suites use, and every estimate must keep
+   the invariants the estimation stack promises (finite, non-negative,
+   marginals reimposed, link constraints met where no clamp fired).
+   Topologies are rings (so routing always exists) with random extra
+   chords, random sizes and IGP weights, all derived from a qcheck-supplied
+   seed. *)
 
 module Pool = Ic_parallel.Pool
 module Tomogravity = Ic_estimation.Tomogravity
@@ -69,22 +72,6 @@ let gen_topology_case =
       (pair (int_range 1 12) (int_range 0 10_000))
       (oneofl [ 1; 2; 4 ]))
 
-let test_series_par_differential () =
-  let prop (nodes, chords, (bins, seed), jobs) =
-    let routing, _, _, link_loads, priors = instance ~nodes ~chords ~bins ~seed in
-    let seq = Tomogravity.estimate_series routing ~link_loads ~priors in
-    let par =
-      Pool.with_pool ~jobs (fun pool ->
-          Tomogravity.estimate_series_par ~pool routing ~link_loads ~priors)
-    in
-    Array.length seq = Array.length par
-    && Array.for_all2 (fun a b -> tm_bits a = tm_bits b) seq par
-  in
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~count:12
-       ~name:"estimate_series_par = estimate_series on random topologies"
-       gen_topology_case prop)
-
 let test_pipeline_par_differential () =
   let prop (nodes, chords, (bins, seed), jobs) =
     let routing, truth, prior, _, _ = instance ~nodes ~chords ~bins ~seed in
@@ -109,13 +96,17 @@ let test_pipeline_par_differential () =
 let test_jobs_cross_agreement () =
   (* All pool sizes agree with each other, not just with the sequential
      path, on one awkward topology (odd node count, several chords). *)
-  let routing, _, _, link_loads, priors =
+  let routing, truth, prior, _, _ =
     instance ~nodes:7 ~chords:4 ~bins:9 ~seed:4242
   in
+  let config = Pipeline.default_config routing in
   let run jobs =
-    Pool.with_pool ~jobs (fun pool ->
-        Tomogravity.estimate_series_par ~pool routing ~link_loads ~priors)
-    |> Array.map tm_bits
+    let r =
+      Pool.with_pool ~jobs (fun pool ->
+          Pipeline.run_par ~pool config ~truth ~prior)
+    in
+    Array.init 9 (fun k ->
+        tm_bits (Ic_traffic.Series.tm r.Pipeline.estimate k))
   in
   let j1 = run 1 in
   List.iter
@@ -218,6 +209,166 @@ let test_registry_jobs_differential () =
        ~name:"every registered estimator: run_estimator par = sequential"
        registry_gen prop)
 
+(* --- registry-wide invariant oracle -------------------------------------- *)
+
+(* On noiseless loads [y = R x_true], every estimate — from every registered
+   family through the batch driver, and from the streaming engine's default
+   path — must be finite and non-negative, reimpose the measured marginals
+   (the ingress/egress pseudo-link rows of [y]), and, on bins where the
+   tomogravity clamp zeroed nothing, meet the link constraints. This is the
+   property the engine's weight freezing relies on: the constraints hold at
+   the refined solution for any psd weighting.
+
+   Tolerances, stated per family:
+   - IPF stops once every row and column is within 1e-9 of the bin total,
+     so marginals are checked at [ipf_tol] of the total;
+   - a refined estimate meets [R x = y] up to the Cholesky ridge (1e-10 of
+     the Gram's mean diagonal) and the IPF stop, far inside [link_tol] of
+     [||y||];
+   - integer tomography then rounds each entry to a whole number of
+     connection units, and its moment matching caps a unit at 1e-4 of the
+     mean bin total. Each entry moves by less than one such [quantum], so a
+     row or column of n entries moves by less than n quanta, and the link
+     loads by less than (n + 1) n^2 quanta in 1-norm (an OD pair loads at
+     most n - 1 hops plus its two marginal rows, with routing fractions in
+     [0, 1]);
+   - gravity uses no link information at all, so its link residual is not
+     a promise and is not checked. *)
+
+let ipf_tol = 1e-8
+let link_tol = 1e-6
+
+type invariant_tols = {
+  marginal : float;  (* relative to the bin total *)
+  link : float option;  (* relative to ||y||; None = not checked *)
+}
+
+let tols_for name ~n ~mean_total ~bin_total ~ynorm =
+  let quantum = mean_total /. 1e4 in
+  match name with
+  | "gravity" -> { marginal = ipf_tol; link = None }
+  | "integer-tomography" ->
+      let nf = float_of_int n in
+      let link_quanta = (nf +. 1.) *. nf *. nf in
+      {
+        marginal = ipf_tol +. (nf *. quantum /. bin_total);
+        link = Some (link_tol +. (link_quanta *. quantum /. ynorm));
+      }
+  | _ -> { marginal = ipf_tol; link = Some link_tol }
+
+(* [None] when every invariant holds, else a description of the first
+   violation. *)
+let invariant_violation routing tols ~y ~clamped tm =
+  let n = Tm.size tm in
+  let measured_in i = y.(Routing.ingress_row routing i)
+  and measured_out j = y.(Routing.egress_row routing j) in
+  let total = Ic_linalg.Vec.sum (Array.init n measured_in) in
+  let bad = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt
+  in
+  Array.iteri
+    (fun k x ->
+      if not (Float.is_finite x && x >= 0.) then fail "entry %d = %h" k x)
+    (Tm.unsafe_data tm);
+  let rows = Ic_traffic.Marginals.ingress tm
+  and cols = Ic_traffic.Marginals.egress tm in
+  for i = 0 to n - 1 do
+    let dr = Float.abs (rows.(i) -. measured_in i) /. total in
+    let dc = Float.abs (cols.(i) -. measured_out i) /. total in
+    if dr > tols.marginal then fail "row %d off by %.3g of the total" i dr;
+    if dc > tols.marginal then fail "column %d off by %.3g of the total" i dc
+  done;
+  (match tols.link with
+  | Some tol when clamped = 0 ->
+      let r = Tomogravity.residual routing ~link_loads:y tm in
+      if r > tol then fail "link residual %.3g > %.3g" r tol
+  | _ -> ());
+  !bad
+
+let test_registry_invariant_oracle () =
+  let prop (nodes, chords, (bins, seed), _) =
+    let routing, truth, _, link_loads, _ =
+      instance ~nodes ~chords ~bins ~seed
+    in
+    let mean_total =
+      Ic_linalg.Vec.sum (Ic_traffic.Series.total_series truth)
+      /. float_of_int bins
+    in
+    List.for_all
+      (fun name ->
+        let (module E : Estimator.S) = Estimator.find_exn name in
+        let r =
+          Pipeline.run_estimator (module E) ~routing ~train:truth ~truth ()
+        in
+        Array.for_all
+          (fun k ->
+            let y = link_loads.(k) in
+            let tols =
+              tols_for name ~n:nodes ~mean_total
+                ~bin_total:(Tm.total (Ic_traffic.Series.tm truth k))
+                ~ynorm:(Ic_linalg.Vec.nrm2 y)
+            in
+            match
+              invariant_violation routing tols ~y
+                ~clamped:r.Pipeline.per_bin_clamped.(k)
+                (Ic_traffic.Series.tm r.Pipeline.estimate k)
+            with
+            | None -> true
+            | Some m -> QCheck2.Test.fail_reportf "%s, bin %d: %s" name k m)
+          (Array.init bins Fun.id))
+      (Estimator.names ())
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:20
+       ~name:"every registered estimator keeps the estimate invariants"
+       registry_gen prop)
+
+(* The engine's default native path: ladder-rung prior, frozen weights,
+   IPF. The refit cadence is shortened so a short run walks the cold-start
+   gravity rung, a refit and the fitted rungs. *)
+let test_engine_invariant_oracle () =
+  let gen =
+    QCheck2.Gen.(
+      triple (int_range 3 7) (int_range 0 5)
+        (pair (int_range 8 20) (int_range 0 10_000)))
+  in
+  let prop (nodes, chords, (bins, seed)) =
+    let routing, truth, _, link_loads, _ =
+      instance ~nodes ~chords ~bins ~seed
+    in
+    let config =
+      {
+        (Ic_runtime.Engine.default_config routing
+           truth.Ic_traffic.Series.binning)
+        with
+        Ic_runtime.Engine.refit_every = 4;
+        window = 8;
+        recover_after = 2;
+      }
+    in
+    let engine = Ic_runtime.Engine.create config in
+    let missing = Array.make (Routing.row_count routing) false in
+    Array.for_all
+      (fun k ->
+        let y = link_loads.(k) in
+        let out = Ic_runtime.Engine.step engine ~loads:y ~missing in
+        let tols = { marginal = ipf_tol; link = Some link_tol } in
+        match
+          invariant_violation routing tols ~y ~clamped:out.clamped
+            out.estimate
+        with
+        | None -> true
+        | Some m ->
+            QCheck2.Test.fail_reportf "bin %d (%s): %s" k
+              (Ic_runtime.Degrade.level_name out.level)
+              m)
+      (Array.init bins Fun.id)
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:20
+       ~name:"engine default path keeps the estimate invariants" gen prop)
+
 let test_registry_roster () =
   (* The built-in families are present, sorted, and an unknown lookup
      names the whole roster — the CLI error path leans on this. *)
@@ -260,8 +411,6 @@ let () =
     [
       ( "bit-identity",
         [
-          Alcotest.test_case "estimate_series_par (random topologies)" `Slow
-            test_series_par_differential;
           Alcotest.test_case "Pipeline.run_par (random topologies)" `Slow
             test_pipeline_par_differential;
           Alcotest.test_case "pool sizes agree pairwise" `Quick
@@ -273,6 +422,10 @@ let () =
             test_registry_plan_reuse_differential;
           Alcotest.test_case "parallel = sequential (whole registry)" `Slow
             test_registry_jobs_differential;
+          Alcotest.test_case "invariant oracle (whole registry)" `Slow
+            test_registry_invariant_oracle;
+          Alcotest.test_case "invariant oracle (engine default path)" `Slow
+            test_engine_invariant_oracle;
           Alcotest.test_case "roster and unknown-name error" `Quick
             test_registry_roster;
         ] );

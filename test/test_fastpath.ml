@@ -1,13 +1,10 @@
-(* Suite 25: the per-bin fast path — factor caching, rank-k Cholesky
-   updates, batched solves, and the engine's frozen-weight regime.
+(* Suite 25: the per-bin fast path — factor caching, transposed-factor
+   solves, and the engine's frozen-weight regime.
 
-   The contracts under test, in order of strictness:
+   The contracts under test:
    - cache hits and full refactorizations are BIT-identical to a fresh
      plan (the factorization is a deterministic function of the weights);
-   - the rank-k update tier agrees with full refactorization within the
-     documented [Tomogravity.rank_update_tol];
-   - [Chol.solve_many_into] and [Chol.solve_into_t] are bit-identical to
-     sequential [Chol.solve_into];
+   - [Chol.solve_into_t] is bit-identical to [Chol.solve_into];
    - a killed-and-resumed engine with a warm factor cache reproduces the
      uninterrupted stream bit-for-bit across refits and ladder moves. *)
 
@@ -25,13 +22,6 @@ module Replay = Ic_runtime.Replay
 module Telemetry = Ic_runtime.Telemetry
 
 let bits = Int64.bits_of_float
-
-let check_rel ~tol msg a b =
-  let scale = Float.max (Float.max (Float.abs a) (Float.abs b)) 1. in
-  if Float.abs (a -. b) > tol *. scale then
-    Alcotest.failf "%s: %.17g vs %.17g (rel err %.3g > %.3g)" msg a b
-      (Float.abs (a -. b) /. scale)
-      tol
 
 let check_vec_bits msg a b =
   if Array.length a <> Array.length b then
@@ -52,64 +42,7 @@ let get_ok = function
   | Ok ch -> ch
   | Error _ -> Alcotest.fail "factorization failed on an SPD matrix"
 
-(* --- rank-1 update / downdate vs refactorization ------------------------- *)
-
-let test_update_matches_refactorize () =
-  let rng = Ic_prng.Rng.create 2501 in
-  List.iter
-    (fun n ->
-      let a = spd_matrix rng n in
-      let x = Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
-      let ch = get_ok (Chol.factorize a) in
-      Chol.update ch (Array.copy x);
-      let a' =
-        Mat.init n n (fun i j -> Mat.get a i j +. (x.(i) *. x.(j)))
-      in
-      let ch_ref = get_ok (Chol.factorize a') in
-      let b = Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-2.) 2.) in
-      let got = Chol.solve ch b and want = Chol.solve ch_ref b in
-      Array.iteri
-        (fun i v ->
-          check_rel ~tol:1e-9 (Printf.sprintf "update n=%d solve[%d]" n i) v
-            got.(i))
-        want)
-    [ 5; 12; 19 ]
-
-let test_downdate_matches_refactorize () =
-  let rng = Ic_prng.Rng.create 2502 in
-  List.iter
-    (fun n ->
-      let base = spd_matrix rng n in
-      let x = Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
-      let a =
-        Mat.init n n (fun i j -> Mat.get base i j +. (x.(i) *. x.(j)))
-      in
-      let ch = get_ok (Chol.factorize a) in
-      (match Chol.downdate ch (Array.copy x) with
-      | Ok () -> ()
-      | Error (`Not_positive_definite k) ->
-          Alcotest.failf "downdate of a safe carrier failed at %d" k);
-      let ch_ref = get_ok (Chol.factorize base) in
-      let b = Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-2.) 2.) in
-      let got = Chol.solve ch b and want = Chol.solve ch_ref b in
-      Array.iteri
-        (fun i v ->
-          check_rel ~tol:1e-8 (Printf.sprintf "downdate n=%d solve[%d]" n i) v
-            got.(i))
-        want)
-    [ 5; 12 ]
-
-let test_downdate_detects_indefinite () =
-  (* I - xx^T with |x| > 1 is indefinite: the downdate must report it
-     rather than hand back a garbage factor. *)
-  let n = 4 in
-  let ch = get_ok (Chol.factorize (Mat.identity n)) in
-  let x = [| 10.; 0.; 0.; 0. |] in
-  match Chol.downdate ch x with
-  | Error (`Not_positive_definite _) -> ()
-  | Ok () -> Alcotest.fail "downdate past positive definiteness accepted"
-
-(* --- transposed and batched triangular solves ---------------------------- *)
+(* --- transposed triangular solves ----------------------------------------- *)
 
 let test_solve_into_t_bit_identical () =
   let rng = Ic_prng.Rng.create 2503 in
@@ -124,31 +57,6 @@ let test_solve_into_t_bit_identical () =
       Chol.solve_into_t ch ~lt x2;
       check_vec_bits (Printf.sprintf "solve_into_t n=%d" n) x1 x2)
     [ 1; 7; 23 ]
-
-let test_solve_many_bit_identical () =
-  let rng = Ic_prng.Rng.create 2504 in
-  let n = 17 and k = 5 in
-  let ch = get_ok (Chol.factorize (spd_matrix rng n)) in
-  let lt = Mat.create n n in
-  Chol.transpose_into ch ~lt;
-  let rhss =
-    Array.init k (fun _ ->
-        Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-3.) 3.))
-  in
-  let batched = Array.map Array.copy rhss in
-  Chol.solve_many_into ~lt ch batched;
-  Array.iteri
-    (fun j b ->
-      let x = Array.copy b in
-      Chol.solve_into ch x;
-      check_vec_bits (Printf.sprintf "solve_many rhs %d" j) x batched.(j))
-    rhss;
-  (* and without a caller-provided transpose *)
-  let batched2 = Array.map Array.copy rhss in
-  Chol.solve_many_into ch batched2;
-  Array.iteri
-    (fun j b -> check_vec_bits (Printf.sprintf "no-lt rhs %d" j) batched.(j) b)
-    batched2
 
 (* --- the tomogravity factor cache ---------------------------------------- *)
 
@@ -200,8 +108,7 @@ let test_cached_factor_bit_identical () =
   done;
   let stats = Tomogravity.plan_fastpath_stats plan in
   Alcotest.(check int) "one refactorization" 1 stats.Tomogravity.refactorizes;
-  Alcotest.(check int) "rest are hits" (bins - 1) stats.Tomogravity.hits;
-  Alcotest.(check int) "no updates" 0 stats.Tomogravity.updates
+  Alcotest.(check int) "rest are hits" (bins - 1) stats.Tomogravity.hits
 
 let test_invalidate_forces_refactorize () =
   let routing, series = make_world 32 in
@@ -220,90 +127,6 @@ let test_invalidate_forces_refactorize () =
   Alcotest.(check int) "both calls refactorized" 2
     stats.Tomogravity.refactorizes
 
-let test_rank_update_within_tol () =
-  let routing, series = make_world 33 in
-  let link_loads, priors = world_inputs routing series in
-  let w1 = Vec.clamp_nonneg (Tm.to_vector (Series.tm series 0)) in
-  let w2 = Array.copy w1 in
-  (* perturb three coordinates: within the rank-update crossover *)
-  w2.(1) <- w2.(1) *. 1.3;
-  w2.(40) <- w2.(40) *. 0.6;
-  w2.(77) <- w2.(77) +. 1e4;
-  let plan = Tomogravity.make_plan ~rank_update_limit:4 routing in
-  ignore
-    (Tomogravity.estimate_with_plan ~weights:w1 plan
-       ~link_loads:link_loads.(0) ~prior:priors.(0));
-  let updated =
-    Tomogravity.estimate_with_plan ~weights:w2 plan ~link_loads:link_loads.(1)
-      ~prior:priors.(1)
-  in
-  let stats = Tomogravity.plan_fastpath_stats plan in
-  Alcotest.(check int) "update tier used" 1 stats.Tomogravity.updates;
-  let fresh_plan = Tomogravity.make_plan routing in
-  let refactorized =
-    Tomogravity.estimate_with_plan ~weights:w2 fresh_plan
-      ~link_loads:link_loads.(1) ~prior:priors.(1)
-  in
-  let a = Tm.unsafe_data refactorized and b = Tm.unsafe_data updated in
-  (* entry-wise within the documented tolerance, relative to the TM scale *)
-  let scale = Float.max (Vec.amax a) 1. in
-  Array.iteri
-    (fun i x ->
-      if Float.abs (x -. b.(i)) > Tomogravity.rank_update_tol *. scale then
-        Alcotest.failf "rank-update entry %d: %.17g vs %.17g beyond tol" i x
-          b.(i))
-    a
-
-let test_rank_update_limit_guard () =
-  let routing, _ = make_world 34 in
-  let plan = Tomogravity.make_plan routing in
-  Alcotest.check_raises "negative limit"
-    (Invalid_argument "Tomogravity.plan_set_rank_update_limit: negative limit")
-    (fun () -> Tomogravity.plan_set_rank_update_limit plan (-1))
-
-let test_estimate_many_matches_loop () =
-  let routing, series = make_world 35 in
-  let link_loads, priors = world_inputs routing series in
-  let bins = Array.length priors in
-  let weights = Vec.clamp_nonneg (Tm.to_vector (Series.tm series 0)) in
-  (* include one early-exit bin: loads consistent with its own prior *)
-  link_loads.(3) <- Routing.link_loads routing (Tm.to_vector priors.(3));
-  let plan = Tomogravity.make_plan routing in
-  let batched = Tomogravity.estimate_many ~weights plan ~link_loads ~priors in
-  let batched_clamp = Tomogravity.plan_last_clamp_count plan in
-  let plan2 = Tomogravity.make_plan routing in
-  let total = ref 0 in
-  let looped =
-    Array.init bins (fun k ->
-        let tm =
-          Tomogravity.estimate_with_plan ~weights plan2
-            ~link_loads:link_loads.(k) ~prior:priors.(k)
-        in
-        total := !total + Tomogravity.plan_last_clamp_count plan2;
-        tm)
-  in
-  Array.iteri
-    (fun k tm -> check_tm_bits (Printf.sprintf "batch bin %d" k) looped.(k) tm)
-    batched;
-  Alcotest.(check int) "clamp count is the batch total" !total batched_clamp
-
-let test_estimate_series_weights_consistent () =
-  let routing, series = make_world 36 in
-  let link_loads, priors = world_inputs routing series in
-  let weights = Vec.clamp_nonneg (Tm.to_vector (Series.tm series 1)) in
-  let a = Tomogravity.estimate_series ~weights routing ~link_loads ~priors in
-  let pool = Ic_parallel.Pool.create ~jobs:2 () in
-  let b =
-    Fun.protect
-      ~finally:(fun () -> Ic_parallel.Pool.shutdown pool)
-      (fun () ->
-        Tomogravity.estimate_series_par ~weights ~pool routing ~link_loads
-          ~priors)
-  in
-  Array.iteri
-    (fun k tm -> check_tm_bits (Printf.sprintf "par bin %d" k) a.(k) tm)
-    b
-
 (* --- the engine's frozen-weight fast path -------------------------------- *)
 
 let graph = Ic_topology.Topologies.abilene_like ()
@@ -321,7 +144,7 @@ let series =
   in
   (Ic_core.Synth.generate spec (Ic_prng.Rng.create 99)).Ic_core.Synth.series
 
-let config ?(fast_path = true) ?(refit_every = 6) () =
+let config ?(refit_every = 6) () =
   {
     (Engine.default_config routing binning) with
     Engine.refit_every;
@@ -330,7 +153,6 @@ let config ?(fast_path = true) ?(refit_every = 6) () =
     stale_after = 24;
     impute_budget = 1;
     recover_after = 3;
-    fast_path;
   }
 
 let mk_feed ?(drop = 0.05) ~seed () =
@@ -378,25 +200,6 @@ let test_engine_kill_resume_warm_cache () =
        (Array.append head.Replay.estimates tail.Replay.estimates)
        full.Replay.estimates)
 
-let test_engine_fast_path_off_differs_only_in_geometry () =
-  (* With the fast path off the engine uses per-bin prior weights; the
-     estimates differ in the correction geometry but both satisfy the
-     same marginal projection, so totals agree tightly. *)
-  let on_engine = Engine.create (config ()) in
-  let off_engine = Engine.create (config ~fast_path:false ()) in
-  let on = Replay.run ~max_bins:16 on_engine (mk_feed ~seed:5 ()) in
-  let off = Replay.run ~max_bins:16 off_engine (mk_feed ~seed:5 ()) in
-  Array.iteri
-    (fun k tm_on ->
-      let tm_off = off.Replay.estimates.(k) in
-      check_rel ~tol:1e-9
-        (Printf.sprintf "bin %d total" k)
-        (Tm.total tm_on) (Tm.total tm_off))
-    on.Replay.estimates;
-  let tel = Engine.telemetry off_engine in
-  Alcotest.(check int) "fast path off: no cache hits" 0
-    (Telemetry.count tel "fastpath.hit")
-
 (* Frozen weights round-trip the checkpoint and hold kill/resume
    bit-identity at arbitrary cut points (qcheck). *)
 let resume_bit_identical (seed, n1, n2) =
@@ -428,21 +231,10 @@ let resume_property =
 let () =
   Alcotest.run "ic_fastpath"
     [
-      ( "chol updates",
-        [
-          Alcotest.test_case "update matches refactorize" `Quick
-            test_update_matches_refactorize;
-          Alcotest.test_case "downdate matches refactorize" `Quick
-            test_downdate_matches_refactorize;
-          Alcotest.test_case "downdate detects indefinite" `Quick
-            test_downdate_detects_indefinite;
-        ] );
       ( "batched solves",
         [
           Alcotest.test_case "solve_into_t bit-identical" `Quick
             test_solve_into_t_bit_identical;
-          Alcotest.test_case "solve_many_into bit-identical" `Quick
-            test_solve_many_bit_identical;
         ] );
       ( "factor cache",
         [
@@ -450,14 +242,6 @@ let () =
             test_cached_factor_bit_identical;
           Alcotest.test_case "invalidate forces refactorization" `Quick
             test_invalidate_forces_refactorize;
-          Alcotest.test_case "rank-k update within tolerance" `Quick
-            test_rank_update_within_tol;
-          Alcotest.test_case "negative limit rejected" `Quick
-            test_rank_update_limit_guard;
-          Alcotest.test_case "estimate_many matches per-bin loop" `Quick
-            test_estimate_many_matches_loop;
-          Alcotest.test_case "series par agrees under shared weights" `Quick
-            test_estimate_series_weights_consistent;
         ] );
       ( "engine fast path",
         [
@@ -465,8 +249,6 @@ let () =
             test_engine_warm_cache_counters;
           Alcotest.test_case "kill/resume with warm cache" `Quick
             test_engine_kill_resume_warm_cache;
-          Alcotest.test_case "fast path off preserves totals" `Quick
-            test_engine_fast_path_off_differs_only_in_geometry;
           QCheck_alcotest.to_alcotest resume_property;
         ] );
     ]

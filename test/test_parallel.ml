@@ -4,7 +4,6 @@
    multi-engine shard supervisor with its atomic fleet checkpoint. *)
 
 module Pool = Ic_parallel.Pool
-module Tomogravity = Ic_estimation.Tomogravity
 module Pipeline = Ic_estimation.Pipeline
 module Engine = Ic_runtime.Engine
 module Feed = Ic_runtime.Feed
@@ -138,14 +137,7 @@ let test_shutdown_rejects () =
 
 let series_inputs ~bins ~seed =
   let truth = synth ~bins ~seed in
-  let prior = Ic_gravity.Gravity.of_series truth in
-  let link_loads =
-    Array.init bins (fun k ->
-        Ic_topology.Routing.link_loads routing
-          (Tm.to_vector (Ic_traffic.Series.tm truth k)))
-  in
-  let priors = Array.init bins (fun k -> Ic_traffic.Series.tm prior k) in
-  (truth, prior, link_loads, priors)
+  (truth, Ic_gravity.Gravity.of_series truth)
 
 let tm_bits tm =
   (* Bit-identical, not approximately-equal: compare IEEE-754 payloads. *)
@@ -160,30 +152,9 @@ let check_series_equal label a b =
         (tm_bits tm) (tm_bits b.(k)))
     a
 
-let test_estimate_series_par_bit_identical () =
-  (* The qcheck pin: random bins/seed, jobs in {1, 2, 4} — the parallel
-     series estimator must be bit-identical to the sequential one. *)
-  let gen =
-    QCheck2.Gen.(
-      triple (int_range 1 24) (int_range 0 1000) (oneofl [ 1; 2; 4 ]))
-  in
-  let prop (bins, seed, jobs) =
-    let _, _, link_loads, priors = series_inputs ~bins ~seed in
-    let seq = Tomogravity.estimate_series routing ~link_loads ~priors in
-    let par =
-      Pool.with_pool ~jobs (fun pool ->
-          Tomogravity.estimate_series_par ~pool routing ~link_loads ~priors)
-    in
-    Array.length seq = Array.length par
-    && Array.for_all2 (fun a b -> tm_bits a = tm_bits b) seq par
-  in
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~count:15
-       ~name:"estimate_series_par = estimate_series (bitwise)" gen prop)
-
 let test_run_par_bit_identical () =
   let bins = 13 in
-  let truth, prior, _, _ = series_inputs ~bins ~seed:99 in
+  let truth, prior = series_inputs ~bins ~seed:99 in
   let config = Pipeline.default_config routing in
   let seq = Pipeline.run config ~truth ~prior in
   List.iter
@@ -336,8 +307,6 @@ let () =
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "estimate_series_par (qcheck)" `Slow
-            test_estimate_series_par_bit_identical;
           Alcotest.test_case "Pipeline.run_par" `Quick
             test_run_par_bit_identical;
         ] );

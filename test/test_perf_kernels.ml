@@ -212,36 +212,30 @@ let test_estimate_with_plan_matches () =
     check_tm_rel ~tol:1e-9 (Printf.sprintf "estimate bin %d" k) reference planned
   done
 
-let test_estimate_series_matches () =
+(* One plan reused across a whole series (its factor cache and scratch
+   buffers carried from bin to bin) matches a fresh one-shot estimate per
+   bin, for both solvers. *)
+let test_plan_reuse_matches () =
   let routing, series = make_world 9 in
   let bins = Series.length series in
-  let link_loads =
-    Array.init bins (fun k ->
-        Routing.link_loads routing (Tm.to_vector (Series.tm series k)))
-  in
-  let priors =
-    Array.init bins (fun k -> Ic_gravity.Gravity.of_tm (Series.tm series k))
-  in
-  let batched = Tomogravity.estimate_series routing ~link_loads ~priors in
-  Alcotest.(check int) "length" bins (Array.length batched);
-  Array.iteri
-    (fun k tm ->
-      let reference =
-        Tomogravity.estimate routing ~link_loads:link_loads.(k)
-          ~prior:priors.(k)
-      in
-      check_tm_rel ~tol:1e-9 (Printf.sprintf "series bin %d" k) reference tm)
-    batched;
-  (* the Cg solver path must agree with its per-bin counterpart too *)
-  let batched_cg =
-    Tomogravity.estimate_series ~solver:Tomogravity.Cg routing ~link_loads
-      ~priors
-  in
-  let reference_cg =
-    Tomogravity.estimate ~solver:Tomogravity.Cg routing
-      ~link_loads:link_loads.(0) ~prior:priors.(0)
-  in
-  check_tm_rel ~tol:1e-9 "cg bin 0" reference_cg batched_cg.(0)
+  List.iter
+    (fun (label, solver) ->
+      let plan = Tomogravity.make_plan routing in
+      for k = 0 to bins - 1 do
+        let truth = Series.tm series k in
+        let y = Routing.link_loads routing (Tm.to_vector truth) in
+        let prior = Ic_gravity.Gravity.of_tm truth in
+        let reference =
+          Tomogravity.estimate ~solver routing ~link_loads:y ~prior
+        in
+        let reused =
+          Tomogravity.estimate_with_plan ~solver plan ~link_loads:y ~prior
+        in
+        check_tm_rel ~tol:1e-9
+          (Printf.sprintf "%s bin %d" label k)
+          reference reused
+      done)
+    [ ("cholesky", Tomogravity.Cholesky); ("cg", Tomogravity.Cg) ]
 
 let test_estimate_with_plan_validation () =
   let routing, series = make_world 10 in
@@ -250,13 +244,7 @@ let test_estimate_with_plan_validation () =
   Alcotest.check_raises "bad link loads"
     (Invalid_argument "Tomogravity.estimate: link-load dimension mismatch")
     (fun () ->
-      ignore (Tomogravity.estimate_with_plan plan ~link_loads:[| 1. |] ~prior));
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Tomogravity.estimate_series: series length mismatch")
-    (fun () ->
-      ignore
-        (Tomogravity.estimate_series routing ~link_loads:[| [| 1. |] |]
-           ~priors:[||]))
+      ignore (Tomogravity.estimate_with_plan plan ~link_loads:[| 1. |] ~prior))
 
 let test_entropy_plan_matches () =
   let routing, series = make_world 11 in
@@ -387,8 +375,8 @@ let () =
             test_plan_gram_matches;
           Alcotest.test_case "estimate_with_plan matches estimate" `Quick
             test_estimate_with_plan_matches;
-          Alcotest.test_case "estimate_series matches per-bin" `Quick
-            test_estimate_series_matches;
+          Alcotest.test_case "plan reuse matches per-bin" `Quick
+            test_plan_reuse_matches;
           Alcotest.test_case "validation errors preserved" `Quick
             test_estimate_with_plan_validation;
           Alcotest.test_case "entropy with plan matches" `Quick
