@@ -286,8 +286,11 @@ let parallel_tests ~pool =
 (* Observability overhead. The traced-off engine must price like
    stream/engine-per-bin (tracing is threaded through every hot path now,
    so this guards the "noop tracer costs a branch" claim); traced-on shows
-   the full cost of span capture at 6 spans per bin. The micro pair puts a
-   number on one with_span call itself. *)
+   the full cost of span capture at 7 spans per cached bin. The micro pair
+   puts a number on one with_span call itself, and stage-traced-off on one
+   engine stage call with tracing off: the noop span plus the stage timer
+   (two default-clock reads and a histogram observation) that every bin
+   pays four times. *)
 let obs_tests =
   let module Trace = Ic_obs.Trace in
   let traced_engine tracer =
@@ -305,6 +308,14 @@ let obs_tests =
       (Staged.stage (traced_engine (Some (Trace.create ~capacity:4096 ()))));
     Test.make ~name:"obs/noop-span"
       (Staged.stage (fun () -> Trace.with_span Trace.noop "bench" Fun.id));
+    Test.make ~name:"obs/stage-traced-off"
+      (Staged.stage
+         (let tel = Ic_runtime.Telemetry.create () in
+          fun () ->
+            Trace.stage Trace.noop "bench"
+              ~clock:(Ic_runtime.Telemetry.clock tel)
+              (Ic_runtime.Telemetry.stage tel "bench")
+              Fun.id));
     Test.make ~name:"obs/enabled-span"
       (Staged.stage
          (let tracer = Trace.create ~capacity:1024 () in
@@ -623,13 +634,13 @@ let serve_roundtrip_ns listen =
         | _ -> failwith "serve bench: connection died mid-roundtrip"
       in
       let iters = 2000 in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Ic_obs.Clock.now () in
       for k = 1 to iters do
         exchange
           (if k land 1 = 0 then Ic_serve.Wire.Ping (Int64.of_int k)
            else Ic_serve.Wire.Latest_tm { tenant = "bench" })
       done;
-      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters)
+      (Ic_obs.Clock.now () -. t0) *. 1e9 /. float_of_int iters)
 
 (* Keep connections <= workers: a worker owns a connection until its
    client closes it, so more loadgen connections than workers would

@@ -110,16 +110,10 @@ let subsample stride series =
              (min (k * stride) (Ic_traffic.Series.length series - 1))))
   end
 
-let run_fit which weeks seed week stride input nodes bin_minutes =
+let run_fit which weeks seed week stride input bin_minutes =
   let series, name_of =
     match input with
-    | Some path ->
-        let n =
-          match nodes with
-          | Some n -> n
-          | None ->
-              invalid_arg "--nodes is required when fitting from a CSV file"
-        in
+    | Some (path, n) ->
         let binning =
           Ic_timeseries.Timebin.make ~width_s:(bin_minutes * 60)
         in
@@ -429,7 +423,7 @@ let run_stream_sharded which series routing config ~shards ~jobs ~total
 
 let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
     kill_after resume checkpoint_path refit_every window recover_after
-    with_timings estimator shards jobs trace verbose =
+    full_telemetry estimator shards jobs trace verbose =
   setup_logs verbose;
   check_estimator estimator;
   let tracer = make_tracer trace in
@@ -482,12 +476,6 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
     Ic_runtime.Feed.create ~noise_sigma:noise ~drop_rate ~corrupt_rate
       ?openloop ?telemetry routing series ~seed:feed_seed
   in
-  if shards < 1 then invalid_arg "stream: shards must be >= 1";
-  if jobs < 1 then invalid_arg "stream: jobs must be >= 1";
-  if openloop <> None && shards > 1 then
-    invalid_arg
-      "stream: --open-loop applies to the single-shard path (shard feeds \
-       re-bin time from their own origin)";
   if shards > 1 then begin
     run_stream_sharded which series routing config ~shards ~jobs ~total
       ~feed_seed ~noise ~drop_rate ~corrupt_rate ~kill_after ~resume
@@ -574,9 +562,11 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
         (Ic_runtime.Degrade.level_name tr.to_)
         (Ic_runtime.Degrade.reason_name tr.reason))
     transitions;
+  let telemetry = Ic_runtime.Engine.telemetry engine in
   print_string
-    (Ic_runtime.Telemetry.dump ~with_timings
-       (Ic_runtime.Engine.telemetry engine));
+    (if full_telemetry then
+       Ic_obs.Metrics.expose (Ic_runtime.Telemetry.registry telemetry)
+     else Ic_runtime.Telemetry.dump telemetry);
   export_trace tracer trace
   end
 
@@ -694,33 +684,102 @@ let split_once c s =
   | Some i ->
       (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
 
-(* TARGET@AT[+DUR][*X] — the shared grammar of every scenario event flag. *)
-let parse_event_spec ~flag s =
-  let bad () =
-    invalid_arg
-      (Printf.sprintf "bad --%s spec %S (expected TARGET@AT[+DUR][*X])" flag s)
-  in
+(* TARGET@AT[+DUR][*X] — the shared grammar of every scenario event flag;
+   [None] when the spec does not match it. *)
+type event_spec = {
+  target : string;
+  at : int;
+  dur : int option;
+  x : float option;
+}
+
+let parse_event_spec s =
   match split_once '@' s with
-  | _, None -> bad ()
-  | target, Some rest ->
+  | _, None -> None
+  | target, Some rest -> (
       let rest, x = split_once '*' rest in
-      let at_s, dur_s = split_once '+' rest in
-      let int_of v =
-        match int_of_string_opt v with Some i -> i | None -> bad ()
+      let at, dur = split_once '+' rest in
+      let opt parse = function
+        | None -> Some None
+        | Some v -> Option.map Option.some (parse v)
       in
-      let float_of v =
-        match float_of_string_opt v with Some f -> f | None -> bad ()
-      in
-      (target, int_of at_s, Option.map int_of dur_s, Option.map float_of x)
+      match
+        (int_of_string_opt at, opt int_of_string_opt dur,
+         opt float_of_string_opt x)
+      with
+      | Some at, Some dur, Some x -> Some { target; at; dur; x }
+      | _ -> None)
 
-let parse_link ~flag s =
-  match split_once '-' s with
-  | a, Some b when a <> "" && b <> "" -> (a, b)
-  | _ -> invalid_arg (Printf.sprintf "bad --%s link %S (expected A-B)" flag s)
+let parse_link target =
+  match split_once '-' target with
+  | a, Some b when a <> "" && b <> "" -> Some (a, b)
+  | _ -> None
 
-let require_dur ~flag = function
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "--%s spec needs a +DUR" flag)
+(* One event maker per flag: the parts of the grammar that flag takes. *)
+let fail_event { target; at; dur; x } =
+  match (parse_link target, x) with
+  | Some (a, b), None ->
+      Some (Ic_scenario.Schedule.Link_fail { a; b; at; duration = dur })
+  | _ -> None
+
+let reweight_event { target; at; dur; x } =
+  match (parse_link target, dur, x) with
+  | Some (a, b), None, Some weight ->
+      Some (Ic_scenario.Schedule.Reweight { a; b; at; weight })
+  | _ -> None
+
+let ddos_event { target; at; dur; x } =
+  Option.map
+    (fun duration ->
+      Ic_scenario.Schedule.Ddos
+        { victim = target; at; duration;
+          magnitude = Option.value ~default:12. x })
+    dur
+
+let flash_event { target; at; dur; x } =
+  Option.map
+    (fun duration ->
+      Ic_scenario.Schedule.Flash_crowd
+        { node = target; at; duration; boost = Option.value ~default:3. x })
+    dur
+
+let outage_event { target; at; dur; x } =
+  match (dur, x) with
+  | Some duration, None ->
+      Some (Ic_scenario.Schedule.Outage { node = target; at; duration })
+  | _ -> None
+
+(* The event flags checked against the topology and the run length — what
+   Timeline.compile would otherwise reject only after generating the base
+   traffic. *)
+let scenario_events topology bins fails reweights ddoses flashes outages =
+  let events = List.concat [ fails; reweights; ddoses; flashes; outages ] in
+  let graph = build_topology topology in
+  let node = Ic_topology.Graph.index_of_name graph in
+  let linked a b =
+    match (node a, node b) with
+    | Some u, Some v ->
+        Ic_topology.Graph.find_edge graph ~src:u ~dst:v <> None
+        || Ic_topology.Graph.find_edge graph ~src:v ~dst:u <> None
+    | _ -> false
+  in
+  let unknown = function
+    | Ic_scenario.Schedule.Link_fail { a; b; _ } | Reweight { a; b; _ } ->
+        if linked a b then None else Some (Printf.sprintf "no link %s-%s" a b)
+    | Ddos { victim = p; _ }
+    | Flash_crowd { node = p; _ }
+    | Outage { node = p; _ } ->
+        if node p <> None then None else Some ("unknown PoP " ^ p)
+  in
+  let problem =
+    match List.find_map unknown events with
+    | Some msg -> Some (Printf.sprintf "%s in topology %s" msg topology)
+    | None -> (
+        match Ic_scenario.Schedule.validate ~bins { seed = 0; events } with
+        | () -> None
+        | exception Invalid_argument msg -> Some msg)
+  in
+  match problem with Some msg -> `Error (true, msg) | None -> `Ok events
 
 (* Default schedule: fail the first non-bridge link for a quarter of the
    run, DDoS one PoP, flash-crowd another — so a bare `ic-lab scenario`
@@ -758,55 +817,9 @@ let default_events graph bins =
         boost = 3. };
   ]
 
-let parse_events ~fails ~reweights ~ddoses ~flashes ~outages =
-  List.concat
-    [
-      List.map
-        (fun s ->
-          let target, at, dur, x = parse_event_spec ~flag:"fail" s in
-          if x <> None then invalid_arg "--fail spec takes no *X";
-          let a, b = parse_link ~flag:"fail" target in
-          Ic_scenario.Schedule.Link_fail { a; b; at; duration = dur })
-        fails;
-      List.map
-        (fun s ->
-          let target, at, dur, x = parse_event_spec ~flag:"reweight" s in
-          if dur <> None then invalid_arg "--reweight spec takes no +DUR";
-          let weight =
-            match x with
-            | Some w -> w
-            | None -> invalid_arg "--reweight spec needs a *WEIGHT"
-          in
-          let a, b = parse_link ~flag:"reweight" target in
-          Ic_scenario.Schedule.Reweight { a; b; at; weight })
-        reweights;
-      List.map
-        (fun s ->
-          let victim, at, dur, x = parse_event_spec ~flag:"ddos" s in
-          Ic_scenario.Schedule.Ddos
-            { victim; at; duration = require_dur ~flag:"ddos" dur;
-              magnitude = Option.value ~default:12. x })
-        ddoses;
-      List.map
-        (fun s ->
-          let node, at, dur, x = parse_event_spec ~flag:"flash" s in
-          Ic_scenario.Schedule.Flash_crowd
-            { node; at; duration = require_dur ~flag:"flash" dur;
-              boost = Option.value ~default:3. x })
-        flashes;
-      List.map
-        (fun s ->
-          let node, at, dur, x = parse_event_spec ~flag:"outage" s in
-          if x <> None then invalid_arg "--outage spec takes no *X";
-          Ic_scenario.Schedule.Outage
-            { node; at; duration = require_dur ~flag:"outage" dur })
-        outages;
-    ]
-
-let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
-    reweights ddoses flashes outages threshold headroom refit_every window
-    recover_after kill_after resume checkpoint_path robust_scale self_heal
-    breaker verbose =
+let run_scenario topology family bins seed noise drop_rate corrupt_rate events
+    threshold headroom refit_every window recover_after kill_after resume
+    checkpoint_path robust_scale self_heal breaker verbose =
   setup_logs verbose;
   let graph = build_topology topology in
   let seed_v = Option.value ~default:7 seed in
@@ -820,7 +833,6 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
   let base =
     Ic_core.Tm_family.generate family spec (Ic_prng.Rng.create seed_v)
   in
-  let events = parse_events ~fails ~reweights ~ddoses ~flashes ~outages in
   let events = if events = [] then default_events graph bins else events in
   let schedule = { Ic_scenario.Schedule.seed = seed_v; events } in
   let tl = Ic_scenario.Timeline.compile ~graph ~base schedule in
@@ -1001,8 +1013,7 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate fails
       (Array.length segment.Ic_scenario.Runner.estimates)
       total;
   print_string
-    (Ic_runtime.Telemetry.dump ~with_timings:false
-       (Ic_runtime.Engine.telemetry engine))
+    (Ic_runtime.Telemetry.dump (Ic_runtime.Engine.telemetry engine))
 
 (* --- serve ---------------------------------------------------------------- *)
 
@@ -1166,7 +1177,18 @@ let run_loadgen socket host port queries rate connections seed json paced
       paced;
     }
   in
-  let outcome = Ic_serve.Loadgen.run config in
+  let outcome =
+    try Ic_serve.Loadgen.run config
+    with Unix.Unix_error (e, _, _) ->
+      let target =
+        match listen with
+        | Ic_serve.Server.Unix_path path -> "unix:" ^ path
+        | Ic_serve.Server.Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+      in
+      Printf.eprintf "loadgen: cannot reach %s: %s\n" target
+        (Unix.error_message e);
+      exit 1
+  in
   print_string (Ic_serve.Loadgen.report ~timings outcome);
   if outcome.Ic_serve.Loadgen.transport_failures > 0 then exit 1
 
@@ -1200,9 +1222,41 @@ open Cmdliner
 let names_of choices =
   Arg.enum (List.map (fun (name, _) -> (name, name)) choices)
 
+(* Count flags: a value below [least] is a usage error before any work
+   starts. *)
+let int_at_least least =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= least -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+                least))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1
+
+(* A repeatable scenario event flag, parsed by its maker: a spec the maker
+   rejects is a usage error naming the flag's grammar. *)
+let event_flag name grammar make ~doc =
+  let parse s =
+    match Option.bind (parse_event_spec s) make with
+    | Some e -> Ok e
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s grammar))
+  in
+  let print ppf e =
+    Format.pp_print_string ppf (Ic_scenario.Schedule.describe e)
+  in
+  Arg.(
+    value & opt_all (conv (parse, print)) [] & info [ name ] ~docv:grammar ~doc)
+
 let stride_arg =
   let doc = "Keep every STRIDE-th time bin (1 = full resolution)." in
-  Arg.(value & opt int 1 & info [ "stride" ] ~docv:"STRIDE" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "stride" ] ~docv:"STRIDE" ~doc)
 
 let weeks_arg =
   let doc = "Number of weeks to generate (dataset default if omitted)." in
@@ -1224,7 +1278,7 @@ let jobs_arg =
     "Worker domains for the estimation hot paths (1 = sequential). Results \
      are bit-identical at every value; only wall-clock changes."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let engine_estimator_arg =
   let doc =
@@ -1282,17 +1336,26 @@ let fit_cmd =
   in
   let nodes =
     let doc = "Node count of the CSV series (required with --input)." in
-    Arg.(value & opt (some int) None & info [ "nodes" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some pos_int) None & info [ "nodes" ] ~docv:"N" ~doc)
+  in
+  let input =
+    let check input nodes =
+      match (input, nodes) with
+      | Some _, None -> `Error (true, "--input needs --nodes")
+      | Some path, Some n -> `Ok (Some (path, n))
+      | None, _ -> `Ok None
+    in
+    Term.(ret (const check $ input $ nodes))
   in
   let bin_minutes =
     let doc = "Bin width of the CSV series in minutes." in
-    Arg.(value & opt int 5 & info [ "bin-minutes" ] ~docv:"MIN" ~doc)
+    Arg.(value & opt pos_int 5 & info [ "bin-minutes" ] ~docv:"MIN" ~doc)
   in
   let doc = "Fit the stable-fP IC model and print parameters." in
   Cmd.v (Cmd.info "fit" ~doc)
     Term.(
       const run_fit $ dataset_arg $ weeks_arg $ seed_arg $ week $ stride_arg
-      $ input $ nodes $ bin_minutes)
+      $ input $ bin_minutes)
 
 let estimate_cmd =
   let calib =
@@ -1403,19 +1466,28 @@ let stream_cmd =
   in
   let refit_every =
     let doc = "Refit the stable-fP parameters every BINS bins." in
-    Arg.(value & opt (some int) None & info [ "refit-every" ] ~docv:"BINS" ~doc)
+    Arg.(
+      value
+      & opt (some pos_int) None
+      & info [ "refit-every" ] ~docv:"BINS" ~doc)
   in
   let window =
     let doc = "Sliding refit window length in bins." in
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"BINS" ~doc)
+    Arg.(value & opt (some pos_int) None & info [ "window" ] ~docv:"BINS" ~doc)
   in
   let recover_after =
     let doc = "Healthy bins required per upward ladder step." in
     Arg.(
-      value & opt (some int) None & info [ "recover-after" ] ~docv:"BINS" ~doc)
+      value
+      & opt (some pos_int) None
+      & info [ "recover-after" ] ~docv:"BINS" ~doc)
   in
   let telemetry =
-    let doc = "Telemetry detail: counters (deterministic) or full." in
+    let doc =
+      "Telemetry detail: counters (the deterministic counter dump) or full \
+       (the Prometheus exposition of the engine's registry: counters plus \
+       per-stage duration histograms)."
+    in
     Arg.(
       value
       & opt (enum [ ("counters", false); ("full", true) ]) false
@@ -1428,7 +1500,7 @@ let stream_cmd =
        telemetry and an atomic all-shard checkpoint (with --kill-after, \
        the kill point is per shard)."
     in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let open_loop =
     let doc =
@@ -1439,6 +1511,21 @@ let stream_cmd =
     in
     Arg.(
       value & opt (some float) None & info [ "open-loop" ] ~docv:"RATE" ~doc)
+  in
+  let shards =
+    let check shards bins open_loop =
+      match bins with
+      | Some b when b < shards ->
+          `Error
+            (true, Printf.sprintf "--bins %d cannot fill --shards %d" b shards)
+      | _ when shards > 1 && open_loop <> None ->
+          `Error
+            ( true,
+              "--open-loop applies to the single-shard path (shard feeds \
+               re-bin time from their own origin)" )
+      | _ -> `Ok shards
+    in
+    Term.(ret (const check $ shards $ bins $ open_loop))
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Verbose logging.")
@@ -1514,7 +1601,7 @@ let shootout_cmd =
   in
   let folds =
     let doc = "Cross-validation folds." in
-    Arg.(value & opt int 3 & info [ "folds" ] ~docv:"K" ~doc)
+    Arg.(value & opt (int_at_least 2) 3 & info [ "folds" ] ~docv:"K" ~doc)
   in
   let seed =
     let doc = "Seed for data generation and the train/test split." in
@@ -1532,7 +1619,7 @@ let shootout_cmd =
   in
   let stride =
     let doc = "Keep every STRIDE-th bin of the evaluation week." in
-    Arg.(value & opt int 21 & info [ "stride" ] ~docv:"STRIDE" ~doc)
+    Arg.(value & opt pos_int 21 & info [ "stride" ] ~docv:"STRIDE" ~doc)
   in
   let doc =
     "Rank every registered estimator by cross-validated error and per-bin \
@@ -1563,7 +1650,7 @@ let scenario_cmd =
   in
   let bins =
     let doc = "Scenario length in 5-minute bins." in
-    Arg.(value & opt int 96 & info [ "bins" ] ~docv:"BINS" ~doc)
+    Arg.(value & opt pos_int 96 & info [ "bins" ] ~docv:"BINS" ~doc)
   in
   let noise =
     let doc = "SNMP multiplicative noise sigma." in
@@ -1578,40 +1665,32 @@ let scenario_cmd =
     Arg.(value & opt float 0. & info [ "corrupt-rate" ] ~docv:"P" ~doc)
   in
   let fails =
-    let doc =
-      "Fail link A-B at bin AT, restored DUR bins later (permanent if +DUR \
-       is omitted). Repeatable."
-    in
-    Arg.(value & opt_all string [] & info [ "fail" ] ~docv:"A-B@AT[+DUR]" ~doc)
+    event_flag "fail" "A-B@AT[+DUR]" fail_event
+      ~doc:
+        "Fail link A-B at bin AT, restored DUR bins later (permanent if +DUR \
+         is omitted). Repeatable."
   in
   let reweights =
-    let doc = "Set link A-B's IGP weight to W at bin AT. Repeatable." in
-    Arg.(
-      value & opt_all string [] & info [ "reweight" ] ~docv:"A-B@AT*W" ~doc)
+    event_flag "reweight" "A-B@AT*W" reweight_event
+      ~doc:"Set link A-B's IGP weight to W at bin AT. Repeatable."
   in
   let ddoses =
-    let doc =
-      "DDoS PoP from bin AT for DUR bins; each attacker adds MAG x the \
-       mean OD volume (default 12). Repeatable."
-    in
-    Arg.(
-      value & opt_all string [] & info [ "ddos" ] ~docv:"POP@AT+DUR[*MAG]" ~doc)
+    event_flag "ddos" "POP@AT+DUR[*MAG]" ddos_event
+      ~doc:
+        "DDoS PoP from bin AT for DUR bins; each attacker adds MAG x the \
+         mean OD volume (default 12). Repeatable."
   in
   let flashes =
-    let doc =
-      "Flash crowd toward PoP from bin AT for DUR bins, demand x BOOST \
-       (default 3). Repeatable."
-    in
-    Arg.(
-      value & opt_all string []
-      & info [ "flash" ] ~docv:"POP@AT+DUR[*BOOST]" ~doc)
+    event_flag "flash" "POP@AT+DUR[*BOOST]" flash_event
+      ~doc:
+        "Flash crowd toward PoP from bin AT for DUR bins, demand x BOOST \
+         (default 3). Repeatable."
   in
   let outages =
-    let doc =
-      "PoP outage from bin AT for DUR bins (traffic collapses to 2%; \
-       unlabeled — the excess detector must not flag it). Repeatable."
-    in
-    Arg.(value & opt_all string [] & info [ "outage" ] ~docv:"POP@AT+DUR" ~doc)
+    event_flag "outage" "POP@AT+DUR" outage_event
+      ~doc:
+        "PoP outage from bin AT for DUR bins (traffic collapses to 2%; \
+         unlabeled — the excess detector must not flag it). Repeatable."
   in
   let threshold =
     let doc = "Anomaly detector score threshold." in
@@ -1623,15 +1702,15 @@ let scenario_cmd =
   in
   let refit_every =
     let doc = "Refit the stable-fP parameters every BINS bins." in
-    Arg.(value & opt int 8 & info [ "refit-every" ] ~docv:"BINS" ~doc)
+    Arg.(value & opt pos_int 8 & info [ "refit-every" ] ~docv:"BINS" ~doc)
   in
   let window =
     let doc = "Sliding refit window length in bins." in
-    Arg.(value & opt int 32 & info [ "window" ] ~docv:"BINS" ~doc)
+    Arg.(value & opt pos_int 32 & info [ "window" ] ~docv:"BINS" ~doc)
   in
   let recover_after =
     let doc = "Healthy bins required per upward ladder step." in
-    Arg.(value & opt int 4 & info [ "recover-after" ] ~docv:"BINS" ~doc)
+    Arg.(value & opt pos_int 4 & info [ "recover-after" ] ~docv:"BINS" ~doc)
   in
   let kill_after =
     let doc =
@@ -1678,7 +1757,13 @@ let scenario_cmd =
        mostly-faulted bins, carry the last clean values while open, \
        half-open probe after the cooldown."
     in
-    Arg.(value & opt (some int) None & info [ "breaker" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some pos_int) None & info [ "breaker" ] ~docv:"K" ~doc)
+  in
+  let events =
+    Term.(
+      ret
+        (const scenario_events $ topology $ bins $ fails $ reweights $ ddoses
+       $ flashes $ outages))
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Verbose logging.")
@@ -1694,10 +1779,9 @@ let scenario_cmd =
   Cmd.v (Cmd.info "scenario" ~doc)
     Term.(
       const run_scenario $ topology $ family $ bins $ seed_arg $ noise
-      $ drop_rate $ corrupt_rate $ fails $ reweights $ ddoses $ flashes
-      $ outages $ threshold $ headroom $ refit_every $ window $ recover_after
-      $ kill_after $ resume $ checkpoint $ robust_scale $ self_heal $ breaker
-      $ verbose)
+      $ drop_rate $ corrupt_rate $ events $ threshold $ headroom $ refit_every
+      $ window $ recover_after $ kill_after $ resume $ checkpoint
+      $ robust_scale $ self_heal $ breaker $ verbose)
 
 let socket_arg =
   let doc = "Unix-domain socket path (preferred for local serving)." in
@@ -1714,14 +1798,14 @@ let serve_cmd =
   in
   let workers =
     let doc = "Worker domains serving connections." in
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 2 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let queue_cap =
     let doc =
       "Accepted connections allowed to wait for a worker; beyond it new \
        connections are shed with an explicit frame."
     in
-    Arg.(value & opt int 64 & info [ "queue-cap" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 64 & info [ "queue-cap" ] ~docv:"N" ~doc)
   in
   let max_inflight =
     let doc =
@@ -1801,7 +1885,7 @@ let loadgen_cmd =
   in
   let connections =
     let doc = "Concurrent client connections." in
-    Arg.(value & opt int 2 & info [ "connections"; "c" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 2 & info [ "connections"; "c" ] ~docv:"N" ~doc)
   in
   let seed =
     let doc =

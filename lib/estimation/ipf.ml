@@ -5,6 +5,7 @@ type outcome = {
   tm : Ic_traffic.Tm.t;
   iterations : int;
   max_marginal_error : float;
+  converged : bool;
 }
 
 let fit ?(max_iter = 200) ?(tol = 1e-9) tm ~row_targets ~col_targets =
@@ -109,4 +110,9 @@ let fit ?(max_iter = 200) ?(tol = 1e-9) tm ~row_targets ~col_targets =
     last_err := marginal_error ();
     if !last_err <= tol then continue_ := false
   done;
-  { tm = x; iterations = !iterations; max_marginal_error = !last_err }
+  {
+    tm = x;
+    iterations = !iterations;
+    max_marginal_error = !last_err;
+    converged = !last_err <= tol;
+  }

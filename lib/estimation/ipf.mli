@@ -7,6 +7,10 @@ type outcome = {
   iterations : int;
   max_marginal_error : float;
       (** largest relative row/column-sum mismatch at termination *)
+  converged : bool;
+      (** [max_marginal_error <= tol]; [false] when the iteration cap
+          stopped the fit first, e.g. on targets the zero pattern of the
+          matrix cannot meet *)
 }
 
 val fit :

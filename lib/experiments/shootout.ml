@@ -79,9 +79,9 @@ let time_bins (module E : Estimator.S) state ~routing ~plan series =
         Routing.link_loads routing (Tm.to_vector (Series.tm series k))
       in
       let ctx = Estimator.make_ctx ~routing ~plan ~link_loads:loads ~bin:k () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Ic_obs.Clock.now () in
       ignore (Estimator.estimate_bin (module E) state ctx : Tm.t * int);
-      (Unix.gettimeofday () -. t0) *. 1e6)
+      (Ic_obs.Clock.now () -. t0) *. 1e6)
 
 let run_one ~routing ~series ~folds ~seed ~timing name =
   let (module E : Estimator.S) = Estimator.find_exn name in

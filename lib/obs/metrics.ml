@@ -78,9 +78,7 @@ let gauges t =
 
 (* Histograms *)
 
-let default_duration_buckets =
-  (* 2^10 .. 2^32 ns: 1 µs up to ~4.3 s *)
-  Array.init 23 (fun i -> Float.of_int (1 lsl (10 + i)))
+let default_duration_buckets = Array.init 63 (fun i -> Float.ldexp 1. i)
 
 let validate_buckets b =
   if Array.length b = 0 then invalid_arg "Metrics.histogram: empty buckets";

@@ -63,8 +63,9 @@ val gauges : t -> (string * float) list
 type histogram
 
 val default_duration_buckets : float array
-(** Powers of two from 1 µs to ~4.3 s, in nanoseconds — a decent default
-    for stage durations on this workload. *)
+(** Powers of two from 1 ns to 2{^62} ns (bound [i] is 2{^i}): the bucket
+    family of every duration histogram, engine stages and served requests
+    alike, so all latency distributions read the same way. *)
 
 val histogram : t -> ?help:string -> ?buckets:float array -> string -> histogram
 (** [buckets] are upper bounds, strictly increasing (defaults to

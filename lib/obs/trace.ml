@@ -38,7 +38,7 @@ type dls = { mutable stack : (int * int) list }
 
 let dls_key = Domain.DLS.new_key (fun () -> { stack = [] })
 
-let create ?(capacity = 4096) ?(clock = Unix.gettimeofday) () =
+let create ?(capacity = 4096) ?(clock = Clock.now) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   Some
     {
@@ -57,8 +57,8 @@ let enabled = function None -> false | Some _ -> true
 let now_ns = function
   | None -> 0.
   | Some e ->
-      (* Clamped so the clock never runs backwards on a domain
-         (gettimeofday can step under NTP). *)
+      (* Clamped so the clock never runs backwards on a domain: an
+         injected clock may step. *)
       let last = Domain.DLS.get e.last_key in
       let t = (e.clock () -. e.epoch) *. 1e9 in
       let t = if t > !last then t else !last in
@@ -104,6 +104,19 @@ let with_span t ?(attrs = []) name f =
       in
       finish ();
       r
+
+(* The histogram's clock is read inside the span, so a span's self time
+   includes the timer's own cost. *)
+let timed ~clock hist f =
+  let t0 = clock () in
+  let r = f () in
+  Metrics.observe hist (Float.max 0. ((clock () -. t0) *. 1e9));
+  r
+
+let stage t ?attrs name ~clock hist f =
+  match t with
+  | None -> timed ~clock hist f
+  | Some _ -> with_span t ?attrs name (fun () -> timed ~clock hist f)
 
 let spans = function
   | None -> []

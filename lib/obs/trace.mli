@@ -21,11 +21,12 @@
       each other's ancestry. Span ids are process-global, which keeps
       parent references valid even when several tracers are in play.
 
-    Timestamps come from the injected clock (default
-    [Unix.gettimeofday]), are expressed in nanoseconds relative to tracer
+    Timestamps come from the injected clock (default {!Clock.now}, the
+    monotonic wall clock), are expressed in nanoseconds relative to tracer
     creation, and are clamped per tracer per domain so they never run
-    backwards (per tracer because two tracers have different epochs:
-    sharing a floor would zero out a younger tracer's durations).
+    backwards even under an injected clock that steps (per tracer because
+    two tracers have different epochs: sharing a floor would zero out a
+    younger tracer's durations).
     Spans are recorded on {e completion}, so a parent appears after its
     children in the buffer — the usual exporter convention; consumers
     re-link by [parent] id. *)
@@ -49,7 +50,7 @@ val noop : t
 val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
 (** An enabled tracer retaining the last [capacity] (default 4096)
     completed spans. [clock] returns seconds (injectable for deterministic
-    tests; default [Unix.gettimeofday]). Raises [Invalid_argument] if
+    tests; default {!Clock.now}). Raises [Invalid_argument] if
     [capacity < 1]. *)
 
 val enabled : t -> bool
@@ -63,6 +64,20 @@ val with_span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 
 (** [with_span t name f] runs [f ()] inside a span called [name]. The span
     is recorded when [f] returns {e or raises} (the exception is
     re-raised). On {!noop} this is exactly [f ()]. *)
+
+val stage :
+  t ->
+  ?attrs:(string * string) list ->
+  string ->
+  clock:(unit -> float) ->
+  Metrics.histogram ->
+  (unit -> 'a) ->
+  'a
+(** [stage t name ~clock hist f] is one instrumented stage: [f ()] runs
+    inside a span [name] (as {!with_span}), and its duration in
+    nanoseconds, read from the histogram owner's [clock] (seconds) just
+    before and after [f] inside the span, is observed into [hist] (floored
+    at 0). If [f] raises, the span is recorded and [hist] is not. *)
 
 val spans : t -> span list
 (** Retained spans, oldest first. At most [capacity]. *)

@@ -14,11 +14,8 @@ type config = {
   window : int;
   refit_sweeps : int;
   stale_after : int;
-  miss_soft : float;
-  miss_hard : float;
   impute_budget : int;
   recover_after : int;
-  fallback_f : float;
   initial_params : (float * Ic_linalg.Vec.t) option;
   gate_refits : bool;
   gate_threshold : float;
@@ -36,11 +33,8 @@ let default_config routing binning =
     window = day;
     refit_sweeps = 6;
     stale_after = 2 * day;
-    miss_soft = 0.2;
-    miss_hard = 0.5;
     impute_budget = 2;
     recover_after = 12;
-    fallback_f = 0.35;
     initial_params = None;
     gate_refits = false;
     gate_threshold = 4.;
@@ -48,6 +42,12 @@ let default_config routing binning =
     epoch_refit = None;
     estimator = "ic";
   }
+
+(* Missing-poll fractions above which the prior drops to the closed form
+   and to gravity, and the forward fraction assumed before any fit. *)
+let miss_soft = 0.2
+let miss_hard = 0.5
+let fallback_f = 0.35
 
 type t = {
   config : config;
@@ -107,12 +107,8 @@ let validate_config (c : config) =
   if c.window < 1 then invalid_arg "Engine: window must be >= 1";
   if c.refit_sweeps < 1 then invalid_arg "Engine: refit_sweeps must be >= 1";
   if c.stale_after < 1 then invalid_arg "Engine: stale_after must be >= 1";
-  if c.miss_soft < 0. || c.miss_soft > 1. || c.miss_hard < c.miss_soft then
-    invalid_arg "Engine: need 0 <= miss_soft <= miss_hard";
   if c.impute_budget < 0 then invalid_arg "Engine: negative impute_budget";
   if c.recover_after < 1 then invalid_arg "Engine: recover_after must be >= 1";
-  if c.fallback_f < 0. || c.fallback_f > 1. then
-    invalid_arg "Engine: fallback_f out of [0,1]";
   if c.gate_threshold <= 0. then
     invalid_arg "Engine: gate_threshold must be positive";
   if c.quarantine_limit < 1 then
@@ -146,7 +142,7 @@ let create ?telemetry ?(tracer = Trace.noop) config =
   let f, preference, fit_age, initial_level =
     match config.initial_params with
     | Some (f, p) -> (f, Some (Array.copy p), 0, Degrade.Measured_ic)
-    | None -> (config.fallback_f, None, max_int, Degrade.Gravity)
+    | None -> (fallback_f, None, max_int, Degrade.Gravity)
   in
   (* A plugged-in estimator owns its own calibration, so the ladder's fit
      component never holds it below full service. *)
@@ -229,8 +225,8 @@ let refit ?(since = 0) ?(ignore_quarantine = false) t =
   end
   else begin
     let series = Series.make t.config.binning (Array.of_list tms) in
-    Trace.with_span t.tracer "engine.refit" (fun () ->
-    Telemetry.time t.tel "refit" (fun () ->
+    Trace.stage t.tracer "engine.refit" ~clock:(Telemetry.clock t.tel)
+      (Telemetry.stage t.tel "refit") (fun () ->
         let options =
           {
             Ic_core.Fit.default_options with
@@ -244,7 +240,7 @@ let refit ?(since = 0) ?(ignore_quarantine = false) t =
         let fitted = Ic_core.Fit.fit_stable_fp ~options series in
         t.f <- fitted.params.f;
         t.preference <- Some (Array.copy fitted.params.preference);
-        t.fit_age <- 0));
+        t.fit_age <- 0);
     Telemetry.incr t.tel "refit.count";
     true
   end
@@ -323,9 +319,9 @@ let target_level t ~miss_frac ~over_budget =
   in
   let miss_target, miss_reason =
     if over_budget then (Degrade.Gravity, Degrade.Imputation_exhausted)
-    else if miss_frac > t.config.miss_hard then
+    else if miss_frac > miss_hard then
       (Degrade.Gravity, Degrade.Polls_missing)
-    else if miss_frac > t.config.miss_soft then
+    else if miss_frac > miss_soft then
       (Degrade.Closed_form, Degrade.Polls_missing)
     else (Degrade.Measured_ic, Degrade.Polls_missing)
   in
@@ -391,11 +387,10 @@ let record_refine t ~clamped =
    IPF. Returns the estimate and the tomogravity clamp count. *)
 let native_bin t level ~effective ~ingress ~egress =
   let prior =
-    Trace.with_span t.tracer "engine.prior"
+    Trace.stage t.tracer "engine.prior"
       ~attrs:[ ("level", Degrade.level_name level) ]
-      (fun () ->
-        Telemetry.time t.tel "prior" (fun () ->
-            build_prior t level ~ingress ~egress))
+      ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "prior")
+      (fun () -> build_prior t level ~ingress ~egress)
   in
   (* Weight freezing: the link constraints hold at the tomogravity solution
      for any psd weight matrix — the weights only pick the least-norm
@@ -425,23 +420,25 @@ let native_bin t level ~effective ~ingress ~egress =
   (* Refine against the link constraints, then project onto the measured
      marginals. *)
   let refined =
-    Trace.with_span t.tracer "engine.estimate" (fun () ->
-        Telemetry.time t.tel "estimate" (fun () ->
-            Tomogravity.estimate_with_plan ?weights t.plan
-              ~link_loads:effective ~prior))
+    Trace.stage t.tracer "engine.estimate" ~clock:(Telemetry.clock t.tel)
+      (Telemetry.stage t.tel "estimate") (fun () ->
+        Tomogravity.estimate_with_plan ?weights t.plan ~link_loads:effective
+          ~prior)
   in
   let clamped = Tomogravity.plan_last_clamp_count t.plan in
   record_refine t ~clamped;
   let estimate =
     if Vec.sum ingress <= 0. then refined
     else
-      Trace.with_span t.tracer "engine.ipf" (fun () ->
-          Telemetry.time t.tel "ipf" (fun () ->
-              let outcome =
-                Ipf.fit refined ~row_targets:ingress ~col_targets:egress
-              in
-              Telemetry.add t.tel "ipf.iterations" outcome.Ipf.iterations;
-              outcome.Ipf.tm))
+      Trace.stage t.tracer "engine.ipf" ~clock:(Telemetry.clock t.tel)
+        (Telemetry.stage t.tel "ipf") (fun () ->
+          let outcome =
+            Ipf.fit refined ~row_targets:ingress ~col_targets:egress
+          in
+          Telemetry.add t.tel "ipf.iterations" outcome.Ipf.iterations;
+          if not outcome.Ipf.converged then
+            Telemetry.incr t.tel "ipf.unconverged";
+          outcome.Ipf.tm)
   in
   (estimate, clamped)
 
@@ -458,8 +455,8 @@ let step t ~loads ~missing =
   (* Ingest: flag corrupt polls, impute by carry-forward, track budgets. *)
   let effective = t.effective_buf in
   let n_missing = ref 0 in
-  Trace.with_span t.tracer "engine.ingest" (fun () ->
-  Telemetry.time t.tel "ingest" (fun () ->
+  Trace.stage t.tracer "engine.ingest" ~clock:(Telemetry.clock t.tel)
+    (Telemetry.stage t.tel "ingest") (fun () ->
       for e = 0 to t.m - 1 do
         let v = loads.(e) in
         let dropped = missing.(e) in
@@ -482,7 +479,7 @@ let step t ~loads ~missing =
           effective.(e) <- v
         end
       done;
-      t.have_last <- true));
+      t.have_last <- true);
   (* Health verdict -> ladder rung. *)
   let miss_frac = float_of_int !n_missing /. float_of_int t.m in
   let over_budget =
@@ -537,20 +534,20 @@ let step t ~loads ~missing =
           }
         in
         let prior =
-          Trace.with_span t.tracer "engine.prior"
+          Trace.stage t.tracer "engine.prior"
             ~attrs:[ ("level", Degrade.level_name level) ]
-            (fun () ->
-              Telemetry.time t.tel "prior" (fun () -> E.prior state ctx))
+            ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "prior")
+            (fun () -> E.prior state ctx)
         in
         let refined, clamped =
-          Trace.with_span t.tracer "engine.estimate" (fun () ->
-              Telemetry.time t.tel "estimate" (fun () ->
-                  E.refine state ctx ~prior))
+          Trace.stage t.tracer "engine.estimate"
+            ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "estimate")
+            (fun () -> E.refine state ctx ~prior)
         in
         record_refine t ~clamped;
         let estimate =
-          Trace.with_span t.tracer "engine.ipf" (fun () ->
-              Telemetry.time t.tel "ipf" (fun () -> E.project state ctx refined))
+          Trace.stage t.tracer "engine.ipf" ~clock:(Telemetry.clock t.tel)
+            (Telemetry.stage t.tel "ipf") (fun () -> E.project state ctx refined)
         in
         Telemetry.incr t.tel ("estimator." ^ E.name ^ ".bins");
         Telemetry.add t.tel

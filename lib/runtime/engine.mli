@@ -33,15 +33,10 @@ type config = {
   stale_after : int;
       (** fit age (bins) beyond which [Measured_ic] degrades to
           [Stale_fp] *)
-  miss_soft : float;
-      (** missing-poll fraction above which the prior drops to the closed
-          form *)
-  miss_hard : float;  (** fraction above which it drops to gravity *)
   impute_budget : int;
       (** consecutive carry-forward polls tolerated per link before the
           ladder drops to gravity *)
   recover_after : int;  (** healthy bins per upward ladder step *)
-  fallback_f : float;  (** forward fraction assumed before any fit exists *)
   initial_params : (float * Ic_linalg.Vec.t) option;
       (** a pre-calibrated [(f, preference)], treated as a fit completed at
           bin 0 (the engine starts at [Measured_ic]) *)
@@ -87,9 +82,8 @@ type config = {
 val default_config :
   Ic_topology.Routing.t -> Ic_timeseries.Timebin.t -> config
 (** Daily refit window and period, 6 warm sweeps, staleness at two refit
-    periods, soft/hard missing thresholds 0.2/0.5, imputation budget 2,
-    recovery after 12 healthy bins, fallback [f] 0.35, cold start; the
-    resilience knobs conservative and off —
+    periods, imputation budget 2, recovery after 12 healthy bins, cold
+    start; the resilience knobs conservative and off —
     [gate_refits = false], threshold 4, quarantine limit 6,
     [epoch_refit = None]; the native ["ic"] estimator. *)
 
@@ -99,11 +93,18 @@ val create : ?telemetry:Telemetry.t -> ?tracer:Ic_obs.Trace.t -> config -> t
 (** Raises [Invalid_argument] if the routing lacks marginal rows or a
     config field is out of range.
 
+    [telemetry] (default: a fresh sink on [Ic_obs.Clock.now]) receives the
+    counters and the [ingest]/[prior]/[estimate]/[ipf]/[refit] stage
+    durations. [ipf.unconverged] counts native-path bins whose IPF stopped
+    at its iteration cap short of the marginals.
+
     [tracer] (default: the no-op tracer) receives one [engine.step] span
     per bin with [engine.ingest]/[engine.prior]/[engine.estimate]/
     [engine.ipf] child spans (plus the tomogravity stage spans through the
-    engine's plan) and [engine.refit] around window refits. Tracing only
-    observes: estimates are bit-identical with it on or off. *)
+    engine's plan) and [engine.refit] around window refits. Each stage is
+    one [Ic_obs.Trace.stage] call: the span and the duration histogram
+    share it. Tracing only observes: estimates are bit-identical with it
+    on or off. *)
 
 type output = {
   estimate : Ic_traffic.Tm.t;

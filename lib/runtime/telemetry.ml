@@ -1,27 +1,21 @@
 module Metrics = Ic_obs.Metrics
 
-(* Per-stage timing state the metrics registry doesn't carry: the running
-   maximum (Prometheus histograms have sum/count but no max) and the
-   handle itself so hot-path recording skips the registry lookup. *)
-type stage_hist = { hist : Metrics.histogram; mutable max_ns : float }
-
 type t = {
   clock : unit -> float;
   registry : Metrics.t;
-  stages : (string, stage_hist) Hashtbl.t;
+  stages : (string, Metrics.histogram) Hashtbl.t;
+      (* the stage histograms by stage name, so recording a stage skips
+         the registry's lookup under its lock *)
 }
 
-(* Powers of two from 1 ns to 2^62 ns: bucket index i <=> bound 2^i, which
-   is what the timing dump's "2^i:count" notation reads back. *)
-let pow2_bounds = Array.init 63 (fun i -> Float.ldexp 1. i)
-
-let create ?(clock = Sys.time) ?registry () =
+let create ?(clock = Ic_obs.Clock.now) ?registry () =
   let registry =
     match registry with Some r -> r | None -> Metrics.create ()
   in
   { clock; registry; stages = Hashtbl.create 16 }
 
 let registry t = t.registry
+let clock t = t.clock
 
 let incr t name = Metrics.inc (Metrics.counter t.registry name)
 let add t name v = Metrics.add (Metrics.counter t.registry name) v
@@ -42,78 +36,17 @@ let set_counters t entries =
     (fun (name, v) -> Metrics.set_counter (Metrics.counter t.registry name) v)
     entries
 
-let stage_hist t stage =
-  match Hashtbl.find_opt t.stages stage with
-  | Some sh -> sh
+let stage t name =
+  match Hashtbl.find_opt t.stages name with
+  | Some h -> h
   | None ->
-      let sh =
-        {
-          hist =
-            Metrics.histogram t.registry ~buckets:pow2_bounds
-              ~help:(Printf.sprintf "wall-clock duration of the %s stage" stage)
-              (stage ^ "_duration_ns");
-          max_ns = 0.;
-        }
+      let h =
+        Metrics.histogram t.registry
+          ~help:(Printf.sprintf "wall-clock duration of the %s stage" name)
+          (name ^ "_duration_ns")
       in
-      Hashtbl.add t.stages stage sh;
-      sh
-
-let record_ns t stage ns =
-  let ns = Float.max ns 0. in
-  let sh = stage_hist t stage in
-  sh.max_ns <- Float.max sh.max_ns ns;
-  Metrics.observe sh.hist ns
-
-let time t stage f =
-  let t0 = t.clock () in
-  let result = f () in
-  let t1 = t.clock () in
-  record_ns t stage ((t1 -. t0) *. 1e9);
-  result
-
-type timing = {
-  stage : string;
-  events : int;
-  total_ns : float;
-  max_ns : float;
-  buckets : (int * int) list;
-}
-
-let timings t =
-  Hashtbl.fold
-    (fun stage sh acc ->
-      let snap = Metrics.histogram_snapshot sh.hist in
-      (* Cumulative snapshot counts back to sparse per-bucket counts;
-         anything past the last finite bound lands in the top bucket. *)
-      let buckets = ref [] in
-      let prev = ref 0 in
-      List.iteri
-        (fun i (_, cumulative) ->
-          let here = cumulative - !prev in
-          prev := cumulative;
-          if here > 0 then buckets := (i, here) :: !buckets)
-        snap.Metrics.h_buckets;
-      let overflow = snap.Metrics.h_count - !prev in
-      (if overflow > 0 then
-         match !buckets with
-         | (62, c) :: rest -> buckets := (62, c + overflow) :: rest
-         | rest -> buckets := (62, overflow) :: rest);
-      {
-        stage;
-        events = snap.Metrics.h_count;
-        total_ns = snap.Metrics.h_sum;
-        max_ns = sh.max_ns;
-        buckets = List.rev !buckets;
-      }
-      :: acc)
-    t.stages []
-  |> List.sort (fun a b -> compare a.stage b.stage)
-
-let pretty_ns ns =
-  if ns >= 1e9 then Printf.sprintf "%.2fs" (ns /. 1e9)
-  else if ns >= 1e6 then Printf.sprintf "%.2fms" (ns /. 1e6)
-  else if ns >= 1e3 then Printf.sprintf "%.2fus" (ns /. 1e3)
-  else Printf.sprintf "%.0fns" ns
+      Hashtbl.add t.stages name h;
+      h
 
 let merged sinks =
   let totals = Hashtbl.create 64 in
@@ -129,42 +62,24 @@ let merged sinks =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) totals []
   |> List.sort compare
 
+let add_counter_lines buf entries =
+  List.iter
+    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" name v))
+    entries
+
 let merged_dump sinks =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "merged counters:\n";
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" name v))
-    (merged sinks);
+  add_counter_lines buf (merged sinks);
   List.iter
     (fun (label, t) ->
       Buffer.add_string buf (Printf.sprintf "shard %s:\n" label);
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" name v))
-        (counters t))
+      add_counter_lines buf (counters t))
     (List.sort (fun (a, _) (b, _) -> compare a b) sinks);
   Buffer.contents buf
 
-let dump ?(with_timings = true) t =
+let dump t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "counters:\n";
-  List.iter
-    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" name v))
-    (counters t);
-  if with_timings then begin
-    Buffer.add_string buf "timings:\n";
-    List.iter
-      (fun tm ->
-        let mean = if tm.events = 0 then 0. else tm.total_ns /. float_of_int tm.events in
-        Buffer.add_string buf
-          (Printf.sprintf "  %-16s %6d events  mean %8s  max %8s  " tm.stage
-             tm.events (pretty_ns mean) (pretty_ns tm.max_ns));
-        List.iter
-          (fun (b, c) ->
-            Buffer.add_string buf (Printf.sprintf "2^%d:%d " b c))
-          tm.buckets;
-        Buffer.add_char buf '\n')
-      (timings t)
-  end;
+  add_counter_lines buf (counters t);
   Buffer.contents buf

@@ -4,10 +4,6 @@ module Routing = Ic_topology.Routing
 module Graph = Ic_topology.Graph
 module Tm = Ic_traffic.Tm
 
-(* Same power-of-two bucket family as Telemetry's stage histograms, so the
-   serving plane's latency distribution reads like the engine's. *)
-let pow2_bounds = Array.init 63 (fun i -> Float.ldexp 1. i)
-
 type t = {
   sources : (string * Source.t) list;  (* tenant -> source, first is default *)
   registry : Metrics.t;
@@ -25,7 +21,7 @@ type t = {
 
 let query_kinds = [ "latest_tm"; "metrics"; "od_flow"; "ping"; "topology"; "whatif" ]
 
-let create ?(tracer = Trace.noop) ?(clock = Unix.gettimeofday) ?registry
+let create ?(tracer = Trace.noop) ?(clock = Ic_obs.Clock.now) ?registry
     ?(extra_registries = []) sources =
   if sources = [] then invalid_arg "Handler.create: no sources";
   let registry = match registry with Some r -> r | None -> Metrics.create () in
@@ -46,7 +42,7 @@ let create ?(tracer = Trace.noop) ?(clock = Unix.gettimeofday) ?registry
     tracer;
     clock;
     duration =
-      Metrics.histogram registry ~buckets:pow2_bounds
+      Metrics.histogram registry
         ~help:"wall-clock duration of one served request"
         "serve_request_duration_ns";
     requests =
@@ -153,13 +149,8 @@ let handle t req =
   let kind = Wire.request_kind req in
   Metrics.inc t.requests;
   note_query t kind;
-  let t0 = t.clock () in
-  let resp =
-    Trace.with_span t.tracer ~attrs:[ ("type", kind) ] "serve.request"
-      (fun () -> answer t req)
-  in
-  Metrics.observe t.duration (Float.max 0. ((t.clock () -. t0) *. 1e9));
-  resp
+  Trace.stage t.tracer ~attrs:[ ("type", kind) ] "serve.request" ~clock:t.clock
+    t.duration (fun () -> answer t req)
 
 let metrics_body t =
   Metrics.inc t.requests;

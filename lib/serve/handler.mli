@@ -5,9 +5,9 @@
     does is observable — every request lands in [serve.requests] plus a
     per-kind [serve.query.<kind>] counter and the
     [serve_request_duration_ns] power-of-two histogram (the same bucket
-    family as engine stage timings), and each answered request runs inside
-    a [serve.request] span with a [type] attribute when a tracer is
-    supplied. The server layer reports its transport-side events
+    family as engine stage durations), and each answered request runs
+    inside a [serve.request] span with a [type] attribute when a tracer is
+    supplied — one [Ic_obs.Trace.stage] call feeds both. The server layer reports its transport-side events
     ({!note_shed}, {!note_timeout}, ...) into the same registry, so one
     scrape shows the whole serving plane. *)
 
@@ -35,8 +35,8 @@ val create :
     [extra_registries] are additional [(label, registry)] pairs appended
     to {!metrics_body}, each prefixed with [label ^ "_"] (empty label:
     no prefix) — the multi-tenant exposition path. [clock] (default
-    [Unix.gettimeofday]) feeds the duration histogram; injectable for
-    deterministic tests. *)
+    [Ic_obs.Clock.now], the monotonic wall clock) feeds the duration
+    histogram; injectable for deterministic tests. *)
 
 val registry : t -> Ic_obs.Metrics.t
 

@@ -62,14 +62,14 @@ let exchange ~json ~max_frame fd reader req =
   let payload =
     if json then Wire.json_of_request req ^ "\n" else Wire.encode_request req
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ic_obs.Clock.now () in
+  let elapsed_us () = (Ic_obs.Clock.now () -. t0) *. 1e6 in
   match Wire.write_all fd payload with
   | exception Unix.Unix_error _ -> Result.error `Transport
   | () -> (
       match Wire.read_response ~max_frame reader with
-      | `Response resp ->
-          Result.ok (Wire.response_kind resp, (Unix.gettimeofday () -. t0) *. 1e6)
-      | `Json kind -> Result.ok (kind, (Unix.gettimeofday () -. t0) *. 1e6)
+      | `Response resp -> Result.ok (Wire.response_kind resp, elapsed_us ())
+      | `Json kind -> Result.ok (kind, elapsed_us ())
       | `Closed | `Timed_out -> Result.error `Transport
       | `Malformed _ -> Result.error `Malformed)
 
@@ -157,7 +157,7 @@ let run_worker config ~t0 requests =
   Array.iter
     (fun (due, req) ->
       (if config.paced then
-         let ahead = t0 +. due -. Unix.gettimeofday () in
+         let ahead = t0 +. due -. Ic_obs.Clock.now () in
          if ahead > 2e-4 then Unix.sleepf ahead);
       tally.w_sent <- tally.w_sent + 1;
       match exchange ~json:config.json ~max_frame:Wire.default_max_frame fd reader req with
@@ -191,14 +191,14 @@ let run ?probe config =
           requests;
         Array.of_list (List.rev !mine))
   in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Ic_obs.Clock.now () in
   let tallies =
     Array.map Domain.join
       (Array.map
          (fun shard -> Domain.spawn (fun () -> run_worker config ~t0:t_start shard))
          shards)
   in
-  let elapsed_s = Unix.gettimeofday () -. t_start in
+  let elapsed_s = Ic_obs.Clock.now () -. t_start in
   let kinds = Hashtbl.create 8 in
   let lats = ref [] in
   let sent = ref 0 and shed = ref 0 and errors = ref 0 and transport = ref 0 in

@@ -41,13 +41,15 @@ echo "== per-bin fast-path gates =="
 # Measure the streaming and observability groups in ONE bench process
 # (min-of-3 per test) so every ratio sees the same heap and machine
 # conditions, then gate:
-#   1. the traced-off observability budget: a bin runs 6 with_span calls
-#      through the noop tracer, so 6 x obs/noop-span is the per-bin cost
-#      the observability layer adds when tracing is off. It must stay
-#      under 3% of stream/engine-per-bin (DESIGN.md "Performance
-#      architecture"). The engine-vs-engine pair (traced-off vs
-#      stream/engine-per-bin) is the same code path twice and its gap is
-#      scheduler noise, so it is printed but not gated.
+#   1. the traced-off observability budget: a cached bin makes 4 stage
+#      calls (ingest, prior, estimate, ipf: a noop span plus the stage
+#      timer) and 3 bare noop spans (engine.step, tomogravity.solve,
+#      tomogravity.clamp), so 4 x obs/stage-traced-off + 3 x obs/noop-span
+#      is the per-bin cost the observability layer adds when tracing is
+#      off. It must stay under 3% of stream/engine-per-bin (DESIGN.md
+#      "Observability architecture"). The engine-vs-engine pair
+#      (traced-off vs stream/engine-per-bin) is the same code path twice
+#      and its gap is scheduler noise, so it is printed but not gated.
 #   2. no regression beyond 25% against the committed per-PR snapshot
 #      results/BENCH_pr6_after.json (generous: absorbs machine-to-machine
 #      variance while still catching a lost fast path, which is >5x).
@@ -61,17 +63,19 @@ trap 'rm -f "$fastpath_json"' EXIT
 dune exec bench/main.exe -- --group stream,obs --json "$fastpath_json"
 perbin=$(awk -F': ' '/"stream\/engine-per-bin"/ { gsub(/[ ,]/, "", $2); print $2; exit }' "$fastpath_json")
 noop_span=$(awk -F': ' '/"obs\/noop-span"/ { gsub(/[ ,]/, "", $2); print $2; exit }' "$fastpath_json")
-if [ -z "$perbin" ] || [ -z "$noop_span" ]; then
+stage=$(awk -F': ' '/"obs\/stage-traced-off"/ { gsub(/[ ,]/, "", $2); print $2; exit }' "$fastpath_json")
+if [ -z "$perbin" ] || [ -z "$noop_span" ] || [ -z "$stage" ]; then
   echo "check.sh: per-bin benchmarks missing from bench output" >&2
   exit 1
 fi
-if ! awk -v span="$noop_span" -v bin="$perbin" \
-    'BEGIN { exit !(6 * span <= bin * 0.03) }'; then
-  echo "check.sh: traced-off span overhead (6 x ${noop_span} ns) exceeds" >&2
-  echo "  3% of stream/engine-per-bin (${perbin} ns)" >&2
+if ! awk -v span="$noop_span" -v stage="$stage" -v bin="$perbin" \
+    'BEGIN { exit !(4 * stage + 3 * span <= bin * 0.03) }'; then
+  echo "check.sh: traced-off instrumentation (4 x ${stage} ns stages +" >&2
+  echo "  3 x ${noop_span} ns spans) exceeds 3% of stream/engine-per-bin" >&2
+  echo "  (${perbin} ns)" >&2
   exit 1
 fi
-echo "traced-off overhead OK: 6 x ${noop_span} ns spans vs ${perbin} ns per bin"
+echo "traced-off overhead OK: 4 x ${stage} ns stages + 3 x ${noop_span} ns spans vs ${perbin} ns per bin"
 scripts/bench_diff.sh results/BENCH_pr6_after.json "$fastpath_json" \
   --only stream/ --threshold 25
 

@@ -13,10 +13,11 @@ let test_ipf_matches_marginals () =
   let tm = Tm.init 3 (fun i j -> float_of_int ((i * 3) + j + 1)) in
   let row_targets = [| 10.; 20.; 15. |] in
   let col_targets = [| 12.; 13.; 20. |] in
-  let { Ic_estimation.Ipf.tm = fitted; max_marginal_error; _ } =
+  let { Ic_estimation.Ipf.tm = fitted; max_marginal_error; converged; _ } =
     Ic_estimation.Ipf.fit tm ~row_targets ~col_targets
   in
   Alcotest.(check bool) "converged" true (max_marginal_error < 1e-8);
+  Alcotest.(check bool) "reports convergence" true converged;
   Alcotest.(check bool)
     "rows match" true
     (Vec.approx_equal ~tol:1e-6 row_targets (Ic_traffic.Marginals.ingress fitted))
@@ -49,6 +50,18 @@ let test_ipf_seeds_empty_rows () =
   in
   Alcotest.(check bool) "converged" true (max_marginal_error < 1e-6);
   feq_tol 1e-6 "row seeded" 4. (Ic_traffic.Marginals.ingress fitted).(0)
+
+let test_ipf_unreachable_targets () =
+  (* Row 1's mass can only reach column 0, so column 0 holds at least 1 of
+     the total 2 and its 0.1 target is out of reach: the cap stops IPF. *)
+  let tm = Tm.init 2 (fun i j -> if i = 1 && j = 1 then 0. else 1.) in
+  let { Ic_estimation.Ipf.iterations; max_marginal_error; converged; _ } =
+    Ic_estimation.Ipf.fit tm ~row_targets:[| 1.; 1. |]
+      ~col_targets:[| 0.1; 1.9 |]
+  in
+  Alcotest.(check bool) "not converged" false converged;
+  Alcotest.(check int) "ran to the cap" 200 iterations;
+  Alcotest.(check bool) "marginals missed" true (max_marginal_error > 1e-9)
 
 let ipf_property =
   QCheck.Test.make ~count:50
@@ -378,6 +391,8 @@ let () =
           Alcotest.test_case "seeds empty rows" `Quick
             test_ipf_seeds_empty_rows;
           Alcotest.test_case "validation" `Quick test_ipf_validation;
+          Alcotest.test_case "unreachable targets not converged" `Quick
+            test_ipf_unreachable_targets;
           QCheck_alcotest.to_alcotest ipf_property;
         ] );
       ( "tomogravity",

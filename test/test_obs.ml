@@ -1,13 +1,15 @@
 (* The observability layer: span tracer semantics (nesting, ring
-   retention, monotone clocks, JSONL export), the metrics registry and its
-   Prometheus exposition, and the load-bearing guarantee that tracing only
-   observes — estimates are bit-identical with the tracer on or off. *)
+   retention, monotone clocks, JSONL export), the stage primitive and its
+   wall clock, the metrics registry and its Prometheus exposition, and the
+   load-bearing guarantee that tracing only observes — estimates are
+   bit-identical with the tracer on or off. *)
 
 module Trace = Ic_obs.Trace
 module Metrics = Ic_obs.Metrics
 module Pool = Ic_parallel.Pool
 module Pipeline = Ic_estimation.Pipeline
 module Engine = Ic_runtime.Engine
+module Telemetry = Ic_runtime.Telemetry
 module Feed = Ic_runtime.Feed
 module Tm = Ic_traffic.Tm
 
@@ -121,6 +123,79 @@ let test_clock_clamped_monotone () =
   Alcotest.(check bool) "starts non-decreasing" true
     (List.sort compare starts = starts)
 
+let test_stage () =
+  (* One call feeds both the span and the histogram, from one clock here. *)
+  let clock, advance = manual_clock () in
+  let t = Trace.create ~clock () in
+  let h = Metrics.histogram (Metrics.create ()) ~buckets:[| 1e6; 1e7 |] "s" in
+  let r =
+    Trace.stage t "work" ~attrs:[ ("k", "v") ] ~clock h (fun () ->
+        advance 0.003;
+        7)
+  in
+  Alcotest.(check int) "value passes through" 7 r;
+  (match
+     Trace.stage t "dies" ~clock h (fun () ->
+         advance 0.001;
+         failwith "mid-stage")
+   with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  let snap = Metrics.histogram_snapshot h in
+  Alcotest.(check int) "a raising stage is not observed" 1 snap.Metrics.h_count;
+  Alcotest.(check (float 0.)) "duration in ns" 3e6 snap.Metrics.h_sum;
+  match Trace.spans t with
+  | [ work; dies ] ->
+      Alcotest.(check string) "span named" "work" work.Trace.name;
+      Alcotest.(check (float 0.)) "span duration" 3e6 work.Trace.dur_ns;
+      Alcotest.(check (list (pair string string)))
+        "attrs kept" [ ("k", "v") ] work.Trace.attrs;
+      Alcotest.(check string) "raising span recorded" "dies" dies.Trace.name
+  | ss -> Alcotest.failf "expected 2 spans, got %d" (List.length ss)
+
+(* The engine's stage call on a default telemetry sink: the histogram must
+   read wall time, not process CPU time. *)
+let default_sink_stage_ns f =
+  let tel = Telemetry.create () in
+  Trace.stage Trace.noop "engine.test" ~clock:(Telemetry.clock tel)
+    (Telemetry.stage tel "test") f;
+  (Metrics.histogram_snapshot (Telemetry.stage tel "test")).Metrics.h_sum
+
+let test_stage_counts_sleep () =
+  let ns = default_sink_stage_ns (fun () -> Unix.sleepf 0.02) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 20 ms sleep recorded as %.1f ms" (ns /. 1e6))
+    true (ns >= 20e6)
+
+let test_stage_ignores_other_domains () =
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  let ns =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        default_sink_stage_ns (fun () ->
+            let until = Unix.gettimeofday () +. 0.02 in
+            while Unix.gettimeofday () < until do
+              ()
+            done))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 20 ms busy wait beside a spinning domain recorded as \
+                     %.1f ms" (ns /. 1e6))
+    true (ns < 30e6)
+
 let test_jsonl_format_and_escaping () =
   let clock, advance = manual_clock () in
   let t = Trace.create ~clock () in
@@ -205,7 +280,7 @@ let test_histograms () =
   Alcotest.(check int) "count includes +Inf" 6 s.Metrics.h_count;
   Alcotest.(check (float 0.)) "sum" 1211.5 s.Metrics.h_sum;
   Alcotest.(check int) "default bucket ladder"
-    23
+    63
     (Array.length Metrics.default_duration_buckets);
   Alcotest.check_raises "empty buckets"
     (Invalid_argument "Metrics.histogram: empty buckets") (fun () ->
@@ -388,6 +463,13 @@ let () =
             test_clock_clamped_monotone;
           Alcotest.test_case "jsonl format and escaping" `Quick
             test_jsonl_format_and_escaping;
+          Alcotest.test_case "stage" `Quick test_stage;
+        ] );
+      ( "stage clock",
+        [
+          Alcotest.test_case "counts a sleep" `Quick test_stage_counts_sleep;
+          Alcotest.test_case "ignores other domains" `Quick
+            test_stage_ignores_other_domains;
         ] );
       ( "metrics",
         [

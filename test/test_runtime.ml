@@ -68,23 +68,21 @@ let test_telemetry_timing () =
   let now = ref 0. in
   let t = Telemetry.create ~clock:(fun () -> !now) () in
   let tick d f =
-    Telemetry.time t "stage" (fun () ->
+    Ic_obs.Trace.stage Ic_obs.Trace.noop "stage" ~clock:(Telemetry.clock t)
+      (Telemetry.stage t "stage") (fun () ->
         now := !now +. d;
         f)
   in
   Alcotest.(check int) "result passes through" 41 (tick 0.001 41);
   ignore (tick 0.002 0);
-  (match Telemetry.timings t with
-  | [ tm ] ->
-      Alcotest.(check string) "stage" "stage" tm.Telemetry.stage;
-      Alcotest.(check int) "events" 2 tm.Telemetry.events;
-      Alcotest.(check (float 1.)) "total ns" 3e6 tm.Telemetry.total_ns;
-      Alcotest.(check (float 1.)) "max ns" 2e6 tm.Telemetry.max_ns
+  (match Ic_obs.Metrics.histograms (Telemetry.registry t) with
+  | [ (name, h) ] ->
+      Alcotest.(check string) "histogram" "stage_duration_ns" name;
+      Alcotest.(check int) "events" 2 h.Ic_obs.Metrics.h_count;
+      Alcotest.(check (float 1.)) "total ns" 3e6 h.Ic_obs.Metrics.h_sum
   | l -> Alcotest.failf "expected one stage, got %d" (List.length l));
-  let dump = Telemetry.dump ~with_timings:false t in
-  Alcotest.(check bool)
-    "counters-only dump omits timings" false
-    (String.length dump >= 7 && String.sub dump 0 7 = "timings")
+  Alcotest.(check string)
+    "dump is counters only" "counters:\n" (Telemetry.dump t)
 
 (* --- degradation ladder ------------------------------------------------- *)
 
