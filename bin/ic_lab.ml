@@ -9,11 +9,29 @@ let setup_logs verbose =
    before any work starts, and the lookups here cannot fail. *)
 let datasets =
   [
-    ("geant", Ic_datasets.Geant.generate);
-    ("totem", Ic_datasets.Totem.generate);
+    ("geant", (Ic_datasets.Geant.spec, Ic_datasets.Geant.generate));
+    ("totem", (Ic_datasets.Totem.spec, Ic_datasets.Totem.generate));
   ]
 
-let load_dataset which weeks seed = (List.assoc which datasets) ?weeks ?seed ()
+let load_dataset which weeks seed =
+  (snd (List.assoc which datasets)) ?weeks ?seed ()
+
+(* A dataset's shape from its spec alone, so flags can be checked against
+   it before any traffic is generated. *)
+let dataset_spec which weeks = (fst (List.assoc which datasets)) ?weeks ()
+
+let week_error which weeks ~flag w =
+  let count = (dataset_spec which weeks).Ic_datasets.Dataset.weeks in
+  if w >= 0 && w < count then None
+  else
+    Some
+      (Printf.sprintf "%s %d is outside dataset %s's weeks 0..%d" flag w which
+         (count - 1))
+
+let dataset_bins which weeks =
+  let spec = dataset_spec which weeks in
+  spec.Ic_datasets.Dataset.weeks
+  * Ic_timeseries.Timebin.bins_per_week spec.Ic_datasets.Dataset.binning
 
 let topologies =
   [
@@ -110,16 +128,16 @@ let subsample stride series =
              (min (k * stride) (Ic_traffic.Series.length series - 1))))
   end
 
-let run_fit which weeks seed week stride input bin_minutes =
+let run_fit which weeks seed source stride bin_minutes =
   let series, name_of =
-    match input with
-    | Some (path, n) ->
+    match source with
+    | `Csv (path, n) ->
         let binning =
           Ic_timeseries.Timebin.make ~width_s:(bin_minutes * 60)
         in
         let series = Ic_traffic.Csv_io.read_series ~path ~binning ~n in
         (series, string_of_int)
-    | None ->
+    | `Week week ->
         let ds = load_dataset which weeks seed in
         ( Ic_datasets.Dataset.week ds week,
           fun i -> Ic_topology.Graph.name ds.Ic_datasets.Dataset.graph i )
@@ -169,8 +187,8 @@ let priors =
         Ic_estimation.Prior.ic_stable_f ~f:fit.params.f truth );
   ]
 
-let run_estimate which weeks seed calib_week target_week prior_name estimator
-    stride jobs trace =
+let run_estimate which weeks seed (calib_week, target_week) prior_name
+    estimator stride jobs trace =
   Option.iter check_estimator estimator;
   let ds = load_dataset which weeks seed in
   let take w = subsample stride (Ic_datasets.Dataset.week ds w) in
@@ -242,16 +260,7 @@ let run_trace seed duration_s connections_per_bin =
 
 (* --- whatif -------------------------------------------------------------- *)
 
-let run_whatif node boost f_new seed topology_file =
-  let graph =
-    match topology_file with
-    | None -> Ic_topology.Topologies.geant_like ()
-    | Some path -> begin
-        match Ic_topology.Topo_io.load path with
-        | Ok g -> g
-        | Error e -> invalid_arg ("bad topology file: " ^ e)
-      end
-  in
+let run_whatif (graph, crowd) boost f_new seed =
   let routing = Ic_topology.Routing.build ~with_marginals:false graph in
   let binning = Ic_timeseries.Timebin.five_min in
   let spec =
@@ -270,12 +279,8 @@ let run_whatif node boost f_new seed topology_file =
   let scenario =
     let t = truth in
     let t =
-      match node with
-      | Some name -> begin
-          match Ic_topology.Graph.index_of_name graph name with
-          | Some idx -> Ic_core.Synth.with_flash_crowd ~node:idx ~boost t
-          | None -> invalid_arg ("unknown PoP " ^ name)
-        end
+      match crowd with
+      | Some node -> Ic_core.Synth.with_flash_crowd ~node ~boost t
       | None -> t
     in
     match f_new with
@@ -331,8 +336,6 @@ let run_stream_sharded which series routing config ~shards ~jobs ~total
     ~checkpoint_path ~tracer =
   let series = Ic_traffic.Series.sub series ~pos:0 ~len:total in
   let per_shard = total / shards in
-  if per_shard < 1 then
-    invalid_arg "stream: fewer bins than shards";
   let specs () =
     List.init shards (fun s ->
         let pos = s * per_shard in
@@ -751,7 +754,8 @@ let outage_event { target; at; dur; x } =
 
 (* The event flags checked against the topology and the run length — what
    Timeline.compile would otherwise reject only after generating the base
-   traffic. *)
+   traffic: unknown names, [Schedule.validate], and failure sets that
+   disconnect the topology. *)
 let scenario_events topology bins fails reweights ddoses flashes outages =
   let events = List.concat [ fails; reweights; ddoses; flashes; outages ] in
   let graph = build_topology topology in
@@ -775,8 +779,10 @@ let scenario_events topology bins fails reweights ddoses flashes outages =
     match List.find_map unknown events with
     | Some msg -> Some (Printf.sprintf "%s in topology %s" msg topology)
     | None -> (
-        match Ic_scenario.Schedule.validate ~bins { seed = 0; events } with
-        | () -> None
+        match
+          Ic_scenario.Timeline.epochs ~graph ~bins { seed = 0; events }
+        with
+        | _ -> None
         | exception Invalid_argument msg -> Some msg)
   in
   match problem with Some msg -> `Error (true, msg) | None -> `Ok events
@@ -1238,6 +1244,41 @@ let int_at_least least =
 
 let pos_int = int_at_least 1
 
+(* Float flags: a value outside the flag's range — NaN and the infinities
+   included — is a usage error before any work starts. *)
+let float_in expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let probability =
+  float_in "a probability in [0, 1)" (fun p -> p >= 0. && p < 1.)
+
+let sigma =
+  float_in "a finite number >= 0" (fun x -> x >= 0. && Float.is_finite x)
+
+(* Rates, durations, thresholds and factors. *)
+let positive =
+  float_in "a finite number > 0" (fun x -> x > 0. && Float.is_finite x)
+
+(* The poll-fault flags of every replaying verb: drop and corruption
+   probabilities and the multiplicative noise sigma. *)
+let drop_rate_arg =
+  let doc = "Probability a link poll is lost per bin." in
+  Arg.(value & opt probability 0. & info [ "drop-rate" ] ~docv:"P" ~doc)
+
+let corrupt_rate_arg =
+  let doc = "Probability a surviving poll is corrupted per bin." in
+  Arg.(value & opt probability 0. & info [ "corrupt-rate" ] ~docv:"P" ~doc)
+
+let noise_arg =
+  let doc = "SNMP multiplicative noise sigma." in
+  Arg.(value & opt sigma 0.01 & info [ "noise" ] ~docv:"SIGMA" ~doc)
+
 (* A repeatable scenario event flag, parsed by its maker: a spec the maker
    rejects is a usage error naming the flag's grammar. *)
 let event_flag name grammar make ~doc =
@@ -1260,7 +1301,7 @@ let stride_arg =
 
 let weeks_arg =
   let doc = "Number of weeks to generate (dataset default if omitted)." in
-  Arg.(value & opt (some int) None & info [ "weeks" ] ~docv:"WEEKS" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "weeks" ] ~docv:"WEEKS" ~doc)
 
 let seed_arg =
   let doc = "Generator seed (dataset default if omitted)." in
@@ -1338,14 +1379,17 @@ let fit_cmd =
     let doc = "Node count of the CSV series (required with --input)." in
     Arg.(value & opt (some pos_int) None & info [ "nodes" ] ~docv:"N" ~doc)
   in
-  let input =
-    let check input nodes =
+  let source =
+    let check which weeks week input nodes =
       match (input, nodes) with
       | Some _, None -> `Error (true, "--input needs --nodes")
-      | Some path, Some n -> `Ok (Some (path, n))
-      | None, _ -> `Ok None
+      | Some path, Some n -> `Ok (`Csv (path, n))
+      | None, _ -> (
+          match week_error which weeks ~flag:"--week" week with
+          | Some msg -> `Error (true, msg)
+          | None -> `Ok (`Week week))
     in
-    Term.(ret (const check $ input $ nodes))
+    Term.(ret (const check $ dataset_arg $ weeks_arg $ week $ input $ nodes))
   in
   let bin_minutes =
     let doc = "Bin width of the CSV series in minutes." in
@@ -1354,8 +1398,8 @@ let fit_cmd =
   let doc = "Fit the stable-fP IC model and print parameters." in
   Cmd.v (Cmd.info "fit" ~doc)
     Term.(
-      const run_fit $ dataset_arg $ weeks_arg $ seed_arg $ week $ stride_arg
-      $ input $ bin_minutes)
+      const run_fit $ dataset_arg $ weeks_arg $ seed_arg $ source $ stride_arg
+      $ bin_minutes)
 
 let estimate_cmd =
   let calib =
@@ -1365,6 +1409,20 @@ let estimate_cmd =
   let target =
     let doc = "Week to estimate." in
     Arg.(value & opt int 1 & info [ "week" ] ~docv:"WEEK" ~doc)
+  in
+  let calib_and_target =
+    let check which weeks calib target =
+      match
+        List.find_map Fun.id
+          [
+            week_error which weeks ~flag:"--calib-week" calib;
+            week_error which weeks ~flag:"--week" target;
+          ]
+      with
+      | Some msg -> `Error (true, msg)
+      | None -> `Ok (calib, target)
+    in
+    Term.(ret (const check $ dataset_arg $ weeks_arg $ calib $ target))
   in
   let prior =
     let doc = "Prior: gravity, measured, stable-fp or stable-f." in
@@ -1385,17 +1443,18 @@ let estimate_cmd =
   let doc = "Run the three-step TM estimation pipeline on one week." in
   Cmd.v (Cmd.info "estimate" ~doc)
     Term.(
-      const run_estimate $ dataset_arg $ weeks_arg $ seed_arg $ calib $ target
-      $ prior $ estimator $ stride_arg $ jobs_arg $ trace_out_arg)
+      const run_estimate $ dataset_arg $ weeks_arg $ seed_arg
+      $ calib_and_target $ prior $ estimator $ stride_arg $ jobs_arg
+      $ trace_out_arg)
 
 let trace_cmd =
   let duration =
     let doc = "Capture length in seconds." in
-    Arg.(value & opt float 7200. & info [ "duration" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt positive 7200. & info [ "duration" ] ~docv:"SECONDS" ~doc)
   in
   let rate =
     let doc = "Connections initiated per 5-minute bin per node pair." in
-    Arg.(value & opt float 220. & info [ "rate" ] ~docv:"CONNS" ~doc)
+    Arg.(value & opt positive 220. & info [ "rate" ] ~docv:"CONNS" ~doc)
   in
   let doc =
     "Simulate bidirectional packet traces at IPLS and measure f per bin \
@@ -1411,39 +1470,48 @@ let whatif_cmd =
   in
   let boost =
     let doc = "Preference multiplier for the flash-crowd PoP." in
-    Arg.(value & opt float 10. & info [ "boost" ] ~docv:"FACTOR" ~doc)
+    Arg.(value & opt positive 10. & info [ "boost" ] ~docv:"FACTOR" ~doc)
   in
   let f_new =
     let doc = "Override the forward fraction (application-mix shift)." in
-    Arg.(value & opt (some float) None & info [ "set-f" ] ~docv:"F" ~doc)
+    let fraction =
+      float_in "a fraction in [0, 1]" (fun f -> f >= 0. && f <= 1.)
+    in
+    Arg.(value & opt (some fraction) None & info [ "set-f" ] ~docv:"F" ~doc)
   in
   let topology =
     let doc = "Topology file (see 'ic-lab topology' for the format)." in
     Arg.(value & opt (some file) None & info [ "topology" ] ~docv:"FILE" ~doc)
+  in
+  (* The topology and the flash-crowd PoP, resolved before any work. *)
+  let target =
+    let check topology node =
+      let graph =
+        match topology with
+        | None -> Ok (Ic_topology.Topologies.geant_like ())
+        | Some path -> Ic_topology.Topo_io.load path
+      in
+      match (graph, node) with
+      | Error e, _ -> `Error (false, "bad topology file: " ^ e)
+      | Ok graph, None -> `Ok (graph, None)
+      | Ok graph, Some name -> (
+          match Ic_topology.Graph.index_of_name graph name with
+          | Some idx -> `Ok (graph, Some idx)
+          | None -> `Error (true, "unknown PoP " ^ name))
+    in
+    Term.(ret (const check $ topology $ node))
   in
   let doc =
     "What-if study on a synthetic day of traffic: flash crowds and \
      application-mix shifts, reported as per-link peak-load deltas."
   in
   Cmd.v (Cmd.info "whatif" ~doc)
-    Term.(const run_whatif $ node $ boost $ f_new $ seed_arg $ topology)
+    Term.(const run_whatif $ target $ boost $ f_new $ seed_arg)
 
 let stream_cmd =
   let bins =
     let doc = "Stop after BINS bins (full replay if omitted)." in
     Arg.(value & opt (some int) None & info [ "bins" ] ~docv:"BINS" ~doc)
-  in
-  let drop_rate =
-    let doc = "Probability a link poll is lost per bin." in
-    Arg.(value & opt float 0. & info [ "drop-rate" ] ~docv:"P" ~doc)
-  in
-  let corrupt_rate =
-    let doc = "Probability a surviving poll is corrupted per bin." in
-    Arg.(value & opt float 0. & info [ "corrupt-rate" ] ~docv:"P" ~doc)
-  in
-  let noise =
-    let doc = "SNMP multiplicative noise sigma." in
-    Arg.(value & opt float 0.01 & info [ "noise" ] ~docv:"SIGMA" ~doc)
   in
   let kill_after =
     let doc = "Kill the engine after BINS bins and write a checkpoint." in
@@ -1510,14 +1578,20 @@ let stream_cmd =
        for a given --seed (the same schedule the loadgen verb uses)."
     in
     Arg.(
-      value & opt (some float) None & info [ "open-loop" ] ~docv:"RATE" ~doc)
+      value & opt (some positive) None & info [ "open-loop" ] ~docv:"RATE" ~doc)
   in
   let shards =
-    let check shards bins open_loop =
+    let check which weeks shards bins open_loop =
+      let len = dataset_bins which weeks in
       match bins with
       | Some b when b < shards ->
           `Error
             (true, Printf.sprintf "--bins %d cannot fill --shards %d" b shards)
+      | _ when shards > len ->
+          `Error
+            ( true,
+              Printf.sprintf "dataset %s's %d bins cannot fill --shards %d"
+                which len shards )
       | _ when shards > 1 && open_loop <> None ->
           `Error
             ( true,
@@ -1525,7 +1599,8 @@ let stream_cmd =
                re-bin time from their own origin)" )
       | _ -> `Ok shards
     in
-    Term.(ret (const check $ shards $ bins $ open_loop))
+    Term.(
+      ret (const check $ dataset_arg $ weeks_arg $ shards $ bins $ open_loop))
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Verbose logging.")
@@ -1537,27 +1612,15 @@ let stream_cmd =
   in
   Cmd.v (Cmd.info "stream" ~doc)
     Term.(
-      const run_stream $ dataset_arg $ weeks_arg $ seed_arg $ bins $ drop_rate
-      $ corrupt_rate $ noise $ open_loop $ kill_after $ resume $ checkpoint
-      $ refit_every $ window $ recover_after $ telemetry
+      const run_stream $ dataset_arg $ weeks_arg $ seed_arg $ bins
+      $ drop_rate_arg $ corrupt_rate_arg $ noise_arg $ open_loop $ kill_after
+      $ resume $ checkpoint $ refit_every $ window $ recover_after $ telemetry
       $ engine_estimator_arg $ shards $ jobs_arg $ trace_out_arg $ verbose)
 
 let metrics_cmd =
   let bins =
     let doc = "Replay BINS bins before exposing (full replay if omitted)." in
     Arg.(value & opt (some int) None & info [ "bins" ] ~docv:"BINS" ~doc)
-  in
-  let drop_rate =
-    let doc = "Probability a link poll is lost per bin." in
-    Arg.(value & opt float 0. & info [ "drop-rate" ] ~docv:"P" ~doc)
-  in
-  let corrupt_rate =
-    let doc = "Probability a surviving poll is corrupted per bin." in
-    Arg.(value & opt float 0. & info [ "corrupt-rate" ] ~docv:"P" ~doc)
-  in
-  let noise =
-    let doc = "SNMP multiplicative noise sigma." in
-    Arg.(value & opt float 0.01 & info [ "noise" ] ~docv:"SIGMA" ~doc)
   in
   let serve_queries =
     let doc =
@@ -1578,7 +1641,7 @@ let metrics_cmd =
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
       const run_metrics $ dataset_arg $ weeks_arg $ seed_arg $ bins
-      $ drop_rate $ corrupt_rate $ noise $ engine_estimator_arg
+      $ drop_rate_arg $ corrupt_rate_arg $ noise_arg $ engine_estimator_arg
       $ serve_queries)
 
 let shootout_cmd =
@@ -1652,18 +1715,6 @@ let scenario_cmd =
     let doc = "Scenario length in 5-minute bins." in
     Arg.(value & opt pos_int 96 & info [ "bins" ] ~docv:"BINS" ~doc)
   in
-  let noise =
-    let doc = "SNMP multiplicative noise sigma." in
-    Arg.(value & opt float 0.01 & info [ "noise" ] ~docv:"SIGMA" ~doc)
-  in
-  let drop_rate =
-    let doc = "Probability a link poll is lost per bin." in
-    Arg.(value & opt float 0. & info [ "drop-rate" ] ~docv:"P" ~doc)
-  in
-  let corrupt_rate =
-    let doc = "Probability a surviving poll is corrupted per bin." in
-    Arg.(value & opt float 0. & info [ "corrupt-rate" ] ~docv:"P" ~doc)
-  in
   let fails =
     event_flag "fail" "A-B@AT[+DUR]" fail_event
       ~doc:
@@ -1694,11 +1745,14 @@ let scenario_cmd =
   in
   let threshold =
     let doc = "Anomaly detector score threshold." in
-    Arg.(value & opt float 5. & info [ "threshold" ] ~docv:"T" ~doc)
+    Arg.(value & opt positive 5. & info [ "threshold" ] ~docv:"T" ~doc)
   in
   let headroom =
     let doc = "Target peak utilization for what-if link provisioning." in
-    Arg.(value & opt float 0.7 & info [ "headroom" ] ~docv:"H" ~doc)
+    let headroom =
+      float_in "a number in (0, 1]" (fun h -> h > 0. && h <= 1.)
+    in
+    Arg.(value & opt headroom 0.7 & info [ "headroom" ] ~docv:"H" ~doc)
   in
   let refit_every =
     let doc = "Refit the stable-fP parameters every BINS bins." in
@@ -1778,8 +1832,8 @@ let scenario_cmd =
   in
   Cmd.v (Cmd.info "scenario" ~doc)
     Term.(
-      const run_scenario $ topology $ family $ bins $ seed_arg $ noise
-      $ drop_rate $ corrupt_rate $ events $ threshold $ headroom $ refit_every
+      const run_scenario $ topology $ family $ bins $ seed_arg $ noise_arg
+      $ drop_rate_arg $ corrupt_rate_arg $ events $ threshold $ headroom $ refit_every
       $ window $ recover_after $ kill_after $ resume $ checkpoint
       $ robust_scale $ self_heal $ breaker $ verbose)
 
@@ -1812,7 +1866,8 @@ let serve_cmd =
       "Requests processed concurrently across workers; beyond it requests \
        are shed with an explicit frame."
     in
-    Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (int_at_least 0) 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
   let stop_after =
     let doc =
@@ -1823,7 +1878,8 @@ let serve_cmd =
   in
   let read_timeout =
     let doc = "Per-connection read timeout in seconds." in
-    Arg.(value & opt float 5. & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value & opt positive 5. & info [ "read-timeout" ] ~docv:"SECONDS" ~doc)
   in
   let kill_after =
     let doc =
@@ -1877,11 +1933,12 @@ let loadgen_cmd =
   in
   let queries =
     let doc = "Number of queries to send." in
-    Arg.(value & opt int 1000 & info [ "queries"; "n" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (int_at_least 0) 1000 & info [ "queries"; "n" ] ~docv:"N" ~doc)
   in
   let rate =
     let doc = "Open-loop Poisson arrival rate, queries per second." in
-    Arg.(value & opt float 10000. & info [ "rate" ] ~docv:"QPS" ~doc)
+    Arg.(value & opt positive 10000. & info [ "rate" ] ~docv:"QPS" ~doc)
   in
   let connections =
     let doc = "Concurrent client connections." in

@@ -28,6 +28,7 @@ type 'p fitted = {
   per_bin_error : float array;
   mean_error : float;
   sweeps : int;
+  both_basins : bool;
 }
 
 (* Solve the normal-equation system G x = c under x >= 0. The unconstrained
@@ -273,6 +274,17 @@ let errors_of ~f ~activities ~preferences norms tms =
 let mean_of errs =
   if Array.length errs = 0 then 0. else Vec.sum errs /. float_of_int (Array.length errs)
 
+(* One descent's result; [dual_start] and [fit_time_varying] mark the runs
+   that searched both basins. *)
+let fitted params per_bin_error sweeps =
+  {
+    params;
+    per_bin_error;
+    mean_error = mean_of per_bin_error;
+    sweeps;
+    both_basins = false;
+  }
+
 (* Initial preferences via the closed-form Equation 12 at the starting f:
    egress shares alone are dominated by the activity shape when f < 1/2 and
    would start the descent inside the mirrored basin (see pick_basin). *)
@@ -303,9 +315,8 @@ let fit_stable_fp_single ~kernels ~options series =
   let weights = weights_of_norms norms in
   let f = ref options.f_init in
   let p = ref (initial_preference ~f_init:options.f_init tms) in
-  let activities =
-    ref (Array.map (fun tm -> kernels.k_activity ~f:!f ~p:!p tm) tms)
-  in
+  (* Sweep 1 solves the first activities; max_sweeps >= 1 is checked. *)
+  let activities = ref [||] in
   let prev = ref infinity in
   let sweeps = ref 0 in
   let continue_ = ref true in
@@ -338,7 +349,7 @@ let fit_stable_fp_single ~kernels ~options series =
   let params : Params.stable_fp =
     { f = !f; preference = !p; activity = !activities }
   in
-  { params; per_bin_error; mean_error = mean_of per_bin_error; sweeps = !sweeps }
+  fitted params per_bin_error !sweeps
 
 let fit_stable_f_single ~kernels ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
@@ -347,14 +358,7 @@ let fit_stable_f_single ~kernels ~options series =
   let t_count = Array.length tms in
   let f = ref options.f_init in
   let prefs = ref (Array.make t_count (initial_preference ~f_init:options.f_init tms)) in
-  let activities =
-    ref
-      (Array.mapi
-         (fun t tm ->
-           let p = (!prefs).(t) in
-           kernels.k_activity ~f:!f ~p tm)
-         tms)
-  in
+  let activities = ref [||] in
   let prev = ref infinity in
   let sweeps = ref 0 in
   let continue_ = ref true in
@@ -403,7 +407,7 @@ let fit_stable_f_single ~kernels ~options series =
   let params : Params.stable_f =
     { f = !f; preference = !prefs; activity = !activities }
   in
-  { params; per_bin_error; mean_error = mean_of per_bin_error; sweeps = !sweeps }
+  fitted params per_bin_error !sweeps
 
 let fit_time_varying_single ~kernels ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
@@ -419,7 +423,7 @@ let fit_time_varying_single ~kernels ~options series =
       let w = weights_of_norms [| norms.(t) |] in
       let f = ref options.f_init in
       let p = ref (initial_preference ~f_init:options.f_init [| tm |]) in
-      let act = ref (kernels.k_activity ~f:!f ~p:!p tm) in
+      let act = ref [||] in
       let prev = ref infinity in
       let sweeps = ref 0 in
       let continue_ = ref true in
@@ -465,46 +469,69 @@ let fit_time_varying_single ~kernels ~options series =
   let params : Params.time_varying =
     { f = fs; preference = prefs; activity = activities }
   in
-  {
-    params;
-    per_bin_error;
-    mean_error = mean_of per_bin_error;
-    sweeps = !max_sweeps_total;
-  }
+  fitted params per_bin_error !max_sweeps_total
 
 (* The simplified IC model has a near-symmetry exchanging the roles of
    activity and preference: (f, A, P) and (1 - f, S P, A / S) produce the
    same TM whenever the activity profiles are (close to) rank one across
    (node, time). Block-coordinate descent can therefore converge into the
-   mirrored basin. We run the descent from both f_init and 1 - f_init and
-   keep the solution with the smaller mean RelL2, breaking near-ties (0.5%)
-   toward f < 1/2 — the physically meaningful, response-dominated branch
-   the paper observes throughout. *)
+   mirrored basin. A cold fit runs the descent from both f_init and
+   1 - f_init and keeps the solution with the smaller mean RelL2, breaking
+   near-ties (3%) toward f < 1/2 — the physically meaningful,
+   response-dominated branch the paper observes throughout. *)
+let tie_margin a b = Float.max 1e-6 (0.03 *. Float.max a b)
+
 let pick_basin f_of a b =
-  let margin = Float.max 1e-6 (0.03 *. Float.max a.mean_error b.mean_error) in
-  if Float.abs (a.mean_error -. b.mean_error) <= margin then
-    if f_of a.params <= f_of b.params then a else b
+  if Float.abs (a.mean_error -. b.mean_error) <= tie_margin a.mean_error b.mean_error
+  then if f_of a.params <= f_of b.params then a else b
   else if a.mean_error < b.mean_error then a
   else b
 
-let dual_start ~options fit f_of series =
+(* The two descents of a dual start: one confined to f <= 1/2 from the
+   lower of f_init and 1 - f_init, one confined to f >= 1/2 from the
+   upper. *)
+let branch_options options =
+  let lo_init = Float.min options.f_init (1. -. options.f_init) in
+  ( { options with f_init = lo_init; f_bounds = (0., 0.5) },
+    { options with f_init = 1. -. lo_init; f_bounds = (0.5, 1.) } )
+
+let check_options options =
+  if options.max_sweeps < 1 then invalid_arg "Fit: max_sweeps must be >= 1"
+
+(* With an [incumbent] (the window mean RelL2 of the fit that produced
+   f_init), only the branch of f_init's basin runs — the one [pick_basin]
+   keeps on a stable stream (Fig 5: f barely moves between windows). The
+   guard runs the mirrored branch too, and picks as a cold fit would, when
+   the warm error exceeds the incumbent's beyond the tie margin or the warm
+   f ends on the basins' shared bound 1/2. *)
+let dual_start ?incumbent ~options fit f_of series =
+  check_options options;
   if options.fixed_f then fit ~options series
   else begin
-    let lo_init = Float.min options.f_init (1. -. options.f_init) in
-    let low =
-      { options with f_init = lo_init; f_bounds = (0., 0.5) }
-    in
-    let high =
-      { options with f_init = 1. -. lo_init; f_bounds = (0.5, 1.) }
-    in
-    let a = fit ~options:low series in
-    let b = fit ~options:high series in
-    pick_basin f_of a b
+    let low, high = branch_options options in
+    let both a b = { (pick_basin f_of a b) with both_basins = true } in
+    match incumbent with
+    | Some err when options.f_init <> 0.5 ->
+        let in_low = options.f_init < 0.5 in
+        let warm = fit ~options:(if in_low then low else high) series in
+        if
+          warm.mean_error -. err <= tie_margin warm.mean_error err
+          && f_of warm.params <> 0.5
+        then warm
+        else begin
+          let mirror = fit ~options:(if in_low then high else low) series in
+          if in_low then both warm mirror else both mirror warm
+        end
+    | _ ->
+        let a = fit ~options:low series in
+        let b = fit ~options:high series in
+        both a b
   end
 
-let fit_stable_fp ?(options = default_options) ?(kernel = Workspace) series =
+let fit_stable_fp ?(options = default_options) ?(kernel = Workspace) ?incumbent
+    series =
   let kernels = make_kernels kernel in
-  dual_start ~options
+  dual_start ?incumbent ~options
     (fun ~options series -> fit_stable_fp_single ~kernels ~options series)
     (fun (p : Params.stable_fp) -> p.f)
     series
@@ -517,19 +544,12 @@ let fit_stable_f ?(options = default_options) ?(kernel = Workspace) series =
     series
 
 let fit_time_varying ?(options = default_options) ?(kernel = Workspace) series =
+  check_options options;
   let kernels = make_kernels kernel in
   (* Bins are independent; select the better basin bin by bin. *)
-  let lo_init = Float.min options.f_init (1. -. options.f_init) in
-  let a =
-    fit_time_varying_single ~kernels
-      ~options:{ options with f_init = lo_init; f_bounds = (0., 0.5) }
-      series
-  in
-  let b =
-    fit_time_varying_single ~kernels
-      ~options:{ options with f_init = 1. -. lo_init; f_bounds = (0.5, 1.) }
-      series
-  in
+  let low, high = branch_options options in
+  let a = fit_time_varying_single ~kernels ~options:low series in
+  let b = fit_time_varying_single ~kernels ~options:high series in
   let t_count = Array.length a.per_bin_error in
   let f = Array.make t_count 0. in
   let preference = Array.make t_count [||] in
@@ -537,9 +557,9 @@ let fit_time_varying ?(options = default_options) ?(kernel = Workspace) series =
   let per_bin_error = Array.make t_count 0. in
   for t = 0 to t_count - 1 do
     let ea = a.per_bin_error.(t) and eb = b.per_bin_error.(t) in
-    let margin = Float.max 1e-6 (0.03 *. Float.max ea eb) in
     let take_a =
-      if Float.abs (ea -. eb) <= margin then a.params.f.(t) <= b.params.f.(t)
+      if Float.abs (ea -. eb) <= tie_margin ea eb then
+        a.params.f.(t) <= b.params.f.(t)
       else ea < eb
     in
     let src = if take_a then a else b in
@@ -550,10 +570,8 @@ let fit_time_varying ?(options = default_options) ?(kernel = Workspace) series =
   done;
   let params : Params.time_varying = { f; preference; activity } in
   {
-    params;
-    per_bin_error;
-    mean_error = mean_of per_bin_error;
-    sweeps = Stdlib.max a.sweeps b.sweeps;
+    (fitted params per_bin_error (Stdlib.max a.sweeps b.sweeps)) with
+    both_basins = true;
   }
 
 let fit_general_f (params : Params.stable_fp) series =

@@ -21,11 +21,15 @@
     The simplified IC model has a near-symmetry exchanging activity and
     preference roles, [(f, A, P) ~ (1 - f, S P, A / S)], which creates a
     mirrored local minimum when activities are close to rank one across
-    (node, time). All fitters therefore run the descent from both [f_init]
-    and [1 - f_init], each confined to its branch ([f <= 1/2] respectively
-    [f >= 1/2]), and keep the lower-error solution, breaking ties within 3%
-    toward [f < 1/2] (the response-dominated branch the paper observes and
-    validates directly from packet traces in its Section 5.2). *)
+    (node, time). A cold fit therefore dual-starts: it runs the descent from
+    both [f_init] and [1 - f_init], each confined to its branch
+    ([f <= 1/2] respectively [f >= 1/2]), and keeps the lower-error
+    solution, breaking ties within 3% toward [f < 1/2] (the
+    response-dominated branch the paper observes and validates directly
+    from packet traces in its Section 5.2). A warm stable-fP fit (one given
+    an [incumbent]) descends only in the basin of its [f_init]; a guard runs
+    the mirrored branch too when the warm fit looks worse than the
+    incumbent (see {!fit_stable_fp}). *)
 
 type kernel =
   | Naive  (** allocating reference kernels (one Gram matrix per solve) *)
@@ -36,7 +40,9 @@ type kernel =
           operation), with no per-bin allocation. The default. *)
 
 type options = {
-  max_sweeps : int;  (** block-coordinate sweeps (default 40) *)
+  max_sweeps : int;
+      (** block-coordinate sweeps (default 40); every fitter raises
+          [Invalid_argument] below 1 *)
   tol : float;  (** relative surrogate-improvement stop (default 1e-6) *)
   f_init : float;  (** starting forward fraction (default 0.25) *)
   fixed_f : bool;
@@ -44,8 +50,11 @@ type options = {
           preferences are optimized — the fit used when [f] is known from a
           previous measurement (default false) *)
   f_bounds : float * float;
-      (** interval the [f] update is clamped into (default [(0, 1)]); the
-          dual-start driver overrides it per branch *)
+      (** interval the [f] update is clamped into (default [(0, 1)]); unless
+          [fixed_f], every fitter overrides it per branch: [(0, 1/2)] for
+          the descent in [f_init]'s basin when [f_init < 1/2], [(1/2, 1)]
+          for the mirrored one, and the other way round when
+          [f_init > 1/2] *)
 }
 
 val default_options : options
@@ -55,15 +64,30 @@ type 'p fitted = {
   per_bin_error : float array;  (** RelL2(t) of the fitted model *)
   mean_error : float;
   sweeps : int;  (** sweeps actually performed *)
+  both_basins : bool;
+      (** both basin descents ran: always for a cold fit without [fixed_f]
+          (and for {!fit_time_varying}), only when the guard fired for a
+          warm one *)
 }
 
 val fit_stable_fp :
   ?options:options ->
   ?kernel:kernel ->
+  ?incumbent:float ->
   Ic_traffic.Series.t ->
   Params.stable_fp fitted
 (** Fit the stable-fP model (Equation 5): one [f], one preference vector,
-    per-bin activities. *)
+    per-bin activities.
+
+    [incumbent] is the window mean RelL2 of the fit [options.f_init] came
+    from; the streaming engine's refits pass it. With it, the fit runs only
+    the descent a cold fit would run in [f_init]'s basin, with the same
+    options, so its result is bit-identical to the cold fit's whenever that
+    branch would have won. A guard keeps the mirrored basin reachable: when
+    the warm mean error exceeds [incumbent] by more than the 3% tie margin,
+    or the warm [f] ends on the bound [1/2], the mirrored descent runs too
+    and the two are picked exactly as a cold fit picks them. Without
+    [incumbent], with [fixed_f], or at [f_init = 1/2] the fit is cold. *)
 
 val fit_stable_f :
   ?options:options ->

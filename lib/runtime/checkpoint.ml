@@ -100,6 +100,9 @@ let encode (s : Engine.snapshot) =
   Buffer.add_char buf '\n';
   if s.s_epoch_due = max_int then line "epoch %d never" s.s_epoch_bin
   else line "epoch %d %d" s.s_epoch_bin s.s_epoch_due;
+  (* The refit incumbent's error, only once the engine has refitted:
+     checkpoints taken before the first refit keep their bytes. *)
+  Option.iter (fun e -> line "fit_error %s" (hex_of_float e)) s.s_fit_error;
   (* Plugged-in estimator state: one header naming the owning estimator
      (caller-chosen, so percent-escaped like counter names) and its slab
      count, then one record per slab in insertion order. Emitted only when
@@ -358,6 +361,16 @@ let decode_exn text =
         cur.pos <- cur.pos - 1;
         (0, max_int)
   in
+  (* The refit incumbent postdates the resilience records; a checkpoint
+     without it restores an engine whose next refit is cold. *)
+  let s_fit_error =
+    match words (next_line cur) with
+    | [ "fit_error"; v ] -> Some (parse_float_hex v)
+    | "fit_error" :: _ -> raise (Bad "bad fit_error record")
+    | _ ->
+        cur.pos <- cur.pos - 1;
+        None
+  in
   (* Estimator-tagged engine state postdates the resilience records; peek
      like [frozen] so legacy checkpoints (and every native-ic file, which
      never carries the record) keep decoding. *)
@@ -399,6 +412,7 @@ let decode_exn text =
     s_f;
     s_preference;
     s_fit_age;
+    s_fit_error;
     s_degrade = { Degrade.s_level; s_streak; s_transitions; s_count };
     s_window;
     s_last_loads;

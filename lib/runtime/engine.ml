@@ -73,6 +73,9 @@ type t = {
   mutable f : float;
   mutable preference : Vec.t option;
   mutable fit_age : int;  (* max_int = never fitted *)
+  mutable fit_error : float option;
+      (* window mean RelL2 of the engine's last refit: the incumbent a warm
+         refit is guarded against; [None] until the first refit *)
   window_buf : Tm.t option array;  (* estimate of bin b lives at b mod window *)
   quarantine_buf : bool array;  (* aligned with window_buf: bin flagged
                                    anomalous, excluded from gated refits *)
@@ -168,6 +171,7 @@ let create ?telemetry ?(tracer = Trace.noop) config =
     f;
     preference;
     fit_age;
+    fit_error = None;
     window_buf = Array.make config.window None;
     quarantine_buf = Array.make config.window false;
     total_buf = Array.make config.window 0.;
@@ -237,10 +241,15 @@ let refit ?(since = 0) ?(ignore_quarantine = false) t =
                else t.f);
           }
         in
-        let fitted = Ic_core.Fit.fit_stable_fp ~options series in
+        let fitted =
+          Ic_core.Fit.fit_stable_fp ~options ?incumbent:t.fit_error series
+        in
+        if Option.is_some t.fit_error && fitted.both_basins then
+          Telemetry.incr t.tel "refit.basin_check";
         t.f <- fitted.params.f;
         t.preference <- Some (Array.copy fitted.params.preference);
-        t.fit_age <- 0);
+        t.fit_age <- 0;
+        t.fit_error <- Some fitted.mean_error);
     Telemetry.incr t.tel "refit.count";
     true
   end
@@ -678,6 +687,7 @@ type snapshot = {
   s_f : float;
   s_preference : Ic_linalg.Vec.t option;
   s_fit_age : int;
+  s_fit_error : float option;
   s_degrade : Degrade.snapshot;
   s_window : Ic_traffic.Tm.t array;
   s_last_loads : Ic_linalg.Vec.t;
@@ -708,6 +718,7 @@ let snapshot t =
     s_f = t.f;
     s_preference = Option.map Array.copy t.preference;
     s_fit_age = t.fit_age;
+    s_fit_error = t.fit_error;
     s_degrade = Degrade.snapshot t.degrade;
     s_window = window;
     s_last_loads = Array.copy t.last_loads;
@@ -780,6 +791,7 @@ let restore ?telemetry ?tracer config s =
       f = s.s_f;
       preference = Option.map Array.copy s.s_preference;
       fit_age = s.s_fit_age;
+      fit_error = s.s_fit_error;
     }
   in
   let len = Array.length s.s_window in

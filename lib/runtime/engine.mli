@@ -7,9 +7,13 @@
     counts, (4) refines it against the link constraints through a reused
     {!Ic_estimation.Tomogravity.plan}, and (5) projects onto the measured
     marginals with IPF. Every [refit_every] bins it refits the stable-fP
-    parameters over a sliding window of its own recent estimates
-    (warm-started from the current [f]), which is what keeps the
-    [Measured_ic] rung honest on a live feed.
+    parameters over a sliding window of its own recent estimates, which is
+    what keeps the [Measured_ic] rung honest on a live feed. The engine's
+    first refit is a cold dual-start fit ({!Ic_core.Fit}); every later one
+    starts from the current [f] and descends only in its basin, guarded by
+    the previous refit's window mean RelL2 (the mirrored basin is searched
+    too, and [refit.basin_check] counted, when the warm fit is worse than
+    that error by more than the 3% tie margin or ends on [f = 1/2]).
 
     On the native ["ic"] path the tomogravity weights are frozen at the
     first bin of each regime (refit / ladder-transition epoch), so
@@ -29,7 +33,7 @@ type config = {
   binning : Ic_timeseries.Timebin.t;
   refit_every : int;  (** sliding-window refit period, bins *)
   window : int;  (** estimates retained for the refit window *)
-  refit_sweeps : int;  (** block-coordinate sweeps per warm refit *)
+  refit_sweeps : int;  (** block-coordinate sweeps per refit descent *)
   stale_after : int;
       (** fit age (bins) beyond which [Measured_ic] degrades to
           [Stale_fp] *)
@@ -96,7 +100,8 @@ val create : ?telemetry:Telemetry.t -> ?tracer:Ic_obs.Trace.t -> config -> t
     [telemetry] (default: a fresh sink on [Ic_obs.Clock.now]) receives the
     counters and the [ingest]/[prior]/[estimate]/[ipf]/[refit] stage
     durations. [ipf.unconverged] counts native-path bins whose IPF stopped
-    at its iteration cap short of the marginals.
+    at its iteration cap short of the marginals; [refit.basin_check]
+    counts warm refits that also searched the mirrored basin.
 
     [tracer] (default: the no-op tracer) receives one [engine.step] span
     per bin with [engine.ingest]/[engine.prior]/[engine.estimate]/
@@ -121,7 +126,8 @@ val step : t -> loads:Ic_linalg.Vec.t -> missing:bool array -> output
 
 val refit : ?since:int -> ?ignore_quarantine:bool -> t -> bool
 (** Force a sliding-window refit now (normally triggered every
-    [refit_every] bins). [since] (default 0) restricts the window to bins
+    [refit_every] bins); cold or warm as described above, like every
+    cadence and epoch refit. [since] (default 0) restricts the window to bins
     at or after that index — the epoch-refit path passes the topology
     change's bin. [ignore_quarantine] (default [false]) bypasses the
     anomaly gate, refitting over quarantined bins too — the escape-hatch
@@ -187,6 +193,12 @@ type snapshot = {
   s_f : float;
   s_preference : Ic_linalg.Vec.t option;
   s_fit_age : int;  (** [max_int] encodes "never fitted" *)
+  s_fit_error : float option;
+      (** window mean RelL2 of the engine's last refit, the incumbent its
+          next warm refit is guarded against; [None] before the engine's
+          own first refit (and in checkpoints that predate the record),
+          which makes that refit cold. Checkpointed so a resumed engine
+          makes the uninterrupted run's guard decisions. *)
   s_degrade : Degrade.snapshot;
   s_window : Ic_traffic.Tm.t array;  (** chronological, oldest first *)
   s_last_loads : Ic_linalg.Vec.t;

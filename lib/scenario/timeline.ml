@@ -223,19 +223,26 @@ let epochs_of ~graph ~bins changes =
               @ List.map (fun id -> (id, w)) c.c_ids)
         [] active
     in
+    let failed =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun c -> if c.c_weight = None then Some c.c_label else None)
+           active)
+    in
     let routing =
       if down = [] && reweight = [] then base
-      else Routing.rebuild ~down ~reweight base
+      else
+        match Routing.rebuild ~down ~reweight base with
+        | r -> r
+        | exception Invalid_argument _ ->
+            invalid_arg
+              (Printf.sprintf
+                 "Scenario: taking %s down at bin %d disconnects the topology"
+                 (String.concat "," failed) b)
     in
     let description =
       if down = [] && reweight = [] then "nominal topology"
       else begin
-        let failed =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun c -> if c.c_weight = None then Some c.c_label else None)
-               active)
-        in
         let rw =
           List.sort_uniq compare
             (List.filter_map
@@ -254,6 +261,12 @@ let epochs_of ~graph ~bins changes =
     { from_bin = b; routing; description }
   in
   Array.of_list (List.map epoch_at boundaries)
+
+(* After validation a rebuild can only fail on a disconnected residual
+   graph, which is what [epochs_of] reports. *)
+let epochs ~graph ~bins (schedule : Schedule.t) =
+  Schedule.validate ~bins schedule;
+  epochs_of ~graph ~bins (topo_changes graph schedule.Schedule.events)
 
 let topo_notes ~bins events =
   let notes =
@@ -291,7 +304,7 @@ let topo_notes ~bins events =
 
 let compile ~graph ~base (schedule : Schedule.t) =
   let bins = Series.length base in
-  Schedule.validate ~bins schedule;
+  let epochs = epochs ~graph ~bins schedule in
   if Series.size base <> Graph.node_count graph then
     invalid_arg "Timeline.compile: series does not match graph";
   let n = Graph.node_count graph in
@@ -313,8 +326,6 @@ let compile ~graph ~base (schedule : Schedule.t) =
     |> List.filter_map Fun.id
   in
   let series = Series.make base.Series.binning tms in
-  let changes = topo_changes graph schedule.Schedule.events in
-  let epochs = epochs_of ~graph ~bins changes in
   let routing_of_bin b =
     let r = ref epochs.(0).routing in
     Array.iter (fun e -> if e.from_bin <= b then r := e.routing) epochs;

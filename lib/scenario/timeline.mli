@@ -56,6 +56,13 @@ val compile :
     does not match the graph or carries no traffic, or a failure set that
     disconnects the residual topology. *)
 
+val epochs : graph:Ic_topology.Graph.t -> bins:int -> Schedule.t -> epoch array
+(** The topology epochs {!compile} would produce, without the traffic: a
+    cheap check of a schedule's link events against the graph. Raises
+    [Invalid_argument] on a schedule that fails {!Schedule.validate}, an
+    unknown link, or a failure set that disconnects the residual
+    topology. *)
+
 val base_routing : t -> Ic_topology.Routing.t
 (** [epochs.(0).routing] — what the engine config should be built from. *)
 

@@ -128,6 +128,7 @@ let gen_snapshot =
         [ return None; map Option.some (array_size (return (n * n)) gen_float) ]
     in
     let* s_fit_age = oneof [ return max_int; int_range 0 5_000 ] in
+    let* s_fit_error = oneof [ return None; map Option.some gen_float ] in
     let* s_level = gen_level in
     let* s_streak = int_range 0 50 in
     let* s_transitions = list_size (int_range 0 6) gen_transition in
@@ -167,6 +168,7 @@ let gen_snapshot =
         s_f;
         s_preference;
         s_fit_age;
+        s_fit_error;
         s_degrade = { Degrade.s_level; s_streak; s_transitions; s_count };
         s_window = Array.of_list (List.map (Tm.of_vector_clamped n) window_data);
         s_last_loads;
@@ -195,6 +197,10 @@ let snapshot_eq (a : Engine.snapshot) (b : Engine.snapshot) =
      | Some p, Some q -> float_array_eq p q
      | _ -> false)
   && a.s_fit_age = b.s_fit_age
+  && (match (a.s_fit_error, b.s_fit_error) with
+     | None, None -> true
+     | Some x, Some y -> bits x = bits y
+     | _ -> false)
   && a.s_degrade.Degrade.s_level = b.s_degrade.Degrade.s_level
   && a.s_degrade.Degrade.s_streak = b.s_degrade.Degrade.s_streak
   && a.s_degrade.Degrade.s_transitions = b.s_degrade.Degrade.s_transitions
@@ -250,6 +256,7 @@ let base_snapshot ?(counters = [ ("polls_total", 12) ]) () =
     s_f = 0.35;
     s_preference = None;
     s_fit_age = max_int;
+    s_fit_error = None;
     s_degrade =
       {
         Degrade.s_level = Degrade.Gravity;
@@ -336,6 +343,31 @@ let test_legacy_no_resilience_records () =
         (snapshot_eq s s')
   | Error e -> Alcotest.fail e
 
+let test_legacy_no_fit_error_record () =
+  (* Checkpoints written before warm refits carry no "fit_error" record;
+     they must keep decoding, with no incumbent (the next refit is cold). *)
+  let s = { (base_snapshot ()) with Engine.s_fit_error = Some 0.2899 } in
+  let text = Checkpoint.encode s in
+  Alcotest.(check bool) "incumbent is one record" true
+    (String.split_on_char '\n' text
+    |> List.exists (( = ) ("fit_error " ^ Printf.sprintf "%016Lx" (bits 0.2899))));
+  let legacy =
+    String.split_on_char '\n' text
+    |> List.filter (fun l ->
+           match String.split_on_char ' ' l with
+           | "fit_error" :: _ -> false
+           | _ -> true)
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "no incumbent encodes as before"
+    (Checkpoint.encode (base_snapshot ()))
+    legacy;
+  match Checkpoint.decode legacy with
+  | Ok s' ->
+      Alcotest.(check bool) "legacy decodes without an incumbent" true
+        (s'.Engine.s_fit_error = None && snapshot_eq (base_snapshot ()) s')
+  | Error e -> Alcotest.fail e
+
 (* An estimator-tagged base snapshot: adversarial owner and slab names plus
    NaN/inf payloads, so the truncation sweep also walks through the
    estimator records byte by byte. *)
@@ -414,6 +446,7 @@ let truncation_sweep s =
 
 let test_truncation_rejected () =
   truncation_sweep (base_snapshot ());
+  truncation_sweep { (base_snapshot ()) with Engine.s_fit_error = Some 0.2899 };
   truncation_sweep (estimator_snapshot ())
 
 let test_malformed_floats_rejected () =
@@ -486,6 +519,8 @@ let () =
             test_estimator_roundtrip_unit;
           Alcotest.test_case "legacy checkpoint without estimator record"
             `Quick test_legacy_no_estimator_record;
+          Alcotest.test_case "legacy checkpoint without fit_error record"
+            `Quick test_legacy_no_fit_error_record;
         ] );
       ( "rejection",
         [

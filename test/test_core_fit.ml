@@ -77,6 +77,102 @@ let test_fit_dual_start_mirror () =
   let fit = Fit.fit_stable_fp ~options series in
   feq_tol 0.01 "recovers the physical branch" truth.f fit.params.f
 
+(* --- warm refits ------------------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+let floats_bitwise a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let check_same_fit msg (a : Params.stable_fp Fit.fitted)
+    (b : Params.stable_fp Fit.fitted) =
+  Alcotest.(check bool) (msg ^ ": f") true (bits a.params.f = bits b.params.f);
+  Alcotest.(check bool)
+    (msg ^ ": preference") true
+    (floats_bitwise a.params.preference b.params.preference);
+  Alcotest.(check bool)
+    (msg ^ ": activities") true
+    (Array.length a.params.activity = Array.length b.params.activity
+    && Array.for_all2 floats_bitwise a.params.activity b.params.activity);
+  Alcotest.(check bool)
+    (msg ^ ": per-bin errors") true
+    (floats_bitwise a.per_bin_error b.per_bin_error);
+  Alcotest.(check int) (msg ^ ": sweeps") a.sweeps b.sweeps
+
+let noisy_world seed =
+  let _, series = clean_world seed in
+  let rng = Ic_prng.Rng.create (seed + 100) in
+  Series.map
+    (fun tm ->
+      Tm.init (Tm.size tm) (fun i j ->
+          Tm.get tm i j *. exp (Ic_prng.Sampler.normal rng ~mu:0. ~sigma:0.1)))
+    series
+
+let test_warm_matches_cold () =
+  (* In its own basin, a warm fit runs exactly the branch a cold fit keeps:
+     bit-identical output, the mirrored descent skipped. *)
+  List.iter
+    (fun (label, series) ->
+      List.iter
+        (fun f_init ->
+          let options = { Fit.default_options with f_init } in
+          let cold = Fit.fit_stable_fp ~options series in
+          Alcotest.(check bool) (label ^ ": cold fit lands at f <= 1/2") true
+            (cold.params.f <= 0.5);
+          Alcotest.(check bool) (label ^ ": cold fit dual-starts") true
+            cold.both_basins;
+          List.iter
+            (fun incumbent ->
+              let warm = Fit.fit_stable_fp ~options ~incumbent series in
+              let msg = Printf.sprintf "%s f_init %g incumbent %g" label f_init incumbent in
+              check_same_fit msg cold warm;
+              Alcotest.(check bool) (msg ^ ": guard quiet") false
+                warm.both_basins)
+            [ cold.mean_error; 1. ])
+        [ 0.25; 0.4 ])
+    [ ("clean", snd (clean_world 1)); ("10% noise", noisy_world 3) ]
+
+let test_warm_guard_leaves_wrong_basin () =
+  (* An incumbent in the mirrored basin (f_init = 0.78). Against a perfect
+     incumbent the warm error trips the guard, which runs the physical
+     branch and picks exactly as a cold fit does. On this world the
+     mirrored descent also ends on the bound 1/2, so the guard fires at any
+     incumbent error. *)
+  let truth, series = clean_world 5 in
+  let options = { Fit.default_options with f_init = 0.78 } in
+  let cold = Fit.fit_stable_fp ~options series in
+  List.iter
+    (fun incumbent ->
+      let msg = Printf.sprintf "incumbent %g" incumbent in
+      let guarded = Fit.fit_stable_fp ~options ~incumbent series in
+      Alcotest.(check bool) (msg ^ ": guard fired") true guarded.both_basins;
+      check_same_fit (msg ^ ": guarded = cold") cold guarded;
+      feq_tol 0.01 (msg ^ ": physical branch") truth.f guarded.params.f)
+    [ 0.; 10. ];
+  (* Where the mirrored basin is interior, an incumbent no better than the
+     mirrored fit keeps the guard quiet: the fit stays at f >= 1/2, so only
+     the guard ever leaves a basin. *)
+  let _, series = clean_world 1 in
+  let kept = Fit.fit_stable_fp ~options ~incumbent:10. series in
+  Alcotest.(check bool) "guard quiet" false kept.both_basins;
+  Alcotest.(check bool) "stays at f > 1/2" true (kept.params.f > 0.5);
+  let guarded = Fit.fit_stable_fp ~options ~incumbent:0. series in
+  Alcotest.(check bool) "error trips the guard" true guarded.both_basins;
+  check_same_fit "guarded = cold" (Fit.fit_stable_fp ~options series) guarded
+
+let test_max_sweeps_rejected () =
+  let _, series = clean_world ~bins:4 4 in
+  let options = { Fit.default_options with max_sweeps = 0 } in
+  let rejects name fit =
+    Alcotest.check_raises name
+      (Invalid_argument "Fit: max_sweeps must be >= 1") (fun () -> fit ())
+  in
+  rejects "stable-fP" (fun () -> ignore (Fit.fit_stable_fp ~options series));
+  rejects "stable-f" (fun () -> ignore (Fit.fit_stable_f ~options series));
+  rejects "time-varying" (fun () ->
+      ignore (Fit.fit_time_varying ~options series))
+
 let test_gravity_fit_rank_one () =
   (* gravity fit is exact on a rank-one TM *)
   let u = [| 1.; 2.; 3. |] and v = [| 0.5; 0.25; 0.25 |] in
@@ -214,6 +310,12 @@ let () =
           Alcotest.test_case "fixed f" `Quick test_fit_fixed_f;
           Alcotest.test_case "dual start escapes mirror" `Quick
             test_fit_dual_start_mirror;
+          Alcotest.test_case "warm fit in its basin matches cold" `Quick
+            test_warm_matches_cold;
+          Alcotest.test_case "warm guard leaves the wrong basin" `Quick
+            test_warm_guard_leaves_wrong_basin;
+          Alcotest.test_case "max_sweeps below one rejected" `Quick
+            test_max_sweeps_rejected;
         ] );
       ( "gravity baseline",
         [

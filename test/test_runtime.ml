@@ -295,6 +295,35 @@ let test_checkpoint_config_mismatch () =
            { (config ()) with Engine.routing = other }
            snap))
 
+let test_snapshot_carries_fit_error () =
+  (* The refit incumbent is engine state: absent until the engine's own
+     first refit, then carried by the snapshot and reproduced bit for bit
+     by restore (through the checkpoint codec) followed by snapshot. *)
+  let fresh = Engine.snapshot (Engine.create (config ())) in
+  Alcotest.(check bool) "no incumbent before a refit" true
+    (fresh.Engine.s_fit_error = None);
+  let engine, _ = run_bins ~seed:21 12 in
+  Alcotest.(check int) "one refit" 1
+    (Telemetry.count (Engine.telemetry engine) "refit.count");
+  let snap = Engine.snapshot engine in
+  let err =
+    match snap.Engine.s_fit_error with
+    | Some e -> e
+    | None -> Alcotest.fail "snapshot after a refit has no incumbent"
+  in
+  Alcotest.(check bool) "incumbent is a RelL2" true
+    (Float.is_finite err && err >= 0.);
+  let restored =
+    match Checkpoint.decode (Checkpoint.encode snap) with
+    | Ok s -> Engine.restore (config ()) s
+    | Error e -> Alcotest.fail e
+  in
+  match (Engine.snapshot restored).Engine.s_fit_error with
+  | Some e' ->
+      Alcotest.(check bool) "restore reproduces it bit for bit" true
+        (Int64.bits_of_float e' = Int64.bits_of_float err)
+  | None -> Alcotest.fail "restore dropped the incumbent"
+
 (* The tentpole property: save/restore through a real file, then N more
    bins, is bit-identical to an engine that never stopped. *)
 let resume_matches_uninterrupted (seed, n1, n2, drop) =
@@ -369,6 +398,8 @@ let () =
           Alcotest.test_case "decode errors" `Quick test_checkpoint_decode_errors;
           Alcotest.test_case "config mismatch" `Quick
             test_checkpoint_config_mismatch;
+          Alcotest.test_case "snapshot carries the refit incumbent" `Quick
+            test_snapshot_carries_fit_error;
           QCheck_alcotest.to_alcotest checkpoint_property;
         ] );
     ]

@@ -259,7 +259,24 @@ let test_timeline_validation () =
   Alcotest.(check bool) "unknown node" true
     (raises [ Schedule.Outage { node = "LHR"; at = 2; duration = 2 } ]);
   Alcotest.(check bool) "unknown link" true
-    (raises [ Schedule.Link_fail { a = "STTL"; b = "ATLA"; at = 2; duration = None } ])
+    (raises [ Schedule.Link_fail { a = "STTL"; b = "ATLA"; at = 2; duration = None } ]);
+  (* STTL has two links: failing both at once cuts it off. [epochs] finds
+     that without the traffic, naming the links and the bin. *)
+  let isolate =
+    [
+      Schedule.Link_fail { a = "STTL"; b = "SNVA"; at = 2; duration = Some 6 };
+      Schedule.Link_fail { a = "STTL"; b = "DNVR"; at = 5; duration = None };
+    ]
+  in
+  Alcotest.(check bool) "disconnecting failure set" true (raises isolate);
+  Alcotest.check_raises "epochs name the cut"
+    (Invalid_argument
+       "Scenario: taking STTL-DNVR,STTL-SNVA down at bin 5 disconnects the \
+        topology") (fun () ->
+      ignore (Timeline.epochs ~graph ~bins:12 { seed = 6; events = isolate }));
+  Alcotest.(check int) "one failure at a time is fine" 3
+    (Array.length
+       (Timeline.epochs ~graph ~bins:12 { seed = 6; events = [ List.hd isolate ] }))
 
 (* --- Feed.of_loads and feed telemetry ------------------------------------ *)
 
