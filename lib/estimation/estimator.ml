@@ -8,6 +8,8 @@ module Vec = Ic_linalg.Vec
 (* Per-bin context                                                     *)
 (* ------------------------------------------------------------------ *)
 
+type ipf_tally = { mutable iterations : int; mutable unconverged : int }
+
 type ctx = {
   routing : Routing.t;
   plan : Tomogravity.plan;
@@ -16,6 +18,8 @@ type ctx = {
   egress : Vec.t;
   bin : int;
   rung : int;
+  weights : Vec.t option;
+  ipf : ipf_tally;
 }
 
 let make_ctx ~routing ~plan ~link_loads ?(bin = 0) ?(rung = 0) () =
@@ -30,7 +34,8 @@ let make_ctx ~routing ~plan ~link_loads ?(bin = 0) ?(rung = 0) () =
   let egress =
     Array.init n (fun j -> link_loads.(Routing.egress_row routing j))
   in
-  { routing; plan; link_loads; ingress; egress; bin; rung }
+  let ipf = { iterations = 0; unconverged = 0 } in
+  { routing; plan; link_loads; ingress; egress; bin; rung; weights = None; ipf }
 
 (* ------------------------------------------------------------------ *)
 (* Serializable per-estimator state                                    *)
@@ -139,15 +144,21 @@ let gravity_prior ctx =
   else Ic_gravity.Gravity.from_marginals ~ingress:ctx.ingress ~egress:ctx.egress
 
 (* Step-3 projection onto the measured marginals, exactly as the classic
-   pipeline applies it (including the all-idle guard). *)
+   pipeline applies it (including the all-idle guard). Every run lands in
+   the ctx's tally. *)
 let ipf_project ctx tm =
   if Vec.sum ctx.ingress <= 0. then tm
-  else (Ipf.fit tm ~row_targets:ctx.ingress ~col_targets:ctx.egress).Ipf.tm
+  else begin
+    let o = Ipf.fit tm ~row_targets:ctx.ingress ~col_targets:ctx.egress in
+    ctx.ipf.iterations <- ctx.ipf.iterations + o.Ipf.iterations;
+    if not o.Ipf.converged then ctx.ipf.unconverged <- ctx.ipf.unconverged + 1;
+    o.Ipf.tm
+  end
 
-let tomogravity_refine ?weights ctx ~prior =
+let tomogravity_refine ctx ~prior =
   let tm =
-    Tomogravity.estimate_with_plan ?weights ctx.plan ~link_loads:ctx.link_loads
-      ~prior
+    Tomogravity.estimate_with_plan ?weights:ctx.weights ctx.plan
+      ~link_loads:ctx.link_loads ~prior
   in
   (tm, Tomogravity.plan_last_clamp_count ctx.plan)
 
@@ -209,11 +220,14 @@ module Tomogravity_iterative = struct
     in
     let clamped = ref 0 in
     let x = ref prior in
+    (* The host's frozen weights never apply: each sweep's geometry is the
+       point of the method. *)
+    let sweep_ctx = { ctx with weights = None } in
     for _ = 1 to sweeps do
       (* Refine the current prior against the link residuals — the weights
          W = diag x0 come from the current iterate, so each sweep solves in
          the geometry of the previous sweep's generalized-gravity refit... *)
-      let refined, c = tomogravity_refine ctx ~prior:!x in
+      let refined, c = tomogravity_refine sweep_ctx ~prior:!x in
       clamped := !clamped + c;
       (* ... then proportionally refit the refined estimate back onto the
          measured marginals, which is how the next sweep's prior regains

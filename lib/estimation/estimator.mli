@@ -17,6 +17,10 @@
     is exactly what rides engine checkpoints (see {!Ic_runtime.Checkpoint};
     NaN and infinity payloads survive bit-exactly). *)
 
+type ipf_tally = { mutable iterations : int; mutable unconverged : int }
+(** IPF work done for one bin: sweeps summed over every run, and the runs
+    that stopped at the iteration cap. *)
+
 type ctx = {
   routing : Ic_topology.Routing.t;
       (** built [~with_marginals:true] — the stages need the marginal
@@ -30,6 +34,14 @@ type ctx = {
   rung : int;
       (** degradation-ladder rung the host is running at (0 = full
           telemetry); estimators may consult it to cheapen stages *)
+  weights : Ic_linalg.Vec.t option;
+      (** least-squares weights for {!tomogravity_refine}: [None] weights
+          by the prior being refined; the streaming engine passes the
+          weights it froze at the first bin of the current regime, so
+          consecutive bins reuse the plan's cached factor *)
+  ipf : ipf_tally;
+      (** fresh per bin; {!ipf_project} adds every run to it and the
+          engine reads it after the projection stage *)
 }
 (** Everything one bin's estimate may depend on besides the estimator's
     own state. *)
@@ -42,9 +54,9 @@ val make_ctx :
   ?rung:int ->
   unit ->
   ctx
-(** Derives the marginal views from [link_loads]. Raises
-    [Invalid_argument] if the routing lacks marginal rows or the load
-    vector length does not match. *)
+(** Derives the marginal views from [link_loads], with [weights = None]
+    and an empty IPF tally. Raises [Invalid_argument] if the routing lacks
+    marginal rows or the load vector length does not match. *)
 
 type state
 (** Named float-array slabs owned by one calibrated estimator instance.
@@ -92,7 +104,10 @@ module type S = sig
   val refine : state -> ctx -> prior:Ic_traffic.Tm.t -> Ic_traffic.Tm.t * int
   (** Step 2 against the bin's link loads, returning the estimate and the
       number of entries its non-negativity clamps zeroed (the pipeline-wide
-      audit — never swallow a clamp). Pure w.r.t. the state. *)
+      audit — never swallow a clamp). Pure w.r.t. the state. A family that
+      refines once against its prior should solve with [ctx.weights] (as
+      {!tomogravity_refine} does); one whose method re-derives the weights
+      on every pass refines with [weights = None]. *)
 
   val project : state -> ctx -> Ic_traffic.Tm.t -> Ic_traffic.Tm.t
   (** Step 3 onto the measured marginals (or any family-specific
@@ -136,12 +151,11 @@ val gravity_prior : ctx -> Ic_traffic.Tm.t
     for an all-idle bin. *)
 
 val ipf_project : ctx -> Ic_traffic.Tm.t -> Ic_traffic.Tm.t
-(** IPF onto the measured marginals (identity for an all-idle bin). *)
+(** IPF onto the measured marginals (identity for an all-idle bin). Each
+    run adds its iterations, and its non-convergence, to [ctx.ipf]. *)
 
-val tomogravity_refine :
-  ?weights:Ic_linalg.Vec.t ->
-  ctx ->
-  prior:Ic_traffic.Tm.t ->
-  Ic_traffic.Tm.t * int
-(** Prior-weighted least squares through the ctx's plan, with the clamp
-    count read back from the plan hook. *)
+val tomogravity_refine : ctx -> prior:Ic_traffic.Tm.t -> Ic_traffic.Tm.t * int
+(** Weighted least squares through the ctx's plan, with the clamp count
+    read back from the plan hook. Weights are [ctx.weights], or the
+    clamped prior when [None]; a bitwise repeat of the previous bin's
+    weights reuses the plan's factor. *)

@@ -3,7 +3,6 @@ module Tm = Ic_traffic.Tm
 module Series = Ic_traffic.Series
 module Routing = Ic_topology.Routing
 module Tomogravity = Ic_estimation.Tomogravity
-module Ipf = Ic_estimation.Ipf
 module Estimator = Ic_estimation.Estimator
 module Trace = Ic_obs.Trace
 
@@ -54,9 +53,9 @@ type t = {
   mutable plugin : ((module Estimator.S) * Estimator.state) option;
       (* [None] runs the native ic path below; [Some] dispatches the
          prior/refine/project stages (and the sequential [observe] hook)
-         to a registry estimator, with the stable-fP refit machinery and
-         the frozen-weights fast path idle. The state is the only mutable
-         half — it rides snapshots so kill/resume is bit-identical. *)
+         to a registry estimator, with the stable-fP refit machinery idle.
+         The state is the only mutable half — it rides snapshots so
+         kill/resume is bit-identical. *)
   mutable routing : Routing.t;  (* current topology; starts at config.routing *)
   mutable plan : Tomogravity.plan;  (* always built for [routing] *)
   mutable topo_pending : bool;
@@ -89,9 +88,9 @@ type t = {
   last_loads : float array;  (* last trusted poll per link *)
   mutable have_last : bool;
   consec_missing : int array;
-  (* Fast-path state (all derived or regime-scoped; see [step]). The frozen
-     weights are the only piece that is genuine engine state — they survive
-     checkpoints so kill/resume is bit-identical. *)
+  (* Fast-path state (all derived or regime-scoped; see [freeze_weights]).
+     The frozen weights are the only piece that is genuine engine state —
+     they survive checkpoints so kill/resume is bit-identical. *)
   mutable frozen_weights : (Degrade.level * Vec.t) option;
   mutable prior_cache : Ic_core.Estimate_a.cache option;
   mutable fp_hits : int;
@@ -380,33 +379,31 @@ let build_prior t level ~ingress ~egress =
       end
     | Gravity -> Ic_gravity.Gravity.from_marginals ~ingress ~egress
 
-(* Refine-stage accounting shared by the native and plugin paths: the clamp
-   count, and the plan's factor-cache tier counts since the previous bin. *)
-let record_refine t ~clamped =
+(* Per-bin accounting: the clamp count, the plan's factor-cache tier counts
+   since the previous bin, and the IPF work the ctx tallied. IPF runs on
+   exactly the bins with positive ingress; [ipf.unconverged] is created
+   only when it fires. *)
+let record_bin t (ctx : Estimator.ctx) ~clamped =
   Telemetry.add t.tel "estimate.clamped_entries" clamped;
   let fp = Tomogravity.plan_fastpath_stats t.plan in
   Telemetry.add t.tel "fastpath.hit" (fp.Tomogravity.hits - t.fp_hits);
   Telemetry.add t.tel "fastpath.refactorize"
     (fp.Tomogravity.refactorizes - t.fp_refactorizes);
   t.fp_hits <- fp.Tomogravity.hits;
-  t.fp_refactorizes <- fp.Tomogravity.refactorizes
+  t.fp_refactorizes <- fp.Tomogravity.refactorizes;
+  if Vec.sum ctx.ingress > 0. then
+    Telemetry.add t.tel "ipf.iterations" ctx.ipf.iterations;
+  if ctx.ipf.unconverged > 0 then
+    Telemetry.add t.tel "ipf.unconverged" ctx.ipf.unconverged
 
-(* The native ic bin: build the ladder-rung prior from the marginals, refine
-   against the link constraints with regime-frozen weights, project with
-   IPF. Returns the estimate and the tomogravity clamp count. *)
-let native_bin t level ~effective ~ingress ~egress =
-  let prior =
-    Trace.stage t.tracer "engine.prior"
-      ~attrs:[ ("level", Degrade.level_name level) ]
-      ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "prior")
-      (fun () -> build_prior t level ~ingress ~egress)
-  in
-  (* Weight freezing: the link constraints hold at the tomogravity solution
-     for any psd weight matrix — the weights only pick the least-norm
-     geometry of the correction — so between regime changes (refits and
-     ladder transitions) the weights are frozen at the first bin's prior.
-     Consecutive bins then hit the plan's factor cache bitwise and skip the
-     Gram assembly and Cholesky factorization entirely. *)
+(* Weight freezing: the link constraints hold at the tomogravity solution
+   for any psd weight matrix — the weights only pick the least-norm
+   geometry of the correction — so between regime changes (refits and
+   ladder transitions) the weights are frozen at the first bin's prior.
+   Consecutive bins then hit the plan's factor cache bitwise and skip the
+   Gram assembly and Cholesky factorization entirely. Returns the weights
+   this bin refines with. *)
+let freeze_weights t level prior =
   (match t.frozen_weights with
   | Some (lvl, _) when lvl = level -> ()
   | _ ->
@@ -425,30 +422,58 @@ let native_bin t level ~effective ~ingress ~egress =
       (* A degenerate (all-zero) bin must not pin zero weights for the rest
          of the regime; leave unfrozen and retry next bin. *)
       if !sum > 0. then t.frozen_weights <- Some (level, w));
-  let weights = Option.map snd t.frozen_weights in
-  (* Refine against the link constraints, then project onto the measured
-     marginals. *)
-  let refined =
+  Option.map snd t.frozen_weights
+
+(* One bin through the prior, refine and IPF stages. The native ic path and
+   a plugged-in estimator share the ctx, the frozen weights and the
+   accounting; they differ only in which prior is built and which refine and
+   project functions run. A plugin's [observe] mutates only its checkpointed
+   state, so kill/resume stays bit-identical. *)
+let estimate_bin t level ~effective ~ingress ~egress =
+  let ctx =
+    {
+      Estimator.routing = t.routing;
+      plan = t.plan;
+      link_loads = effective;
+      ingress;
+      egress;
+      bin = t.bin;
+      rung = Degrade.rank level;
+      weights = None;
+      ipf = { iterations = 0; unconverged = 0 };
+    }
+  in
+  let prior =
+    Trace.stage t.tracer "engine.prior"
+      ~attrs:[ ("level", Degrade.level_name level) ]
+      ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "prior")
+      (fun () ->
+        match t.plugin with
+        | Some ((module E), state) -> E.prior state ctx
+        | None -> build_prior t level ~ingress ~egress)
+  in
+  let ctx = { ctx with weights = freeze_weights t level prior } in
+  let refined, clamped =
     Trace.stage t.tracer "engine.estimate" ~clock:(Telemetry.clock t.tel)
       (Telemetry.stage t.tel "estimate") (fun () ->
-        Tomogravity.estimate_with_plan ?weights t.plan ~link_loads:effective
-          ~prior)
+        match t.plugin with
+        | Some ((module E), state) -> E.refine state ctx ~prior
+        | None -> Estimator.tomogravity_refine ctx ~prior)
   in
-  let clamped = Tomogravity.plan_last_clamp_count t.plan in
-  record_refine t ~clamped;
   let estimate =
-    if Vec.sum ingress <= 0. then refined
-    else
-      Trace.stage t.tracer "engine.ipf" ~clock:(Telemetry.clock t.tel)
-        (Telemetry.stage t.tel "ipf") (fun () ->
-          let outcome =
-            Ipf.fit refined ~row_targets:ingress ~col_targets:egress
-          in
-          Telemetry.add t.tel "ipf.iterations" outcome.Ipf.iterations;
-          if not outcome.Ipf.converged then
-            Telemetry.incr t.tel "ipf.unconverged";
-          outcome.Ipf.tm)
+    Trace.stage t.tracer "engine.ipf" ~clock:(Telemetry.clock t.tel)
+      (Telemetry.stage t.tel "ipf") (fun () ->
+        match t.plugin with
+        | Some ((module E), state) -> E.project state ctx refined
+        | None -> Estimator.ipf_project ctx refined)
   in
+  record_bin t ctx ~clamped;
+  (match t.plugin with
+  | Some ((module E), state) ->
+      Telemetry.incr t.tel ("estimator." ^ E.name ^ ".bins");
+      Telemetry.add t.tel ("estimator." ^ E.name ^ ".clamped_entries") clamped;
+      E.observe state ctx ~estimate
+  | None -> ());
   (estimate, clamped)
 
 let step t ~loads ~missing =
@@ -522,50 +547,7 @@ let step t ~loads ~missing =
     ingress.(i) <- effective.(t.ingress_rows.(i));
     egress.(i) <- effective.(t.egress_rows.(i))
   done;
-  let estimate, clamped =
-    match t.plugin with
-    | Some ((module E), state) ->
-        (* Plugged-in estimator: the three stages run against the same
-           imputed loads and ladder verdict as the native path; the frozen
-           weights and stable-fP machinery stay idle (the estimator owns
-           its weighting and calibration). [observe] is the estimator's
-           sequential learning hook — its mutations live in the
-           checkpointed state, so kill/resume stays bit-identical. *)
-        let ctx =
-          {
-            Estimator.routing = t.routing;
-            plan = t.plan;
-            link_loads = effective;
-            ingress;
-            egress;
-            bin = t.bin;
-            rung = Degrade.rank level;
-          }
-        in
-        let prior =
-          Trace.stage t.tracer "engine.prior"
-            ~attrs:[ ("level", Degrade.level_name level) ]
-            ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "prior")
-            (fun () -> E.prior state ctx)
-        in
-        let refined, clamped =
-          Trace.stage t.tracer "engine.estimate"
-            ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "estimate")
-            (fun () -> E.refine state ctx ~prior)
-        in
-        record_refine t ~clamped;
-        let estimate =
-          Trace.stage t.tracer "engine.ipf" ~clock:(Telemetry.clock t.tel)
-            (Telemetry.stage t.tel "ipf") (fun () -> E.project state ctx refined)
-        in
-        Telemetry.incr t.tel ("estimator." ^ E.name ^ ".bins");
-        Telemetry.add t.tel
-          ("estimator." ^ E.name ^ ".clamped_entries")
-          clamped;
-        E.observe state ctx ~estimate;
-        (estimate, clamped)
-    | None -> native_bin t level ~effective ~ingress ~egress
-  in
+  let estimate, clamped = estimate_bin t level ~effective ~ingress ~egress in
   (* Anomaly gate: decide whether this bin joins the refit window or is
      quarantined out of it, before the estimate overwrites the slot (the
      decision's reference history must not include the bin itself). *)

@@ -15,14 +15,15 @@
     too, and [refit.basin_check] counted, when the warm fit is worse than
     that error by more than the 3% tie margin or ends on [f = 1/2]).
 
-    On the native ["ic"] path the tomogravity weights are frozen at the
-    first bin of each regime (refit / ladder-transition epoch), so
-    consecutive bins hit the plan's cached Cholesky factor, and the
-    measured-ic prior reuses a cached activity design and Gram with an
-    interior-first NNLS. The link constraints hold at the solution for any
-    psd weight matrix, so frozen weights change only the least-norm
-    geometry of the correction (second order; IPF reimposes the marginals
-    regardless). Frozen weights are checkpointed state.
+    The tomogravity weights are frozen at the first bin of each regime
+    (refit / ladder-transition epoch) and passed to the refine stage as
+    [Estimator.ctx.weights], so consecutive bins hit the plan's cached
+    Cholesky factor; on the native ["ic"] path the measured-ic prior also
+    reuses a cached activity design and Gram with an interior-first NNLS.
+    The link constraints hold at the solution for any psd weight matrix,
+    so frozen weights change only the least-norm geometry of the
+    correction (second order; IPF reimposes the marginals regardless).
+    Frozen weights are checkpointed state.
 
     The engine is deterministic: identical observation streams produce
     bit-identical estimates, and {!snapshot}/{!restore} (see {!Checkpoint})
@@ -68,19 +69,21 @@ type config = {
           refits. *)
   estimator : string;
       (** which estimator family produces each bin's estimate. ["ic"]
-          (default) is the native path above — self-calibrating stable-fP
-          with the frozen-weights fast path, bit-for-bit the pre-plugin
-          engine. Any other name is resolved in the
-          {!Ic_estimation.Estimator} registry: the prior/refine/project
+          (default) is the native path above — self-calibrating stable-fP,
+          bit-for-bit the pre-plugin engine. Any other name is resolved in
+          the {!Ic_estimation.Estimator} registry: the prior/refine/project
           stages dispatch to that family, its [observe] hook runs
           sequentially after every bin, and its state rides
           {!snapshot}/{!restore} (and {!Checkpoint}), so kill/resume stays
-          bit-identical; the stable-fP refit machinery and the
-          frozen-weights freeze stay idle. The degradation ladder still
-          tracks poll health (a plugged-in estimator is never held down by
-          the fit-staleness component — it owns its own calibration), and
-          the quarantine gate still flags anomalous bins. Raises in
-          {!create} when the name is neither ["ic"] nor registered. *)
+          bit-identical; the stable-fP refit machinery stays idle. Both
+          paths share one per-bin body, so a plugged-in family gets the
+          same regime-frozen weights in its ctx (families that re-derive
+          their weights, like [tomogravity-iterative], ignore them) and the
+          same IPF counters. The degradation ladder still tracks poll
+          health (a plugged-in estimator is never held down by the
+          fit-staleness component — it owns its own calibration), and the
+          quarantine gate still flags anomalous bins. Raises in {!create}
+          when the name is neither ["ic"] nor registered. *)
 }
 
 val default_config :
@@ -99,9 +102,10 @@ val create : ?telemetry:Telemetry.t -> ?tracer:Ic_obs.Trace.t -> config -> t
 
     [telemetry] (default: a fresh sink on [Ic_obs.Clock.now]) receives the
     counters and the [ingest]/[prior]/[estimate]/[ipf]/[refit] stage
-    durations. [ipf.unconverged] counts native-path bins whose IPF stopped
-    at its iteration cap short of the marginals; [refit.basin_check]
-    counts warm refits that also searched the mirrored basin.
+    durations. [ipf.iterations] sums the sweeps of every IPF run, on
+    either path; [ipf.unconverged] counts the runs that stopped at the
+    iteration cap short of the marginals; [refit.basin_check] counts warm
+    refits that also searched the mirrored basin.
 
     [tracer] (default: the no-op tracer) receives one [engine.step] span
     per bin with [engine.ingest]/[engine.prior]/[engine.estimate]/
@@ -206,10 +210,11 @@ type snapshot = {
   s_consec_missing : int array;
   s_counters : (string * int) list;
   s_frozen : (Degrade.level * Ic_linalg.Vec.t) option;
-      (** the fast path's frozen tomogravity weights and the ladder rung
-          they were frozen at; [None] when unfrozen (fast path off, warmup,
-          or a degenerate freeze bin). Checkpointed so kill/resume
-          reproduces the uninterrupted stream bit-for-bit. *)
+      (** the regime's frozen tomogravity weights and the ladder rung they
+          were frozen at, on either path; [None] before the first freeze,
+          after a refit until the next bin, or after a degenerate
+          (all-zero) freeze bin. Checkpointed so kill/resume reproduces the
+          uninterrupted stream bit-for-bit. *)
   s_quarantine : bool array;
       (** anomaly-gate flags, aligned entry-for-entry with [s_window] *)
   s_quarantine_streak : int;  (** consecutive quarantined bins so far *)

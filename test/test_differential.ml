@@ -324,10 +324,14 @@ let test_registry_invariant_oracle () =
        ~name:"every registered estimator keeps the estimate invariants"
        registry_gen prop)
 
-(* The engine's default native path: ladder-rung prior, frozen weights,
-   IPF. The refit cadence is shortened so a short run walks the cold-start
-   gravity rung, a refit and the fitted rungs. *)
-let test_engine_invariant_oracle () =
+(* The streaming engine on the same noiseless loads, one engine per family.
+   The native path walks the ladder-rung prior, frozen weights and IPF; the
+   refit cadence is shortened so a short run walks the cold-start gravity
+   rung, a refit and the fitted rungs. A plugged-in family refines with the
+   engine's regime-frozen weights unless it re-derives its own (iterative
+   tomogravity). Integer tomography is left out: its unit is learned online,
+   so [tols_for]'s batch quantum does not bound it. *)
+let engine_invariant_oracle ~name estimators =
   let gen =
     QCheck2.Gen.(
       triple (int_range 3 7) (int_range 0 5)
@@ -337,37 +341,56 @@ let test_engine_invariant_oracle () =
     let routing, truth, _, link_loads, _ =
       instance ~nodes ~chords ~bins ~seed
     in
-    let config =
-      {
-        (Ic_runtime.Engine.default_config routing
-           truth.Ic_traffic.Series.binning)
-        with
-        Ic_runtime.Engine.refit_every = 4;
-        window = 8;
-        recover_after = 2;
-      }
+    let mean_total =
+      Ic_linalg.Vec.sum (Ic_traffic.Series.total_series truth)
+      /. float_of_int bins
     in
-    let engine = Ic_runtime.Engine.create config in
-    let missing = Array.make (Routing.row_count routing) false in
-    Array.for_all
-      (fun k ->
-        let y = link_loads.(k) in
-        let out = Ic_runtime.Engine.step engine ~loads:y ~missing in
-        let tols = { marginal = ipf_tol; link = Some link_tol } in
-        match
-          invariant_violation routing tols ~y ~clamped:out.clamped
-            out.estimate
-        with
-        | None -> true
-        | Some m ->
-            QCheck2.Test.fail_reportf "bin %d (%s): %s" k
-              (Ic_runtime.Degrade.level_name out.level)
-              m)
-      (Array.init bins Fun.id)
+    List.for_all
+      (fun estimator ->
+        let config =
+          {
+            (Ic_runtime.Engine.default_config routing
+               truth.Ic_traffic.Series.binning)
+            with
+            Ic_runtime.Engine.refit_every = 4;
+            window = 8;
+            recover_after = 2;
+            estimator;
+          }
+        in
+        let engine = Ic_runtime.Engine.create config in
+        let missing = Array.make (Routing.row_count routing) false in
+        Array.for_all
+          (fun k ->
+            let y = link_loads.(k) in
+            let out = Ic_runtime.Engine.step engine ~loads:y ~missing in
+            let tols =
+              tols_for estimator ~n:nodes ~mean_total
+                ~bin_total:(Tm.total (Ic_traffic.Series.tm truth k))
+                ~ynorm:(Ic_linalg.Vec.nrm2 y)
+            in
+            match
+              invariant_violation routing tols ~y ~clamped:out.clamped
+                out.estimate
+            with
+            | None -> true
+            | Some m ->
+                QCheck2.Test.fail_reportf "%s, bin %d (%s): %s" estimator k
+                  (Ic_runtime.Degrade.level_name out.level)
+                  m)
+          (Array.init bins Fun.id))
+      estimators
   in
-  QCheck2.Test.check_exn
-    (QCheck2.Test.make ~count:20
-       ~name:"engine default path keeps the estimate invariants" gen prop)
+  QCheck2.Test.check_exn (QCheck2.Test.make ~count:20 ~name gen prop)
+
+let test_engine_invariant_oracle () =
+  engine_invariant_oracle [ "ic" ]
+    ~name:"engine default path keeps the estimate invariants"
+
+let test_engine_plugin_invariant_oracle () =
+  engine_invariant_oracle
+    [ "gravity"; "tomogravity"; "tomogravity-iterative" ]
+    ~name:"engine plugin families keep the estimate invariants"
 
 let test_registry_roster () =
   (* The built-in families are present, sorted, and an unknown lookup
@@ -426,6 +449,8 @@ let () =
             test_registry_invariant_oracle;
           Alcotest.test_case "invariant oracle (engine default path)" `Slow
             test_engine_invariant_oracle;
+          Alcotest.test_case "invariant oracle (engine plugin families)" `Slow
+            test_engine_plugin_invariant_oracle;
           Alcotest.test_case "roster and unknown-name error" `Quick
             test_registry_roster;
         ] );

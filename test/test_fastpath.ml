@@ -6,7 +6,9 @@
      plan (the factorization is a deterministic function of the weights);
    - [Chol.solve_into_t] is bit-identical to [Chol.solve_into];
    - a killed-and-resumed engine with a warm factor cache reproduces the
-     uninterrupted stream bit-for-bit across refits and ladder moves. *)
+     uninterrupted stream bit-for-bit across refits and ladder moves;
+   - plugged-in families that refine once share the regime-frozen weights,
+     while iterative tomogravity keeps its per-sweep weights. *)
 
 module Vec = Ic_linalg.Vec
 module Mat = Ic_linalg.Mat
@@ -200,6 +202,88 @@ let test_engine_kill_resume_warm_cache () =
        (Array.append head.Replay.estimates tail.Replay.estimates)
        full.Replay.estimates)
 
+(* --- plugged-in families under the engine's weight policy ---------------- *)
+
+let plugin_config estimator = { (config ()) with Engine.estimator }
+
+(* No drops and no corruptions: every bin stays on the top rung, so the
+   whole run is one regime. *)
+let clean_feed ~seed () =
+  Feed.create ~noise_sigma:0.01 ~drop_rate:0. ~corrupt_rate:0. routing series
+    ~seed
+
+let test_plugin_frozen_weights () =
+  (* A family that refines once against its prior refines with the
+     engine's regime-frozen weights: one factorization serves the regime,
+     and its IPF runs are counted like the native path's. *)
+  let engine = Engine.create (plugin_config "tomogravity") in
+  ignore (Replay.run ~max_bins:20 engine (clean_feed ~seed:7 ()));
+  let tel = Engine.telemetry engine in
+  Alcotest.(check int) "one refactorization" 1
+    (Telemetry.count tel "fastpath.refactorize");
+  Alcotest.(check int) "rest served from the cache" 19
+    (Telemetry.count tel "fastpath.hit");
+  Alcotest.(check bool) "ipf iterations counted" true
+    (Telemetry.count tel "ipf.iterations" > 0)
+
+let test_iterative_opts_out () =
+  (* Iterative tomogravity re-derives its weights every sweep, so it never
+     refines with the frozen ones: three factorizations per bin, and every
+     engine estimate equals [Estimator.estimate_bin]'s on the same loads. *)
+  let name = "tomogravity-iterative" in
+  let engine = Engine.create (plugin_config name) in
+  let ((module E) as est) = Ic_estimation.Estimator.find_exn name in
+  let state = E.calibrate ~routing ~train:None in
+  let plan = Tomogravity.make_plan routing in
+  let feed = clean_feed ~seed:7 () in
+  for k = 0 to 19 do
+    match Feed.next feed with
+    | None -> Alcotest.fail "feed exhausted"
+    | Some (loads, missing) ->
+        let out = Engine.step engine ~loads ~missing in
+        let ctx =
+          Ic_estimation.Estimator.make_ctx ~routing ~plan ~link_loads:loads
+            ~bin:k ()
+        in
+        let batch, _ = Ic_estimation.Estimator.estimate_bin est state ctx in
+        check_tm_bits (Printf.sprintf "bin %d" k) batch out.Engine.estimate
+  done;
+  let tel = Engine.telemetry engine in
+  Alcotest.(check int) "three factorizations per bin" 60
+    (Telemetry.count tel "fastpath.refactorize");
+  Alcotest.(check int) "no cache hits" 0 (Telemetry.count tel "fastpath.hit")
+
+let test_plugin_kill_resume_mid_regime () =
+  (* The snapshot carries the plugin's frozen weights, and the restored
+     engine refines with them instead of refreezing from the first
+     post-resume bin's prior. *)
+  let cfg = plugin_config "tomogravity" in
+  let n1 = 10 and n2 = 10 in
+  let head_engine = Engine.create cfg in
+  let head = Replay.run ~max_bins:n1 head_engine (clean_feed ~seed:41 ()) in
+  (match (Engine.snapshot head_engine).Engine.s_frozen with
+  | Some (Ic_runtime.Degrade.Measured_ic, _) -> ()
+  | Some _ -> Alcotest.fail "weights frozen at the wrong rung"
+  | None -> Alcotest.fail "snapshot carries no frozen record");
+  let path = Filename.temp_file "ic_fastpath" ".ckpt" in
+  Checkpoint.save ~path head_engine;
+  let restored =
+    match Checkpoint.load ~path ~config:cfg with
+    | Ok e -> e
+    | Error m -> Alcotest.fail m
+  in
+  Sys.remove path;
+  let feed2 = clean_feed ~seed:41 () in
+  Feed.skip feed2 n1;
+  let tail = Replay.run ~max_bins:n2 restored feed2 in
+  let full =
+    Replay.run ~max_bins:(n1 + n2) (Engine.create cfg) (clean_feed ~seed:41 ())
+  in
+  Alcotest.(check bool) "resumed stream bit-identical" true
+    (Replay.bit_identical
+       (Array.append head.Replay.estimates tail.Replay.estimates)
+       full.Replay.estimates)
+
 (* Frozen weights round-trip the checkpoint and hold kill/resume
    bit-identity at arbitrary cut points (qcheck). *)
 let resume_bit_identical (seed, n1, n2) =
@@ -249,6 +333,12 @@ let () =
             test_engine_warm_cache_counters;
           Alcotest.test_case "kill/resume with warm cache" `Quick
             test_engine_kill_resume_warm_cache;
+          Alcotest.test_case "plugin refines with frozen weights" `Quick
+            test_plugin_frozen_weights;
+          Alcotest.test_case "iterative tomogravity opts out" `Quick
+            test_iterative_opts_out;
+          Alcotest.test_case "plugin kill/resume mid-regime" `Quick
+            test_plugin_kill_resume_mid_regime;
           QCheck_alcotest.to_alcotest resume_property;
         ] );
     ]
