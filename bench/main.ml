@@ -175,9 +175,6 @@ let ablation_tests =
     Test.make ~name:"ablation/general-f-fit"
       (Staged.stage (fun () ->
            Ic_core.Fit.fit_general_f fitted.params fit_series));
-    Test.make ~name:"ablation/fit-kernel-naive"
-      (Staged.stage (fun () ->
-           Ic_core.Fit.fit_stable_fp ~kernel:Ic_core.Fit.Naive fit_series));
   ]
 
 (* Batched vs bin-at-a-time estimation: same inputs, same results, the

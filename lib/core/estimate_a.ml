@@ -28,17 +28,15 @@ let activities ~f ~preference ~ingress ~egress =
 (* The design and its Gram depend only on (f, preference) — for a streaming
    engine those are frozen between refits, so per bin only the right-hand
    side changes. A cache freezes both and answers each bin with one
-   [mulv_t] plus an interior-first NNLS (see [Nnls.solve_gram_full_first];
-   within solver tolerance of [activities], and exactly it whenever the
-   active-set path would end with every coordinate passive). *)
+   [mulv_t] plus [Nnls.solve_gram]; handed the factor [solve_gram] would
+   compute for itself, it returns [activities]' bits. *)
 type cache = {
   c_n : int;
   c_design : Mat.t;
   c_gram : Mat.t;
   c_factor : Ic_linalg.Chol.t;
-      (* Factor of [c_gram]'s full normal system: the interior fast path of
-         [solve_gram_full_first] then skips the per-bin refactorization with
-         bit-identical results (see [Nnls.full_factor]). *)
+      (* [Nnls.full_factor c_gram]: the full solve that starts every bin's
+         NNLS skips the per-bin refactorization, bit-identically. *)
 }
 
 let make_cache ~f ~preference =
@@ -56,7 +54,7 @@ let activities_cached cache ~ingress ~egress =
   if Array.length ingress <> n || Array.length egress <> n then
     invalid_arg "Estimate_a.activities_cached: dimension mismatch";
   let b = Array.append ingress egress in
-  Ic_linalg.Nnls.solve_gram_full_first ~factor:cache.c_factor cache.c_gram
+  Ic_linalg.Nnls.solve_gram ~factor:cache.c_factor cache.c_gram
     (Mat.mulv_t cache.c_design b)
 
 let prior_series ~f ~preference series =

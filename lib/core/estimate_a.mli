@@ -39,11 +39,10 @@ val activities_cached :
   ingress:Ic_linalg.Vec.t ->
   egress:Ic_linalg.Vec.t ->
   Ic_linalg.Vec.t
-(** {!activities} through a cache: one [designᵀ b] product plus an
-    interior-first NNLS ({!Ic_linalg.Nnls.solve_gram_full_first}). Agrees
-    with {!activities} to solver tolerance, and bit-exactly whenever the
-    active-set iteration would terminate with every coordinate passive —
-    the overwhelmingly common case for traffic marginals. *)
+(** {!activities} through a cache: one [designᵀ b] product plus
+    {!Ic_linalg.Nnls.solve_gram} with the cached factor, so the common
+    all-positive bin costs two triangular solves. Bit-identical to
+    {!activities}. *)
 
 val prior_series :
   f:float ->

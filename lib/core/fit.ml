@@ -4,8 +4,6 @@ module Ws = Ic_linalg.Workspace
 module Tm = Ic_traffic.Tm
 module Series = Ic_traffic.Series
 
-type kernel = Naive | Workspace
-
 type options = {
   max_sweeps : int;
   tol : float;
@@ -31,87 +29,16 @@ type 'p fitted = {
   both_basins : bool;
 }
 
-(* Solve the normal-equation system G x = c under x >= 0. The unconstrained
-   solution is usually feasible here (activities and preferences are interior
-   for realistic traffic), so try a plain Cholesky solve first and fall back
-   to Lawson-Hanson only when it goes negative. *)
-let solve_nonneg g c =
-  let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x in
-  match Ic_linalg.Chol.factorize g with
-  | Ok ch ->
-      let x = Ic_linalg.Chol.solve ch c in
-      if feasible x then Vec.clamp_nonneg x
-      else Ic_linalg.Nnls.solve_gram g c
-  | Error (`Not_positive_definite _) -> Ic_linalg.Nnls.solve_gram g c
+(* Block subproblems. The Gram matrix, right-hand side and Cholesky factor
+   live in a workspace shared by every bin, sweep and basin of one fit run,
+   and accumulate by flat index.
 
-(* Activity subproblem for one bin: accumulate Gram/right-hand side of the
-   n^2 x n design whose row (i,j) has f*p_j at column i and (1-f)*p_i at
-   column j (column i gets the full p_i when i = j). *)
-let solve_activity ~f ~p tm =
-  let n = Array.length p in
-  let g = Mat.create n n in
-  let c = Vec.create n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let x = Tm.get tm i j in
-      if i = j then begin
-        Mat.update g i i (fun v -> v +. (p.(i) *. p.(i)));
-        c.(i) <- c.(i) +. (p.(i) *. x)
-      end
-      else begin
-        let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
-        Mat.update g i i (fun v -> v +. (a *. a));
-        Mat.update g j j (fun v -> v +. (b *. b));
-        Mat.update g i j (fun v -> v +. (a *. b));
-        Mat.update g j i (fun v -> v +. (a *. b));
-        c.(i) <- c.(i) +. (a *. x);
-        c.(j) <- c.(j) +. (b *. x)
-      end
-    done
-  done;
-  solve_nonneg g c
-
-(* Preference subproblem: same structure with the roles of A and P swapped;
-   accumulated across bins with weights w.(t), then solved once. *)
-let solve_preference ~f ~activities ~weights tms =
-  let n = Array.length activities.(0) in
-  let g = Mat.create n n in
-  let c = Vec.create n in
-  Array.iteri
-    (fun t tm ->
-      let w = weights.(t) in
-      if w > 0. then begin
-        let a_t = activities.(t) in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            let x = Tm.get tm i j in
-            if i = j then begin
-              Mat.update g i i (fun v -> v +. (w *. a_t.(i) *. a_t.(i)));
-              c.(i) <- c.(i) +. (w *. a_t.(i) *. x)
-            end
-            else begin
-              let a = f *. a_t.(i) and b = (1. -. f) *. a_t.(j) in
-              Mat.update g j j (fun v -> v +. (w *. a *. a));
-              Mat.update g i i (fun v -> v +. (w *. b *. b));
-              Mat.update g i j (fun v -> v +. (w *. a *. b));
-              Mat.update g j i (fun v -> v +. (w *. a *. b));
-              c.(j) <- c.(j) +. (w *. a *. x);
-              c.(i) <- c.(i) +. (w *. b *. x)
-            end
-          done
-        done
-      end)
-    tms;
-  solve_nonneg g c
-
-(* Workspace kernels: the same subproblems with the Gram matrix,
-   right-hand side and Cholesky factor living in a workspace hoisted
-   outside the sweep loop, and flat-indexed accumulation instead of
-   [Mat.update] closures. Accumulation and solve order match the naive
-   kernels operation for operation, so both produce bit-identical
-   results — the naive kernels stay as the golden reference. *)
-
-let solve_nonneg_ws ws g c =
+   [solve_nonneg] solves G x = c under x >= 0. The unconstrained solution
+   is usually feasible here (activities and preferences are interior for
+   realistic traffic), so it tries a plain Cholesky solve first and falls
+   back to NNLS only when that goes negative, handing over its factor so
+   the fallback starts from this solve's support. *)
+let solve_nonneg ws g c =
   let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x in
   let n, _ = Mat.dims g in
   let l = Ws.mat ws "fit.chol" n n in
@@ -120,10 +47,13 @@ let solve_nonneg_ws ws g c =
       let x = Array.copy c in
       Ic_linalg.Chol.solve_into ch x;
       if feasible x then Vec.clamp_nonneg x
-      else Ic_linalg.Nnls.solve_gram g c
+      else Ic_linalg.Nnls.solve_gram ~factor:ch g c
   | Error (`Not_positive_definite _) -> Ic_linalg.Nnls.solve_gram g c
 
-let solve_activity_ws ws ~f ~p tm =
+(* Activity subproblem for one bin: accumulate Gram/right-hand side of the
+   n^2 x n design whose row (i,j) has f*p_j at column i and (1-f)*p_i at
+   column j (column i gets the full p_i when i = j). *)
+let solve_activity ws ~f ~p tm =
   let n = Array.length p in
   let g = Ws.zero_mat ws "fit.g" n n in
   let c = Ws.zero_vec ws "fit.c" n in
@@ -148,9 +78,11 @@ let solve_activity_ws ws ~f ~p tm =
       end
     done
   done;
-  solve_nonneg_ws ws g c
+  solve_nonneg ws g c
 
-let solve_preference_ws ws ~f ~activities ~weights tms =
+(* Preference subproblem: same structure with the roles of A and P swapped;
+   accumulated across bins with weights w.(t), then solved once. *)
+let solve_preference ws ~f ~activities ~weights tms =
   let n = Array.length activities.(0) in
   let g = Ws.zero_mat ws "fit.g" n n in
   let c = Ws.zero_vec ws "fit.c" n in
@@ -182,27 +114,7 @@ let solve_preference_ws ws ~f ~activities ~weights tms =
         done
       end)
     tms;
-  solve_nonneg_ws ws g c
-
-(* One fit run binds its kernel pair once; the workspace pair shares one
-   buffer pool across all bins and sweeps of that run. *)
-type kernels = {
-  k_activity : f:float -> p:Vec.t -> Tm.t -> Vec.t;
-  k_preference :
-    f:float -> activities:Vec.t array -> weights:Vec.t -> Tm.t array -> Vec.t;
-}
-
-let make_kernels = function
-  | Naive ->
-      { k_activity = solve_activity; k_preference = solve_preference }
-  | Workspace ->
-      let ws = Ws.create () in
-      {
-        k_activity = (fun ~f ~p tm -> solve_activity_ws ws ~f ~p tm);
-        k_preference =
-          (fun ~f ~activities ~weights tms ->
-            solve_preference_ws ws ~f ~activities ~weights tms);
-      }
+  solve_nonneg ws g c
 
 (* Forward-fraction subproblem: X_ij = f (A_i p_j - A_j p_i) + A_j p_i is
    linear in f; weighted scalar least squares, clamped into [0,1]. *)
@@ -309,7 +221,7 @@ let initial_preference ~f_init tms =
   | Error `F_near_half -> fallback ()
   | exception Invalid_argument _ -> fallback ()
 
-let fit_stable_fp_single ~kernels ~options series =
+let fit_stable_fp_single ws ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
@@ -322,8 +234,8 @@ let fit_stable_fp_single ~kernels ~options series =
   let continue_ = ref true in
   while !continue_ && !sweeps < options.max_sweeps do
     incr sweeps;
-    activities := Array.map (fun tm -> kernels.k_activity ~f:!f ~p:!p tm) tms;
-    let p_raw = kernels.k_preference ~f:!f ~activities:!activities ~weights tms in
+    activities := Array.map (fun tm -> solve_activity ws ~f:!f ~p:!p tm) tms;
+    let p_raw = solve_preference ws ~f:!f ~activities:!activities ~weights tms in
     let p', acts' = normalize_preference_and_rescale p_raw !activities in
     p := p';
     activities := acts';
@@ -351,7 +263,7 @@ let fit_stable_fp_single ~kernels ~options series =
   in
   fitted params per_bin_error !sweeps
 
-let fit_stable_f_single ~kernels ~options series =
+let fit_stable_f_single ws ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
@@ -367,14 +279,14 @@ let fit_stable_f_single ~kernels ~options series =
     (* per-bin activity and preference given the shared f *)
     let old_prefs = !prefs in
     let acts =
-      Array.mapi (fun t tm -> kernels.k_activity ~f:!f ~p:old_prefs.(t) tm) tms
+      Array.mapi (fun t tm -> solve_activity ws ~f:!f ~p:old_prefs.(t) tm) tms
     in
     let new_prefs = Array.make t_count old_prefs.(0) in
     Array.iteri
       (fun t tm ->
         if weights.(t) > 0. then begin
           let p_raw =
-            kernels.k_preference ~f:!f ~activities:[| acts.(t) |]
+            solve_preference ws ~f:!f ~activities:[| acts.(t) |]
               ~weights:[| 1. |] [| tm |]
           in
           let p', acts' = normalize_preference_and_rescale p_raw [| acts.(t) |] in
@@ -409,7 +321,7 @@ let fit_stable_f_single ~kernels ~options series =
   in
   fitted params per_bin_error !sweeps
 
-let fit_time_varying_single ~kernels ~options series =
+let fit_time_varying_single ws ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let t_count = Array.length tms in
@@ -429,9 +341,9 @@ let fit_time_varying_single ~kernels ~options series =
       let continue_ = ref true in
       while !continue_ && !sweeps < options.max_sweeps do
         incr sweeps;
-        act := kernels.k_activity ~f:!f ~p:!p tm;
+        act := solve_activity ws ~f:!f ~p:!p tm;
         let p_raw =
-          kernels.k_preference ~f:!f ~activities:[| !act |] ~weights:w [| tm |]
+          solve_preference ws ~f:!f ~activities:[| !act |] ~weights:w [| tm |]
         in
         let p', acts' = normalize_preference_and_rescale p_raw [| !act |] in
         p := p';
@@ -528,28 +440,27 @@ let dual_start ?incumbent ~options fit f_of series =
         both a b
   end
 
-let fit_stable_fp ?(options = default_options) ?(kernel = Workspace) ?incumbent
-    series =
-  let kernels = make_kernels kernel in
+let fit_stable_fp ?(options = default_options) ?incumbent series =
+  let ws = Ws.create () in
   dual_start ?incumbent ~options
-    (fun ~options series -> fit_stable_fp_single ~kernels ~options series)
+    (fun ~options series -> fit_stable_fp_single ws ~options series)
     (fun (p : Params.stable_fp) -> p.f)
     series
 
-let fit_stable_f ?(options = default_options) ?(kernel = Workspace) series =
-  let kernels = make_kernels kernel in
+let fit_stable_f ?(options = default_options) series =
+  let ws = Ws.create () in
   dual_start ~options
-    (fun ~options series -> fit_stable_f_single ~kernels ~options series)
+    (fun ~options series -> fit_stable_f_single ws ~options series)
     (fun (p : Params.stable_f) -> p.f)
     series
 
-let fit_time_varying ?(options = default_options) ?(kernel = Workspace) series =
+let fit_time_varying ?(options = default_options) series =
   check_options options;
-  let kernels = make_kernels kernel in
+  let ws = Ws.create () in
   (* Bins are independent; select the better basin bin by bin. *)
   let low, high = branch_options options in
-  let a = fit_time_varying_single ~kernels ~options:low series in
-  let b = fit_time_varying_single ~kernels ~options:high series in
+  let a = fit_time_varying_single ws ~options:low series in
+  let b = fit_time_varying_single ws ~options:high series in
   let t_count = Array.length a.per_bin_error in
   let f = Array.make t_count 0. in
   let preference = Array.make t_count [||] in

@@ -16,7 +16,11 @@
     - forward fraction [f]: a closed-form weighted scalar solve clamped to
       [[0, 1]].
 
-    Reported errors are the paper's RelL2, not the surrogate.
+    Reported errors are the paper's RelL2, not the surrogate. One fit run
+    keeps its Gram matrices and factors in one workspace, shared by every
+    bin, sweep and basin; an activity or preference subproblem runs
+    {!Ic_linalg.Nnls.solve_gram} only when its unconstrained solve goes
+    negative.
 
     The simplified IC model has a near-symmetry exchanging activity and
     preference roles, [(f, A, P) ~ (1 - f, S P, A / S)], which creates a
@@ -30,14 +34,6 @@
     an [incumbent]) descends only in the basin of its [f_init]; a guard runs
     the mirrored branch too when the warm fit looks worse than the
     incumbent (see {!fit_stable_fp}). *)
-
-type kernel =
-  | Naive  (** allocating reference kernels (one Gram matrix per solve) *)
-  | Workspace
-      (** preallocated scratch buffers shared across all bins and sweeps of
-          one fit run; bit-identical results to [Naive] (the subproblem
-          accumulation and solve order are the same operation for
-          operation), with no per-bin allocation. The default. *)
 
 type options = {
   max_sweeps : int;
@@ -72,7 +68,6 @@ type 'p fitted = {
 
 val fit_stable_fp :
   ?options:options ->
-  ?kernel:kernel ->
   ?incumbent:float ->
   Ic_traffic.Series.t ->
   Params.stable_fp fitted
@@ -91,7 +86,6 @@ val fit_stable_fp :
 
 val fit_stable_f :
   ?options:options ->
-  ?kernel:kernel ->
   Ic_traffic.Series.t ->
   Params.stable_f fitted
 (** Fit the stable-f model (Equation 4): one [f], per-bin preferences and
@@ -99,7 +93,6 @@ val fit_stable_f :
 
 val fit_time_varying :
   ?options:options ->
-  ?kernel:kernel ->
   Ic_traffic.Series.t ->
   Params.time_varying fitted
 (** Fit the time-varying model (Equation 3): every parameter per bin. Each

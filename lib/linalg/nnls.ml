@@ -11,10 +11,21 @@ let solve_passive_ls g c passive =
   let ch = Chol.factorize_ridge ~ridge:1e-12 gp in
   Chol.solve ch cp
 
-let solve_gram ?max_iter ?(tol = 1e-10) g c =
+(* [solve_passive_ls] on the full set copies [g] verbatim before this same
+   factorization, so solves with this factor are bit-identical to it. *)
+let full_factor g = Chol.factorize_ridge ~ridge:1e-12 g
+
+(* Lawson–Hanson from the passive set [in_passive] (updated in place). It
+   first restores primal feasibility on that set: [x] starts at 0, which
+   is feasible, so the first pass only drops the coordinates whose
+   restricted solve goes non-positive. The outer loop then adds the
+   most-violating coordinate and restores feasibility again, until no
+   coordinate violates dual feasibility. An empty set is the textbook cold
+   start. [max_iter] caps the outer loop and each feasibility pass
+   separately. *)
+let lawson_hanson ?max_iter ~tol g c in_passive =
   let n = Array.length c in
   let max_iter = match max_iter with Some k -> k | None -> 3 * n + 10 in
-  let in_passive = Array.make n false in
   let x = Array.make n 0. in
   let scale =
     let m = Vec.amax c in
@@ -32,6 +43,50 @@ let solve_gram ?max_iter ?(tol = 1e-10) g c =
     done;
     Array.of_list !acc
   in
+  (* inner loop: restore primal feasibility on the passive set *)
+  let restore () =
+    let feasible = ref false in
+    let inner = ref 0 in
+    while (not !feasible) && !inner < max_iter do
+      incr inner;
+      let passive = passive_indices () in
+      let z = solve_passive_ls g c passive in
+      let all_pos = ref true in
+      Array.iteri (fun _ zi -> if zi <= 0. then all_pos := false) z;
+      if !all_pos then begin
+        Array.fill x 0 n 0.;
+        Array.iteri (fun k i -> x.(i) <- z.(k)) passive;
+        feasible := true
+      end
+      else begin
+        (* step toward z until the first passive coordinate hits zero *)
+        let alpha = ref infinity in
+        Array.iteri
+          (fun k i ->
+            if z.(k) <= 0. then begin
+              let denom = x.(i) -. z.(k) in
+              if denom > 0. then begin
+                let a = x.(i) /. denom in
+                if a < !alpha then alpha := a
+              end
+              else if x.(i) = 0. then alpha := 0.
+            end)
+          passive;
+        let alpha = if Float.is_finite !alpha then !alpha else 0. in
+        Array.iteri
+          (fun k i -> x.(i) <- x.(i) +. (alpha *. (z.(k) -. x.(i))))
+          passive;
+        Array.iteri
+          (fun k i ->
+            if z.(k) <= 0. && x.(i) <= tol *. scale then begin
+              x.(i) <- 0.;
+              in_passive.(i) <- false
+            end)
+          passive
+      end
+    done
+  in
+  restore ();
   let iter = ref 0 in
   let continue_outer = ref true in
   while !continue_outer && !iter < max_iter do
@@ -46,78 +101,24 @@ let solve_gram ?max_iter ?(tol = 1e-10) g c =
     if !best < 0 then continue_outer := false
     else begin
       in_passive.(!best) <- true;
-      (* inner loop: restore primal feasibility on the passive set *)
-      let feasible = ref false in
-      let inner = ref 0 in
-      while (not !feasible) && !inner < max_iter do
-        incr inner;
-        let passive = passive_indices () in
-        let z = solve_passive_ls g c passive in
-        let all_pos = ref true in
-        Array.iteri (fun _ zi -> if zi <= 0. then all_pos := false) z;
-        if !all_pos then begin
-          Array.fill x 0 n 0.;
-          Array.iteri (fun k i -> x.(i) <- z.(k)) passive;
-          feasible := true
-        end
-        else begin
-          (* step toward z until the first passive coordinate hits zero *)
-          let alpha = ref infinity in
-          Array.iteri
-            (fun k i ->
-              if z.(k) <= 0. then begin
-                let denom = x.(i) -. z.(k) in
-                if denom > 0. then begin
-                  let a = x.(i) /. denom in
-                  if a < !alpha then alpha := a
-                end
-                else if x.(i) = 0. then alpha := 0.
-              end)
-            passive;
-          let alpha = if Float.is_finite !alpha then !alpha else 0. in
-          Array.iteri
-            (fun k i -> x.(i) <- x.(i) +. (alpha *. (z.(k) -. x.(i))))
-            passive;
-          Array.iteri
-            (fun k i ->
-              if z.(k) <= 0. && x.(i) <= tol *. scale then begin
-                x.(i) <- 0.;
-                in_passive.(i) <- false
-              end)
-            passive
-        end
-      done
+      restore ()
     end
   done;
   Vec.clamp_nonneg x
 
-(* Interior-optimum fast path. Activity recovery (Estimate_a) lands on an
-   all-positive solution almost every bin — traffic marginals keep every
-   coordinate active — in which case the unconstrained normal solve IS the
-   NNLS optimum and the Lawson–Hanson machinery above only rediscovers it
-   through ~n incremental sub-factorizations. Try one full solve first and
-   keep it iff strictly positive; fall back to the active-set solver
-   otherwise. When Lawson–Hanson would terminate with every coordinate
-   passive its final solve is the same full system, so the two paths agree
-   to solver tolerance (and exactly when the iteration order is moot). *)
-let solve_gram_full_first ?max_iter ?tol ?factor g c =
-  let z =
-    match factor with
-    | Some ch ->
-        (* Caller-supplied factor of the full system. With the full passive
-           set [solve_passive_ls] copies [g] verbatim before factorizing, so
-           a factor precomputed from the same Gram bits (with the same 1e-12
-           ridge) yields bit-identical solves — and skips the per-call copy
-           and O(n^3/3) refactorization entirely. *)
-        Chol.solve ch c
-    | None ->
-        let n = Array.length c in
-        solve_passive_ls g c (Array.init n (fun i -> i))
-  in
+(* The start. One solve of the full normal system comes first: activity
+   recovery lands on an all-positive solution almost every bin, and a
+   strictly positive solve is the NNLS optimum. Otherwise Lawson–Hanson
+   starts from that solve's positive support, as in Bro and de Jong's
+   FNNLS (1997), instead of from an empty passive set. It returns the
+   solve on its final passive set, the optimum's support, which both
+   starts reach; from the solve's support it typically gets there in one
+   outer iteration instead of one per positive coordinate. *)
+let solve_gram ?max_iter ?(tol = 1e-10) ?factor g c =
+  let ch = match factor with Some ch -> ch | None -> full_factor g in
+  let z = Chol.solve ch c in
   if Array.for_all (fun zi -> zi > 0.) z then z
-  else solve_gram ?max_iter ?tol g c
-
-let full_factor g = Chol.factorize_ridge ~ridge:1e-12 g
+  else lawson_hanson ?max_iter ~tol g c (Array.map (fun zi -> zi > 0.) z)
 
 let solve ?max_iter ?tol a b =
   let g = Mat.gram a in

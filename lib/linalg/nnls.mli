@@ -5,40 +5,41 @@
     physical byte rates and probabilities and must stay non-negative. *)
 
 val solve : ?max_iter:int -> ?tol:float -> Mat.t -> Vec.t -> Vec.t
-(** [solve a b] returns the NNLS solution. [max_iter] bounds the number of
-    active-set changes (default [3 * cols]); [tol] is the dual-feasibility
-    tolerance relative to the problem scale (default [1e-10]). The result
-    always satisfies [x >= 0] even if the iteration limit is reached. *)
+(** [solve a b] returns the NNLS solution: {!solve_gram} on [aᵀa] and
+    [aᵀb]. *)
 
-val solve_gram : ?max_iter:int -> ?tol:float -> Mat.t -> Vec.t -> Vec.t
-(** [solve_gram g c] solves the same problem given the normal-equation data
-    [g = aᵀa] and [c = aᵀb] directly. Useful when the design matrix is large
-    but its Gram matrix is cheap to accumulate, as in the per-bin activity
-    subproblem of the model fit. *)
-
-val solve_gram_full_first :
+val solve_gram :
   ?max_iter:int -> ?tol:float -> ?factor:Chol.t -> Mat.t -> Vec.t -> Vec.t
-(** {!solve_gram} with an interior-optimum fast path: one unconstrained
-    normal solve up front, kept iff strictly positive (it is then the NNLS
-    optimum). Falls back to the active-set iteration otherwise. When the
-    active-set method would terminate with every coordinate passive, its
-    final solve is this same full system, so the paths agree to solver
-    tolerance; the streaming engine's per-bin activity recovery uses this
-    entry point because traffic marginals make the interior case the
-    overwhelmingly common one (an order-of-magnitude per-bin saving).
+(** [solve_gram g c] solves the same problem from the normal-equation data
+    [g = aᵀa] and [c = aᵀb]. It is the one NNLS entry point, and suits
+    designs whose Gram matrix is cheap to accumulate, such as the fit's
+    per-bin activity subproblem.
 
-    [factor], when given, must be {!full_factor}[ g] for this same [g]: the
-    interior solve then reuses it instead of refactorizing per call, with
-    bit-identical results (the full-passive-set subproblem copies [g]
-    verbatim, so the factorization input is the same bits). Callers that
-    hold [g] fixed across many right-hand sides — the streaming engine's
-    per-regime activity cache — get an O(n^3/3)-per-call saving. *)
+    It first solves the full system [g z = c] and returns [z] when it is
+    strictly positive, the common case for traffic activities. Otherwise
+    the active-set iteration starts from [z]'s positive support instead of
+    an empty passive set (Bro and de Jong's FNNLS start). The answer is the
+    solve on the final passive set, which both starts reach barring
+    degenerate ties within [tol], so the start changes the work, not the
+    answer: from the support a fallback typically takes one outer
+    iteration.
+
+    [factor] is any Cholesky factor of [g]; it replaces the factorization
+    for the first solve. {!full_factor}[ g] keeps the interior answer
+    bitwise equal to the call without it (the engine's prior cache holds
+    one per regime). Another factor, such as the fit's unridged one, moves
+    [z]'s last bits, so only the interior answer and the start can change.
+
+    [max_iter] (default [3 * n + 10] for [n] variables) caps the outer
+    loop and each feasibility pass separately; [tol] is the
+    dual-feasibility tolerance relative to [max |c|] (default [1e-10]).
+    The result satisfies [x >= 0] even when a cap is reached. *)
 
 val full_factor : Mat.t -> Chol.t
-(** The ridged Cholesky factor of the full normal system that
-    {!solve_gram_full_first} computes internally (ridge [1e-12], matching
-    the active-set subproblem solver). Precompute once per Gram matrix and
-    pass as [?factor]. *)
+(** The ridged Cholesky factor of the full normal system that {!solve_gram}
+    computes when given no [factor] (ridge [1e-12] of the mean diagonal,
+    as for every passive-set subproblem). Precompute it once per Gram
+    matrix and pass it as [?factor]. *)
 
 val kkt_violation : Mat.t -> Vec.t -> Vec.t -> float
 (** [kkt_violation a b x] measures how far [x] is from satisfying the NNLS

@@ -64,6 +64,103 @@ let test_prior_series_exact_on_model_data () =
   let errs = Ic_traffic.Error.rel_l2_series series prior in
   Array.iter (fun e -> feq_tol 1e-6 "exact reconstruction" 0. e) errs
 
+(* --- Nnls.solve_gram at engine size --- *)
+
+module Mat = Ic_linalg.Mat
+module Nnls = Ic_linalg.Nnls
+
+let same_bits x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x y
+
+(* The engine prior's system: the 22-node design at a random (f, P) with
+   the paper's lognormal preferences, and marginals of lognormal activities
+   with 1-5 nodes' marginals zeroed, as when their polls drop out. A zeroed
+   node forces a negative unconstrained activity, so most draws leave the
+   interior. Returns the design, the marginals and (f, P). *)
+let engine_like seed =
+  let rng = Ic_prng.Rng.create seed in
+  let n = 22 in
+  let f = Ic_prng.Rng.float_range rng 0.05 0.45 in
+  let preference =
+    Array.init n (fun _ -> Ic_prng.Sampler.lognormal rng ~mu:(-4.3) ~sigma:1.7)
+  in
+  let design = Estimate_a.design_matrix ~f ~preference in
+  let activity =
+    Array.init n (fun _ -> Ic_prng.Sampler.lognormal rng ~mu:15. ~sigma:1.)
+  in
+  let b = Mat.mulv design activity in
+  let zeroed = 1 + Ic_prng.Rng.int rng 5 in
+  let k = ref 0 in
+  while !k < zeroed do
+    let i = Ic_prng.Rng.int rng n in
+    if b.(i) <> 0. then begin
+      b.(i) <- 0.;
+      b.(n + i) <- 0.;
+      incr k
+    end
+  done;
+  (design, b, (f, preference))
+
+(* Designs like bench's NNLS fixture: a dense 2n x n matrix with uniform
+   entries in [-1, 1] and a right-hand side in [-1, 2], n in 1..22. *)
+let random_dense seed =
+  let rng = Ic_prng.Rng.create seed in
+  let n = 1 + Ic_prng.Rng.int rng 22 in
+  let a = Mat.init (2 * n) n (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+  let b = Array.init (2 * n) (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.) in
+  (a, b)
+
+(* The corrections the support start makes, over every draw: coordinates
+   positive in the unconstrained solve but zero in the answer ([dropped]),
+   and non-positive there but positive in the answer ([added]). *)
+type corrections = { mutable dropped : int; mutable added : int }
+
+let check_solve_gram tally a b =
+  let g = Mat.gram a and c = Mat.mulv_t a b in
+  let factor = Nnls.full_factor g in
+  let x = Nnls.solve_gram g c in
+  if not (Array.for_all (fun v -> v >= 0.) x) then
+    QCheck.Test.fail_report "negative entry";
+  let kkt = Nnls.kkt_violation a b x in
+  if kkt > 1e-8 then QCheck.Test.fail_reportf "KKT violation %.3g" kkt;
+  if not (same_bits x (Nnls.solve_gram ~factor g c)) then
+    QCheck.Test.fail_report "~factor:(full_factor g) moved bits";
+  Array.iteri
+    (fun i zi ->
+      if zi > 0. && x.(i) = 0. then tally.dropped <- tally.dropped + 1;
+      if zi <= 0. && x.(i) > 0. then tally.added <- tally.added + 1)
+    (Ic_linalg.Chol.solve factor c);
+  true
+
+let test_solve_gram_engine_size () =
+  let tally = { dropped = 0; added = 0 } in
+  let seeds = QCheck.int_bound 1_000_000_000 in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"engine-like" seeds (fun seed ->
+         let design, b, (f, preference) = engine_like seed in
+         let n = Array.length preference in
+         let ingress = Array.sub b 0 n and egress = Array.sub b n n in
+         (* The prior cache hands solve_gram the factor it would compute
+            for itself, so it must return activities' bits. *)
+         if
+           not
+             (same_bits
+                (Estimate_a.activities ~f ~preference ~ingress ~egress)
+                (Estimate_a.activities_cached
+                   (Estimate_a.make_cache ~f ~preference)
+                   ~ingress ~egress))
+         then QCheck.Test.fail_report "activities_cached moved bits";
+         check_solve_gram tally design b));
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:500 ~name:"random dense" seeds (fun seed ->
+         let a, b = random_dense seed in
+         check_solve_gram tally a b));
+  Alcotest.(check bool) "some support coordinates dropped" true (tally.dropped > 0);
+  Alcotest.(check bool) "some coordinates added" true (tally.added > 0)
+
 (* --- Closed_form --- *)
 
 let test_closed_form_inverts_model () =
@@ -157,6 +254,11 @@ let () =
           QCheck_alcotest.to_alcotest estimate_a_property;
           Alcotest.test_case "prior series exact" `Quick
             test_prior_series_exact_on_model_data;
+        ] );
+      ( "nnls",
+        [
+          Alcotest.test_case "solve_gram at engine size" `Quick
+            test_solve_gram_engine_size;
         ] );
       ( "closed_form",
         [

@@ -247,6 +247,51 @@ let nnls_property =
       Array.for_all (fun v -> v >= 0.) x
       && Ic_linalg.Nnls.kkt_violation a b x < 1e-5)
 
+(* Edge cases of [solve_gram]'s start. Each is solved with and without the
+   full factor, which must agree bitwise. *)
+let solve_gram_both g c =
+  let x = Ic_linalg.Nnls.solve_gram g c in
+  let x_f =
+    Ic_linalg.Nnls.solve_gram ~factor:(Ic_linalg.Nnls.full_factor g) g c
+  in
+  Alcotest.(check (array (float 0.))) "factor agrees" x x_f;
+  x
+
+let test_nnls_one_variable () =
+  let g = Mat.of_arrays [| [| 4. |] |] in
+  let x = solve_gram_both g [| 2. |] in
+  feq "interior" 0.5 x.(0);
+  let x = solve_gram_both g [| -2. |] in
+  feq "bound" 0. x.(0)
+
+let test_nnls_nonpositive_rhs () =
+  (* With c <= 0 the answer is 0, even where the unconstrained solve of a
+     correlated system has a positive entry to seed the start with. *)
+  let g = Mat.of_arrays [| [| 1.; 0.9; 0. |]; [| 0.9; 1.; 0. |]; [| 0.; 0.; 2. |] |] in
+  let c = [| -1.; -0.5; 0. |] in
+  let z = Ic_linalg.Chol.solve (Ic_linalg.Nnls.full_factor g) c in
+  Alcotest.(check bool) "start seeds something" true (z.(1) > 0.);
+  Alcotest.(check (array (float 0.))) "zero" [| 0.; 0.; 0. |] (solve_gram_both g c)
+
+let test_nnls_duplicate_columns () =
+  (* Repeated design columns make the Gram singular, so every solve that
+     holds both copies goes through the ridge search. *)
+  let rng = Ic_prng.Rng.create 17 in
+  let base = Mat.init 10 4 (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+  let a = Mat.init 10 6 (fun i j -> Mat.get base i (if j >= 4 then j - 3 else j)) in
+  let g = Mat.gram a in
+  Alcotest.(check bool) "gram singular" true
+    (Result.is_error (Ic_linalg.Chol.factorize g));
+  List.iter
+    (fun b ->
+      let x = solve_gram_both g (Mat.mulv_t a b) in
+      Alcotest.(check bool) "nonneg" true (Array.for_all (fun v -> v >= 0.) x);
+      Alcotest.(check bool) "kkt" true (Ic_linalg.Nnls.kkt_violation a b x < 1e-8))
+    [
+      Mat.mulv a [| 1.; 2.; 3.; 1.; 2.; 3. |];
+      Array.init 10 (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.);
+    ]
+
 (* --- Cg --- *)
 
 let test_cg_matches_chol () =
@@ -495,6 +540,10 @@ let () =
           Alcotest.test_case "interior" `Quick test_nnls_interior;
           Alcotest.test_case "active constraints" `Quick test_nnls_active;
           QCheck_alcotest.to_alcotest nnls_property;
+          Alcotest.test_case "one variable" `Quick test_nnls_one_variable;
+          Alcotest.test_case "non-positive rhs" `Quick test_nnls_nonpositive_rhs;
+          Alcotest.test_case "duplicate columns" `Quick
+            test_nnls_duplicate_columns;
         ] );
       ( "cg",
         [
