@@ -1620,7 +1620,7 @@ let stream_cmd =
 let metrics_cmd =
   let bins =
     let doc = "Replay BINS bins before exposing (full replay if omitted)." in
-    Arg.(value & opt (some int) None & info [ "bins" ] ~docv:"BINS" ~doc)
+    Arg.(value & opt (some pos_int) None & info [ "bins" ] ~docv:"BINS" ~doc)
   in
   let serve_queries =
     let doc =
@@ -1630,7 +1630,8 @@ let metrics_cmd =
        exposition shows serve counters and the request-duration histogram \
        next to engine telemetry."
     in
-    Arg.(value & opt int 0 & info [ "serve-queries" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (int_at_least 0) 0 & info [ "serve-queries" ] ~docv:"N" ~doc)
   in
   let doc =
     "Replay a dataset through the streaming engine and print its metrics \
@@ -1843,8 +1844,14 @@ let socket_arg =
 
 let serve_cmd =
   let bins =
-    let doc = "Replay BINS bins before serving (full replay if omitted)." in
-    Arg.(value & opt (some int) None & info [ "bins" ] ~docv:"BINS" ~doc)
+    let doc =
+      "Replay BINS bins before serving (full replay if omitted); 0 serves \
+       without an estimate."
+    in
+    Arg.(
+      value
+      & opt (some (int_at_least 0)) None
+      & info [ "bins" ] ~docv:"BINS" ~doc)
   in
   let port =
     let doc = "TCP port on 127.0.0.1 when no --socket is given (0 = ephemeral)." in

@@ -25,12 +25,16 @@ val activities :
     marginal counts. *)
 
 type cache
-(** The (f, preference)-dependent half of {!activities} — design matrix,
-    its Gram, and the Gram's ridged Cholesky factor — precomputed once and
-    reused for every bin sharing those parameters. This is the streaming
-    engine's measured-ic prior fast path: between refits [(f, P)] are
-    frozen, so per bin only the marginal right-hand side changes and the
-    interior solve needs no factorization at all. *)
+(** The (f, preference)-dependent half of {!activities} — the design
+    matrix and one {!Ic_linalg.Nnls.system} on its Gram (the Gram's ridged
+    Cholesky factor plus the passive-set factors its bins' fallbacks have
+    needed) — built once and reused for every bin sharing those
+    parameters. This is the streaming engine's measured-ic prior fast
+    path: between refits [(f, P)] are frozen, so per bin only the marginal
+    right-hand side changes, the interior solve needs no factorization at
+    all, and a bin that leaves the interior on an already seen passive set
+    needs none either. The engine holds one cache per regime, in one
+    domain. *)
 
 val make_cache : f:float -> preference:Ic_linalg.Vec.t -> cache
 
@@ -40,7 +44,7 @@ val activities_cached :
   egress:Ic_linalg.Vec.t ->
   Ic_linalg.Vec.t
 (** {!activities} through a cache: one [designᵀ b] product plus
-    {!Ic_linalg.Nnls.solve_gram} with the cached factor, so the common
+    {!Ic_linalg.Nnls.solve_system} on the cached system, so the common
     all-positive bin costs two triangular solves. Bit-identical to
     {!activities}. *)
 

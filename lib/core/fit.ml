@@ -29,56 +29,73 @@ type 'p fitted = {
   both_basins : bool;
 }
 
-(* Block subproblems. The Gram matrix, right-hand side and Cholesky factor
-   live in a workspace shared by every bin, sweep and basin of one fit run,
-   and accumulate by flat index.
+(* Block subproblems. The Gram matrices, right-hand sides and Cholesky
+   factors live in a workspace shared by every bin, sweep and basin of one
+   fit run, and accumulate by flat index.
 
-   [solve_nonneg] solves G x = c under x >= 0. The unconstrained solution
-   is usually feasible here (activities and preferences are interior for
-   realistic traffic), so it tries a plain Cholesky solve first and falls
-   back to NNLS only when that goes negative, handing over its factor so
-   the fallback starts from this solve's support. *)
-let solve_nonneg ws g c =
+   [nonneg_solver ws g] solves G x = c under x >= 0 for every [c] it is
+   given, until the workspace's factor buffer is reused. The unconstrained
+   solution is usually feasible here (activities and preferences are
+   interior for realistic traffic), so it tries a plain Cholesky solve
+   first and falls back to NNLS only when that goes negative, through one
+   NNLS system on the same factor: the fallback starts from this solve's
+   support and reuses the passive-set factors of earlier fallbacks on the
+   same Gram. *)
+let nonneg_solver ws g =
   let feasible x = Array.for_all (fun v -> v >= -1e-9 *. (1. +. Float.abs v)) x in
   let n, _ = Mat.dims g in
   let l = Ws.mat ws "fit.chol" n n in
   match Ic_linalg.Chol.factorize_into ~l g with
   | Ok ch ->
-      let x = Array.copy c in
-      Ic_linalg.Chol.solve_into ch x;
-      if feasible x then Vec.clamp_nonneg x
-      else Ic_linalg.Nnls.solve_gram ~factor:ch g c
-  | Error (`Not_positive_definite _) -> Ic_linalg.Nnls.solve_gram g c
+      let sys = Ic_linalg.Nnls.system ~factor:ch g in
+      fun c ->
+        let x = Array.copy c in
+        Ic_linalg.Chol.solve_into ch x;
+        if feasible x then Vec.clamp_nonneg x
+        else Ic_linalg.Nnls.solve_system sys c
+  | Error (`Not_positive_definite _) ->
+      Ic_linalg.Nnls.solve_system (Ic_linalg.Nnls.system g)
 
-(* Activity subproblem for one bin: accumulate Gram/right-hand side of the
-   n^2 x n design whose row (i,j) has f*p_j at column i and (1-f)*p_i at
-   column j (column i gets the full p_i when i = j). *)
-let solve_activity ws ~f ~p tm =
+(* Activity subproblem: bin t's n^2 x n design has row (i,j) with f*p_j at
+   column i and (1-f)*p_i at column j (column i gets the full p_i when
+   i = j). Its Gram depends only on (f, p), so [activity_solver ws ~f ~p]
+   accumulates the Gram and factors it once, and the solver it returns
+   accumulates only each bin's right-hand side. The solver is valid until
+   the next subproblem reuses the workspace. *)
+let activity_solver ws ~f ~p =
   let n = Array.length p in
   let g = Ws.zero_mat ws "fit.g" n n in
-  let c = Ws.zero_vec ws "fit.c" n in
   let gd = g.Mat.data in
-  let xd = Tm.unsafe_data tm in
   for i = 0 to n - 1 do
     let base = i * n in
     for j = 0 to n - 1 do
-      let x = Array.unsafe_get xd (base + j) in
-      if i = j then begin
-        gd.(base + i) <- gd.(base + i) +. (p.(i) *. p.(i));
-        c.(i) <- c.(i) +. (p.(i) *. x)
-      end
+      if i = j then gd.(base + i) <- gd.(base + i) +. (p.(i) *. p.(i))
       else begin
         let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
         gd.(base + i) <- gd.(base + i) +. (a *. a);
         gd.((j * n) + j) <- gd.((j * n) + j) +. (b *. b);
         gd.(base + j) <- gd.(base + j) +. (a *. b);
-        gd.((j * n) + i) <- gd.((j * n) + i) +. (a *. b);
-        c.(i) <- c.(i) +. (a *. x);
-        c.(j) <- c.(j) +. (b *. x)
+        gd.((j * n) + i) <- gd.((j * n) + i) +. (a *. b)
       end
     done
   done;
-  solve_nonneg ws g c
+  let solve = nonneg_solver ws g in
+  fun tm ->
+    let c = Ws.zero_vec ws "fit.c" n in
+    let xd = Tm.unsafe_data tm in
+    for i = 0 to n - 1 do
+      let base = i * n in
+      for j = 0 to n - 1 do
+        let x = Array.unsafe_get xd (base + j) in
+        if i = j then c.(i) <- c.(i) +. (p.(i) *. x)
+        else begin
+          let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
+          c.(i) <- c.(i) +. (a *. x);
+          c.(j) <- c.(j) +. (b *. x)
+        end
+      done
+    done;
+    solve c
 
 (* Preference subproblem: same structure with the roles of A and P swapped;
    accumulated across bins with weights w.(t), then solved once. *)
@@ -114,33 +131,32 @@ let solve_preference ws ~f ~activities ~weights tms =
         done
       end)
     tms;
-  solve_nonneg ws g c
+  nonneg_solver ws g c
 
 (* Forward-fraction subproblem: X_ij = f (A_i p_j - A_j p_i) + A_j p_i is
    linear in f; weighted scalar least squares, clamped into [0,1]. *)
 let solve_f ~bounds:(f_lo, f_hi) ~activities ~preferences ~weights tms =
   let num = ref 0. and den = ref 0. in
-  Array.iteri
-    (fun t tm ->
-      let w = weights.(t) in
-      if w > 0. then begin
-        let a_t = activities.(t) and p = preferences t in
-        let n = Array.length a_t in
-        let xd = Tm.unsafe_data tm in
-        for i = 0 to n - 1 do
-          let base = i * n in
-          for j = 0 to n - 1 do
-            if i <> j then begin
-              let slope = (a_t.(i) *. p.(j)) -. (a_t.(j) *. p.(i)) in
-              let base_flow = a_t.(j) *. p.(i) in
-              let x = Array.unsafe_get xd (base + j) in
-              num := !num +. (w *. slope *. (x -. base_flow));
-              den := !den +. (w *. slope *. slope)
-            end
-          done
+  for t = 0 to Array.length tms - 1 do
+    let w = weights.(t) in
+    if w > 0. then begin
+      let a_t = activities.(t) and p = preferences t in
+      let n = Array.length a_t in
+      let xd = Tm.unsafe_data tms.(t) in
+      for i = 0 to n - 1 do
+        let base = i * n in
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let slope = (a_t.(i) *. p.(j)) -. (a_t.(j) *. p.(i)) in
+            let base_flow = a_t.(j) *. p.(i) in
+            let x = Array.unsafe_get xd (base + j) in
+            num := !num +. (w *. slope *. (x -. base_flow));
+            den := !den +. (w *. slope *. slope)
+          end
         done
-      end)
-    tms;
+      done
+    end
+  done;
   if !den <= 0. then None
   else Some (Ic_linalg.Proj.box ~lo:f_lo ~hi:f_hi (!num /. !den))
 
@@ -149,24 +165,44 @@ let bin_norms tms = Array.map (fun tm -> Vec.nrm2 (Tm.unsafe_data tm)) tms
 let weights_of_norms norms =
   Array.map (fun nrm -> if nrm > 0. then 1. /. (nrm *. nrm) else 0.) norms
 
-let model_tm ~f ~activity ~p =
-  let n = Array.length p in
-  Tm.init n (fun i j ->
-      (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i)))
-
 let rel_l2 tm model norm =
   if norm <= 0. then 0.
   else Vec.nrm2_diff (Tm.unsafe_data tm) (Tm.unsafe_data model) /. norm
 
-(* Surrogate objective: sum of squared relative errors. *)
-let surrogate ~f ~activities ~preferences norms tms =
-  let acc = ref 0. in
-  Array.iteri
-    (fun t tm ->
-      let e = rel_l2 tm (model_tm ~f ~activity:activities.(t) ~p:(preferences t)) norms.(t) in
-      acc := !acc +. (e *. e))
-    tms;
-  !acc
+(* RelL2 of one bin under the model X_ij = f A_i p_j + (1 - f) A_j p_i,
+   without building the model: the workspace buffer receives X minus the
+   model, and [Vec.nrm2] scales it as [Vec.nrm2_diff] scales the pair. *)
+let model_error ws ~f ~activity ~p norm tm =
+  if norm <= 0. then 0.
+  else begin
+    let n = Array.length p in
+    let d = Ws.vec ws "fit.diff" (n * n) in
+    let xd = Tm.unsafe_data tm in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let model =
+          (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i))
+        in
+        d.((i * n) + j) <- xd.((i * n) + j) -. model
+      done
+    done;
+    Vec.nrm2 d /. norm
+  end
+
+(* Every bin's RelL2 into [errs]; returns the sum of their squares, the
+   surrogate objective. After a descent's last sweep [errs] holds its
+   per-bin errors. *)
+let errors_into ws errs ~f ~activities ~preferences norms tms =
+  let obj = ref 0. in
+  for t = 0 to Array.length tms - 1 do
+    let e =
+      model_error ws ~f ~activity:activities.(t) ~p:(preferences t) norms.(t)
+        tms.(t)
+    in
+    errs.(t) <- e;
+    obj := !obj +. (e *. e)
+  done;
+  !obj
 
 let normalize_preference_and_rescale p activities =
   let s = Vec.sum p in
@@ -176,12 +212,6 @@ let normalize_preference_and_rescale p activities =
     let activities' = Array.map (Vec.scale s) activities in
     (p', activities')
   end
-
-let errors_of ~f ~activities ~preferences norms tms =
-  Array.mapi
-    (fun t tm ->
-      rel_l2 tm (model_tm ~f ~activity:activities.(t) ~p:(preferences t)) norms.(t))
-    tms
 
 let mean_of errs =
   if Array.length errs = 0 then 0. else Vec.sum errs /. float_of_int (Array.length errs)
@@ -225,6 +255,7 @@ let fit_stable_fp_single ws ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
+  let errs = Ws.vec ws "fit.errs" (Array.length tms) in
   let f = ref options.f_init in
   let p = ref (initial_preference ~f_init:options.f_init tms) in
   (* Sweep 1 solves the first activities; max_sweeps >= 1 is checked. *)
@@ -234,7 +265,7 @@ let fit_stable_fp_single ws ~options series =
   let continue_ = ref true in
   while !continue_ && !sweeps < options.max_sweeps do
     incr sweeps;
-    activities := Array.map (fun tm -> solve_activity ws ~f:!f ~p:!p tm) tms;
+    activities := Array.map (activity_solver ws ~f:!f ~p:!p) tms;
     let p_raw = solve_preference ws ~f:!f ~activities:!activities ~weights tms in
     let p', acts' = normalize_preference_and_rescale p_raw !activities in
     p := p';
@@ -247,27 +278,24 @@ let fit_stable_fp_single ws ~options series =
        | Some f' -> f := f'
        | None -> ());
     let obj =
-      surrogate ~f:!f ~activities:!activities ~preferences:(fun _ -> !p) norms
-        tms
+      errors_into ws errs ~f:!f ~activities:!activities
+        ~preferences:(fun _ -> !p) norms tms
     in
     if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
       continue_ := false;
     prev := obj
   done;
-  let per_bin_error =
-    errors_of ~f:!f ~activities:!activities ~preferences:(fun _ -> !p) norms
-      tms
-  in
   let params : Params.stable_fp =
     { f = !f; preference = !p; activity = !activities }
   in
-  fitted params per_bin_error !sweeps
+  fitted params (Array.copy errs) !sweeps
 
 let fit_stable_f_single ws ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
   let t_count = Array.length tms in
+  let errs = Ws.vec ws "fit.errs" t_count in
   let f = ref options.f_init in
   let prefs = ref (Array.make t_count (initial_preference ~f_init:options.f_init tms)) in
   let activities = ref [||] in
@@ -279,7 +307,7 @@ let fit_stable_f_single ws ~options series =
     (* per-bin activity and preference given the shared f *)
     let old_prefs = !prefs in
     let acts =
-      Array.mapi (fun t tm -> solve_activity ws ~f:!f ~p:old_prefs.(t) tm) tms
+      Array.mapi (fun t tm -> activity_solver ws ~f:!f ~p:old_prefs.(t) tm) tms
     in
     let new_prefs = Array.make t_count old_prefs.(0) in
     Array.iteri
@@ -306,20 +334,17 @@ let fit_stable_f_single ws ~options series =
        | Some f' -> f := f'
        | None -> ());
     let obj =
-      surrogate ~f:!f ~activities:!activities ~preferences:pref_at norms tms
+      errors_into ws errs ~f:!f ~activities:!activities ~preferences:pref_at
+        norms tms
     in
     if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
       continue_ := false;
     prev := obj
   done;
-  let pref_at t = (!prefs).(t) in
-  let per_bin_error =
-    errors_of ~f:!f ~activities:!activities ~preferences:pref_at norms tms
-  in
   let params : Params.stable_f =
     { f = !f; preference = !prefs; activity = !activities }
   in
-  fitted params per_bin_error !sweeps
+  fitted params (Array.copy errs) !sweeps
 
 let fit_time_varying_single ws ~options series =
   let tms = Array.init (Series.length series) (Series.tm series) in
@@ -328,6 +353,7 @@ let fit_time_varying_single ws ~options series =
   let fs = Array.make t_count options.f_init in
   let prefs = Array.make t_count (initial_preference ~f_init:options.f_init tms) in
   let activities = Array.make t_count (Vec.create (Series.size series)) in
+  let per_bin_error = Array.make t_count 0. in
   let max_sweeps_total = ref 0 in
   Array.iteri
     (fun t tm ->
@@ -341,7 +367,7 @@ let fit_time_varying_single ws ~options series =
       let continue_ = ref true in
       while !continue_ && !sweeps < options.max_sweeps do
         incr sweeps;
-        act := solve_activity ws ~f:!f ~p:!p tm;
+        act := activity_solver ws ~f:!f ~p:!p tm;
         let p_raw =
           solve_preference ws ~f:!f ~activities:[| !act |] ~weights:w [| tm |]
         in
@@ -356,11 +382,9 @@ let fit_time_varying_single ws ~options series =
            with
            | Some f' -> f := f'
            | None -> ());
-        let obj =
-          surrogate ~f:!f ~activities:[| !act |]
-            ~preferences:(fun _ -> !p)
-            [| norms.(t) |] [| tm |]
-        in
+        let e = model_error ws ~f:!f ~activity:!act ~p:!p norms.(t) tm in
+        per_bin_error.(t) <- e;
+        let obj = e *. e in
         if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
           continue_ := false;
         prev := obj
@@ -370,14 +394,6 @@ let fit_time_varying_single ws ~options series =
       prefs.(t) <- !p;
       activities.(t) <- !act)
     tms;
-  let per_bin_error =
-    Array.mapi
-      (fun t tm ->
-        rel_l2 tm
-          (model_tm ~f:fs.(t) ~activity:activities.(t) ~p:prefs.(t))
-          norms.(t))
-      tms
-  in
   let params : Params.time_varying =
     { f = fs; preference = prefs; activity = activities }
   in

@@ -16,11 +16,17 @@
     - forward fraction [f]: a closed-form weighted scalar solve clamped to
       [[0, 1]].
 
-    Reported errors are the paper's RelL2, not the surrogate. One fit run
-    keeps its Gram matrices and factors in one workspace, shared by every
-    bin, sweep and basin; an activity or preference subproblem runs
-    {!Ic_linalg.Nnls.solve_gram} only when its unconstrained solve goes
-    negative.
+    Reported errors are the paper's RelL2, not the surrogate; each sweep
+    computes every bin's RelL2 once, without building the model matrix, and
+    its sum of squares is the sweep's objective. One fit run keeps its Gram
+    matrices and factors in one workspace, shared by every bin, sweep and
+    basin. The activity Gram depends only on [(f, P)], so a stable-fP sweep
+    builds and factors it once for all bins and accumulates only each bin's
+    right-hand side; the stable-f and time-varying fits, whose [P] differs
+    per bin, run the same two steps once per bin. Each Gram gets one
+    {!Ic_linalg.Nnls.system} on its factor, which a subproblem solves only
+    when its unconstrained solve goes negative, so a sweep's fallbacks
+    share their passive-set factors.
 
     The simplified IC model has a near-symmetry exchanging activity and
     preference roles, [(f, A, P) ~ (1 - f, S P, A / S)], which creates a

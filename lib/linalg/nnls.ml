@@ -3,17 +3,45 @@
    equations are well within double-precision comfort, and accumulating the
    Gram matrix is much cheaper than factoring the tall design matrix. *)
 
-let solve_passive_ls g c passive =
-  (* Solve the unconstrained LS restricted to the passive index set. *)
+(* The ridged factor of [g] restricted to the passive index set. *)
+let passive_factor g passive =
   let np = Array.length passive in
   let gp = Mat.init np np (fun i j -> Mat.get g passive.(i) passive.(j)) in
-  let cp = Array.map (fun i -> c.(i)) passive in
-  let ch = Chol.factorize_ridge ~ridge:1e-12 gp in
-  Chol.solve ch cp
+  Chol.factorize_ridge ~ridge:1e-12 gp
 
-(* [solve_passive_ls] on the full set copies [g] verbatim before this same
+(* [passive_factor] on the full set copies [g] verbatim before this same
    factorization, so solves with this factor are bit-identical to it. *)
 let full_factor g = Chol.factorize_ridge ~ridge:1e-12 g
+
+type system = {
+  g : Mat.t;
+  factor : Chol.t;
+  passive_factors : (string, Chol.t) Hashtbl.t;
+      (* [passive_factor g] by exact passive set, keyed by its membership
+         mask ('1' = passive). A right-hand side that leaves the interior
+         usually drops the same few coordinates as an earlier one on the
+         same Gram, so most fallbacks find their factor here. *)
+}
+
+let system ?factor g =
+  let factor = match factor with Some ch -> ch | None -> full_factor g in
+  { g; factor; passive_factors = Hashtbl.create 8 }
+
+(* The unconstrained LS restricted to the passive index set, with that
+   set's factor from the memo. *)
+let solve_passive_ls sys c in_passive passive =
+  let key =
+    String.init (Array.length c) (fun i -> if in_passive.(i) then '1' else '0')
+  in
+  let ch =
+    match Hashtbl.find_opt sys.passive_factors key with
+    | Some ch -> ch
+    | None ->
+        let ch = passive_factor sys.g passive in
+        Hashtbl.add sys.passive_factors key ch;
+        ch
+  in
+  Chol.solve ch (Array.map (fun i -> c.(i)) passive)
 
 (* Lawson–Hanson from the passive set [in_passive] (updated in place). It
    first restores primal feasibility on that set: [x] starts at 0, which
@@ -23,7 +51,8 @@ let full_factor g = Chol.factorize_ridge ~ridge:1e-12 g
    coordinate violates dual feasibility. An empty set is the textbook cold
    start. [max_iter] caps the outer loop and each feasibility pass
    separately. *)
-let lawson_hanson ?max_iter ~tol g c in_passive =
+let lawson_hanson ?max_iter ~tol sys c in_passive =
+  let g = sys.g in
   let n = Array.length c in
   let max_iter = match max_iter with Some k -> k | None -> 3 * n + 10 in
   let x = Array.make n 0. in
@@ -50,7 +79,7 @@ let lawson_hanson ?max_iter ~tol g c in_passive =
     while (not !feasible) && !inner < max_iter do
       incr inner;
       let passive = passive_indices () in
-      let z = solve_passive_ls g c passive in
+      let z = solve_passive_ls sys c in_passive passive in
       let all_pos = ref true in
       Array.iteri (fun _ zi -> if zi <= 0. then all_pos := false) z;
       if !all_pos then begin
@@ -114,11 +143,12 @@ let lawson_hanson ?max_iter ~tol g c in_passive =
    solve on its final passive set, the optimum's support, which both
    starts reach; from the solve's support it typically gets there in one
    outer iteration instead of one per positive coordinate. *)
-let solve_gram ?max_iter ?(tol = 1e-10) ?factor g c =
-  let ch = match factor with Some ch -> ch | None -> full_factor g in
-  let z = Chol.solve ch c in
+let solve_system ?max_iter ?(tol = 1e-10) sys c =
+  let z = Chol.solve sys.factor c in
   if Array.for_all (fun zi -> zi > 0.) z then z
-  else lawson_hanson ?max_iter ~tol g c (Array.map (fun zi -> zi > 0.) z)
+  else lawson_hanson ?max_iter ~tol sys c (Array.map (fun zi -> zi > 0.) z)
+
+let solve_gram ?max_iter ?tol g c = solve_system ?max_iter ?tol (system g) c
 
 let solve ?max_iter ?tol a b =
   let g = Mat.gram a in

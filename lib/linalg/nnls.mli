@@ -8,12 +8,11 @@ val solve : ?max_iter:int -> ?tol:float -> Mat.t -> Vec.t -> Vec.t
 (** [solve a b] returns the NNLS solution: {!solve_gram} on [aᵀa] and
     [aᵀb]. *)
 
-val solve_gram :
-  ?max_iter:int -> ?tol:float -> ?factor:Chol.t -> Mat.t -> Vec.t -> Vec.t
+val solve_gram : ?max_iter:int -> ?tol:float -> Mat.t -> Vec.t -> Vec.t
 (** [solve_gram g c] solves the same problem from the normal-equation data
-    [g = aᵀa] and [c = aᵀb]. It is the one NNLS entry point, and suits
-    designs whose Gram matrix is cheap to accumulate, such as the fit's
-    per-bin activity subproblem.
+    [g = aᵀa] and [c = aᵀb]: {!solve_system} on a fresh [system g]. Callers
+    that solve many right-hand sides against one Gram matrix hold a
+    {!system} instead.
 
     It first solves the full system [g z = c] and returns [z] when it is
     strictly positive, the common case for traffic activities. Otherwise
@@ -24,22 +23,44 @@ val solve_gram :
     answer: from the support a fallback typically takes one outer
     iteration.
 
-    [factor] is any Cholesky factor of [g]; it replaces the factorization
-    for the first solve. {!full_factor}[ g] keeps the interior answer
-    bitwise equal to the call without it (the engine's prior cache holds
-    one per regime). Another factor, such as the fit's unridged one, moves
-    [z]'s last bits, so only the interior answer and the start can change.
-
     [max_iter] (default [3 * n + 10] for [n] variables) caps the outer
     loop and each feasibility pass separately; [tol] is the
     dual-feasibility tolerance relative to [max |c|] (default [1e-10]).
     The result satisfies [x >= 0] even when a cap is reached. *)
 
+type system
+(** One Gram matrix ready for many right-hand sides: the Gram, a Cholesky
+    factor of it for the first solve, and a memo of the ridged factors of
+    the passive-set sub-Grams that earlier fallbacks needed, keyed by the
+    exact passive set.
+
+    A system lives as long as its Gram: the Gram is held, not copied, so
+    it must not change while the system is in use (the fit builds one per
+    sweep in a buffer the next subproblem overwrites). Every answer is
+    bit-equal to the same solve on a fresh system with the same factor
+    ({!solve_gram}, for the default one), because a memoized factor is the
+    same computation on the same Gram and passive set. Solving mutates the
+    memo, so a system belongs to one domain at a time; a value shared
+    across domains, such as the registry's batch [ic] estimator inside a
+    [Pool.map], builds a fresh one per call instead
+    ([Estimate_a.activities] does, through {!solve}). The memo grows by
+    one factor per distinct passive set seen. *)
+
+val system : ?factor:Chol.t -> Mat.t -> system
+(** [system g] is [g] with {!full_factor}[ g] as its factor, so
+    [solve_system (system g) c] is [solve_gram g c] bit for bit. [factor]
+    is any Cholesky factor of [g] to use instead: the fit passes the
+    unridged factor it already holds, which moves the full solve's last
+    bits, so only the interior answer and the start can change. *)
+
+val solve_system : ?max_iter:int -> ?tol:float -> system -> Vec.t -> Vec.t
+(** [solve_system sys c] is {!solve_gram} on [sys]'s Gram and factor,
+    reusing the passive-set factors earlier calls on [sys] computed. *)
+
 val full_factor : Mat.t -> Chol.t
-(** The ridged Cholesky factor of the full normal system that {!solve_gram}
-    computes when given no [factor] (ridge [1e-12] of the mean diagonal,
-    as for every passive-set subproblem). Precompute it once per Gram
-    matrix and pass it as [?factor]. *)
+(** The ridged Cholesky factor of the full normal system (ridge [1e-12] of
+    the mean diagonal, as for every passive-set subproblem): the default
+    factor of {!system}. *)
 
 val kkt_violation : Mat.t -> Vec.t -> Vec.t -> float
 (** [kkt_violation a b x] measures how far [x] is from satisfying the NNLS

@@ -213,6 +213,21 @@ let window_slots t ~since ~skip_quarantined =
   done;
   !tms
 
+(* The last fit's f and window mean RelL2, as gauges an operator can read
+   without ground truth: the paper finds f in 0.2-0.3 (Figs 4-5) and the
+   fit error stable from window to window (Fig 3), so a jump in either
+   flags model mismatch. They are created with the first fit, so an engine
+   that has none exposes neither. *)
+let set_fit_gauges t =
+  match t.fit_error with
+  | None -> ()
+  | Some err ->
+      let set name help v =
+        Ic_obs.Metrics.(set (gauge (Telemetry.registry t.tel) ~help name) v)
+      in
+      set "refit.f" "forward fraction f of the last refit" t.f;
+      set "refit.mean_rel_l2" "window mean RelL2 of the last refit" err
+
 let refit ?(since = 0) ?(ignore_quarantine = false) t =
   let gated = t.config.gate_refits && not ignore_quarantine in
   let tms = window_slots t ~since ~skip_quarantined:gated in
@@ -249,6 +264,7 @@ let refit ?(since = 0) ?(ignore_quarantine = false) t =
         t.preference <- Some (Array.copy fitted.params.preference);
         t.fit_age <- 0;
         t.fit_error <- Some fitted.mean_error);
+    set_fit_gauges t;
     Telemetry.incr t.tel "refit.count";
     true
   end
@@ -798,6 +814,7 @@ let restore ?telemetry ?tracer config s =
   Array.blit s.s_consec_missing 0 t.consec_missing 0 t.m;
   t.have_last <- s.s_have_last;
   Telemetry.set_counters t.tel s.s_counters;
+  set_fit_gauges t;
   (* Frozen weights are restored verbatim so the first post-resume bins use
      exactly the weights the interrupted run froze (kill/resume
      bit-identity); the factor and prior caches are derived state and

@@ -79,15 +79,18 @@ let same_bits x y =
    the paper's lognormal preferences, and marginals of lognormal activities
    with 1-5 nodes' marginals zeroed, as when their polls drop out. A zeroed
    node forces a negative unconstrained activity, so most draws leave the
-   interior. Returns the design, the marginals and (f, P). *)
-let engine_like seed =
-  let rng = Ic_prng.Rng.create seed in
+   interior. [engine_design] draws the design and (f, P), [engine_marginals]
+   one bin's marginals for it. *)
+let engine_design rng =
   let n = 22 in
   let f = Ic_prng.Rng.float_range rng 0.05 0.45 in
   let preference =
     Array.init n (fun _ -> Ic_prng.Sampler.lognormal rng ~mu:(-4.3) ~sigma:1.7)
   in
-  let design = Estimate_a.design_matrix ~f ~preference in
+  (Estimate_a.design_matrix ~f ~preference, (f, preference))
+
+let engine_marginals rng design =
+  let n = snd (Mat.dims design) in
   let activity =
     Array.init n (fun _ -> Ic_prng.Sampler.lognormal rng ~mu:15. ~sigma:1.)
   in
@@ -102,7 +105,13 @@ let engine_like seed =
       incr k
     end
   done;
-  (design, b, (f, preference))
+  b
+
+(* Returns the design, the marginals and (f, P). *)
+let engine_like seed =
+  let rng = Ic_prng.Rng.create seed in
+  let design, fp = engine_design rng in
+  (design, engine_marginals rng design, fp)
 
 (* Designs like bench's NNLS fixture: a dense 2n x n matrix with uniform
    entries in [-1, 1] and a right-hand side in [-1, 2], n in 1..22. *)
@@ -126,8 +135,8 @@ let check_solve_gram tally a b =
     QCheck.Test.fail_report "negative entry";
   let kkt = Nnls.kkt_violation a b x in
   if kkt > 1e-8 then QCheck.Test.fail_reportf "KKT violation %.3g" kkt;
-  if not (same_bits x (Nnls.solve_gram ~factor g c)) then
-    QCheck.Test.fail_report "~factor:(full_factor g) moved bits";
+  if not (same_bits x (Nnls.solve_system (Nnls.system ~factor g) c)) then
+    QCheck.Test.fail_report "system ~factor:(full_factor g) moved bits";
   Array.iteri
     (fun i zi ->
       if zi > 0. && x.(i) = 0. then tally.dropped <- tally.dropped + 1;
@@ -143,8 +152,8 @@ let test_solve_gram_engine_size () =
          let design, b, (f, preference) = engine_like seed in
          let n = Array.length preference in
          let ingress = Array.sub b 0 n and egress = Array.sub b n n in
-         (* The prior cache hands solve_gram the factor it would compute
-            for itself, so it must return activities' bits. *)
+         (* The prior cache's system holds the factor solve_gram would
+            compute for itself, so it must return activities' bits. *)
          if
            not
              (same_bits
@@ -160,6 +169,79 @@ let test_solve_gram_engine_size () =
          check_solve_gram tally a b));
   Alcotest.(check bool) "some support coordinates dropped" true (tally.dropped > 0);
   Alcotest.(check bool) "some coordinates added" true (tally.added > 0)
+
+(* One system answers many right-hand sides, as the prior cache and the
+   fit's sweeps use it. Every answer must carry a fresh [solve_gram]'s
+   bits, through a system on the ridged full factor and through one on the
+   unridged factor the fit holds; the fit falls back to NNLS only when that
+   factor's solve leaves the interior, so only those answers are compared.
+   A Gram with no unridged factor (the fit then builds the ridged system)
+   is checked through the ridged one alone. Returns the support of every
+   answer. *)
+let check_shared_system g rhs =
+  let n, _ = Mat.dims g in
+  let ridged = Nnls.system g in
+  let unridged =
+    match Ic_linalg.Chol.factorize_into ~l:(Mat.create n n) g with
+    | Ok ch -> Some (ch, Nnls.system ~factor:ch g)
+    | Error (`Not_positive_definite _) -> None
+  in
+  List.map
+    (fun c ->
+      let fresh = Nnls.solve_gram g c in
+      if not (same_bits fresh (Nnls.solve_system ridged c)) then
+        Alcotest.fail "ridged system moved bits";
+      (match unridged with
+      | Some (ch, sys) ->
+          let z = Ic_linalg.Chol.solve ch c in
+          if
+            (not (Array.for_all (fun v -> v > 0.) z))
+            && not (same_bits fresh (Nnls.solve_system sys c))
+          then Alcotest.fail "unridged system moved bits"
+      | None -> ());
+      String.init n (fun i -> if fresh.(i) > 0. then '1' else '0'))
+    rhs
+
+(* The supports must both repeat within a Gram (so memoized factors are
+   reused) and differ at equal size (so a memo keyed by anything coarser
+   than the exact set answers wrongly). *)
+let check_support_mix supports =
+  let size s = String.fold_left (fun k ch -> k + Bool.to_int (ch = '1')) 0 s in
+  let repeats = ref 0 and same_size = ref 0 in
+  List.iter
+    (fun per_gram ->
+      List.iteri
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              if i < j then
+                if a = b then incr repeats
+                else if size a = size b then incr same_size)
+            per_gram)
+        per_gram)
+    supports;
+  Alcotest.(check bool) "supports repeat" true (!repeats > 0);
+  Alcotest.(check bool) "equal-size supports differ" true (!same_size > 0)
+
+let test_shared_system () =
+  let engine =
+    List.init 30 (fun seed ->
+        let rng = Ic_prng.Rng.create (1000 + seed) in
+        let design, _ = engine_design rng in
+        check_shared_system (Mat.gram design)
+          (List.init 24 (fun _ ->
+               Mat.mulv_t design (engine_marginals rng design))))
+  in
+  check_support_mix engine;
+  (* The singular duplicate-column Gram, as in the linalg suite. *)
+  let rng = Ic_prng.Rng.create 17 in
+  let base = Mat.init 10 4 (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+  let a = Mat.init 10 6 (fun i j -> Mat.get base i (if j >= 4 then j - 3 else j)) in
+  ignore
+    (check_shared_system (Mat.gram a)
+       (List.init 24 (fun _ ->
+            Mat.mulv_t a
+              (Array.init 10 (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.)))))
 
 (* --- Closed_form --- *)
 
@@ -259,6 +341,8 @@ let () =
         [
           Alcotest.test_case "solve_gram at engine size" `Quick
             test_solve_gram_engine_size;
+          Alcotest.test_case "one system, many right-hand sides" `Quick
+            test_shared_system;
         ] );
       ( "closed_form",
         [

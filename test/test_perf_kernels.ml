@@ -3,7 +3,7 @@
    instances. The kernels are written to match the reference operation for
    operation, so the tolerances here are far below anything the estimation
    tests would notice. The fit has no second implementation; it is checked
-   against an independent optimizer instead. *)
+   against an independent optimizer instead, and its bits are pinned. *)
 
 module Vec = Ic_linalg.Vec
 module Mat = Ic_linalg.Mat
@@ -314,6 +314,76 @@ let test_fit_matches_pgd () =
         Alcotest.failf "%s: preference correlation %.6f" msg r)
     [ 21; 22; 23 ]
 
+(* --- Fitter bit pins --- *)
+
+(* Every float a fit returns, by its bits, hashed into one digest next to
+   the fit's scalars. The fitters' refactorings (shared factors, memoized
+   passive sets, fused error passes) are all meant to repeat the same
+   arithmetic in the same order, so these strings must not move; a change
+   that moves them on purpose re-pins them and says why. *)
+let fit_pin ~f ~preference ~activity (r : _ Ic_core.Fit.fitted) =
+  let b = Buffer.create 4096 in
+  let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  Array.iter add f;
+  Array.iter (Array.iter add) preference;
+  Array.iter (Array.iter add) activity;
+  Array.iter add r.per_bin_error;
+  Printf.sprintf "%s mean %h sweeps %d both %b"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    r.mean_error r.sweeps r.both_basins
+
+let stable_fp_pin (r : Ic_core.Params.stable_fp Ic_core.Fit.fitted) =
+  fit_pin ~f:[| r.params.f |] ~preference:[| r.params.preference |]
+    ~activity:r.params.activity r
+
+let test_fit_bit_pins () =
+  let fit = Ic_core.Fit.fit_stable_fp in
+  let cold = fit (make_fit_series 31) in
+  (* A warm refit on the next window, as the engine runs it: from the cold
+     fit's f, guarded by an incumbent error. One above the warm error keeps
+     the guard quiet; one far below fires it, so the mirrored descent runs
+     too. *)
+  let next = make_fit_series 32 in
+  let warm incumbent =
+    fit
+      ~options:{ Ic_core.Fit.default_options with f_init = cold.params.f }
+      ~incumbent next
+  in
+  let quiet = warm (cold.mean_error *. 2.) in
+  let firing = warm (cold.mean_error /. 4.) in
+  Alcotest.(check bool) "guard quiet" false quiet.both_basins;
+  Alcotest.(check bool) "guard fires" true firing.both_basins;
+  let stable_f = Ic_core.Fit.fit_stable_f (make_fit_series 33) in
+  let time_varying = Ic_core.Fit.fit_time_varying (make_fit_series 34) in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    [
+      ( "stable_fp cold",
+        "06c812f18820c846ee7a0f81cbabcbb0 mean 0x1.c1498b0154916p-6 sweeps 8 \
+         both true",
+        stable_fp_pin cold );
+      ( "stable_fp warm, guard quiet",
+        "d1922b134e00968800b470cf4059a1c3 mean 0x1.4e4e13e50afafp-5 sweeps 7 \
+         both false",
+        stable_fp_pin quiet );
+      ( "stable_fp warm, guard fires",
+        "d1922b134e00968800b470cf4059a1c3 mean 0x1.4e4e13e50afafp-5 sweeps 7 \
+         both true",
+        stable_fp_pin firing );
+      ( "stable_f",
+        "30861d6868a769e5a2a8e9d0215e055d mean 0x1.447b63942d00ap-5 sweeps 14 \
+         both true",
+        fit_pin ~f:[| stable_f.params.f |]
+          ~preference:stable_f.params.preference
+          ~activity:stable_f.params.activity stable_f );
+      ( "time_varying",
+        "e9d7f04433d80b53150c44058ecbd4ce mean 0x1.1ff8be9b4c64dp-5 sweeps 27 \
+         both true",
+        fit_pin ~f:time_varying.params.f
+          ~preference:time_varying.params.preference
+          ~activity:time_varying.params.activity time_varying );
+    ]
+
 (* --- Estimate_a.prior_series hoist --- *)
 
 let test_prior_series_matches_per_bin () =
@@ -377,6 +447,7 @@ let () =
         [
           Alcotest.test_case "stable_fp agrees with Pgd" `Quick
             test_fit_matches_pgd;
+          Alcotest.test_case "fitter bit pins" `Quick test_fit_bit_pins;
           Alcotest.test_case "prior_series matches per-bin solves" `Quick
             test_prior_series_matches_per_bin;
         ] );

@@ -324,6 +324,31 @@ let test_snapshot_carries_fit_error () =
         (Int64.bits_of_float e' = Int64.bits_of_float err)
   | None -> Alcotest.fail "restore dropped the incumbent"
 
+(* The last fit's f and mean RelL2 are gauges, absent until there is a fit,
+   set by each refit and by restore from the checkpointed values. *)
+let test_refit_gauges () =
+  let gauges engine =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"refit." name)
+      (Ic_obs.Metrics.gauges (Telemetry.registry (Engine.telemetry engine)))
+  in
+  let pp = Alcotest.(list (pair string (float 0.))) in
+  Alcotest.check pp "none before a fit" [] (gauges (Engine.create (config ())));
+  let engine, _ = run_bins ~seed:21 12 in
+  let snap = Engine.snapshot engine in
+  let expected =
+    match snap.Engine.s_fit_error with
+    | Some err -> [ ("refit.f", snap.Engine.s_f); ("refit.mean_rel_l2", err) ]
+    | None -> Alcotest.fail "no fit after a refit"
+  in
+  Alcotest.check pp "set by the refit" expected (gauges engine);
+  let restored =
+    match Checkpoint.decode (Checkpoint.encode snap) with
+    | Ok s -> Engine.restore (config ()) s
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.check pp "set by restore" expected (gauges restored)
+
 (* The tentpole property: save/restore through a real file, then N more
    bins, is bit-identical to an engine that never stopped. *)
 let resume_matches_uninterrupted (seed, n1, n2, drop) =
@@ -400,6 +425,7 @@ let () =
             test_checkpoint_config_mismatch;
           Alcotest.test_case "snapshot carries the refit incumbent" `Quick
             test_snapshot_carries_fit_error;
+          Alcotest.test_case "refit gauges" `Quick test_refit_gauges;
           QCheck_alcotest.to_alcotest checkpoint_property;
         ] );
     ]
