@@ -94,10 +94,6 @@ let spd_122 =
   Ic_linalg.Mat.add (Ic_linalg.Mat.gram b)
     (Ic_linalg.Mat.scale (float_of_int m) (Ic_linalg.Mat.identity m))
 
-let qr_tall =
-  let rng = Ic_prng.Rng.create 7 in
-  Ic_linalg.Mat.init 44 22 (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.)
-
 let preference_sample = fitted.params.preference
 
 (* Whole-series fixtures for the batched estimation entry points. *)
@@ -522,8 +518,6 @@ let substrate_tests =
       (Staged.stage
          (let l = Ic_linalg.Mat.create 122 122 in
           fun () -> Ic_linalg.Chol.factorize_into ~l spd_122));
-    Test.make ~name:"linalg/svd-44x22"
-      (Staged.stage (fun () -> Ic_linalg.Svd.decompose qr_tall));
     Test.make ~name:"linalg/eig-60"
       (Staged.stage
          (let m =
@@ -543,8 +537,6 @@ let substrate_tests =
                 Ic_prng.Rng.float_range rng 0. 1.)
           in
           fun () -> Ic_stats.Pca.fit data));
-    Test.make ~name:"linalg/qr-44x22"
-      (Staged.stage (fun () -> Ic_linalg.Qr.factorize qr_tall));
     Test.make ~name:"topology/routing-build-geant"
       (Staged.stage (fun () -> Ic_topology.Routing.build geant_graph));
     Test.make ~name:"topology/link-loads"

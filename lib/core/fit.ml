@@ -8,18 +8,11 @@ type options = {
   max_sweeps : int;
   tol : float;
   f_init : float;
-  fixed_f : bool;
   f_bounds : float * float;
 }
 
 let default_options =
-  {
-    max_sweeps = 40;
-    tol = 1e-6;
-    f_init = 0.25;
-    fixed_f = false;
-    f_bounds = (0., 1.);
-  }
+  { max_sweeps = 40; tol = 1e-6; f_init = 0.25; f_bounds = (0., 1.) }
 
 type 'p fitted = {
   params : 'p;
@@ -251,153 +244,82 @@ let initial_preference ~f_init tms =
   | Error `F_near_half -> fallback ()
   | exception Invalid_argument _ -> fallback ()
 
-let fit_stable_fp_single ws ~options series =
-  let tms = Array.init (Series.length series) (Series.tm series) in
+(* The block-coordinate descent every fitter runs, from [options.f_init]
+   and the preferences [p0]. [sweep ~weights f p] solves the activity and
+   preference blocks at forward fraction [f], starting from preferences
+   [p], and returns the new preferences and activities; [pref_at p t] is
+   bin t's preference vector. The descent then solves f, scores every bin,
+   and stops once the surrogate improves by at most [tol] relative to the
+   previous sweep's, or after [max_sweeps] sweeps (checked >= 1). *)
+let descend ws ~options ~sweep ~pref_at ~params p0 tms =
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
   let errs = Ws.vec ws "fit.errs" (Array.length tms) in
-  let f = ref options.f_init in
-  let p = ref (initial_preference ~f_init:options.f_init tms) in
-  (* Sweep 1 solves the first activities; max_sweeps >= 1 is checked. *)
-  let activities = ref [||] in
-  let prev = ref infinity in
-  let sweeps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !sweeps < options.max_sweeps do
-    incr sweeps;
-    activities := Array.map (activity_solver ws ~f:!f ~p:!p) tms;
-    let p_raw = solve_preference ws ~f:!f ~activities:!activities ~weights tms in
-    let p', acts' = normalize_preference_and_rescale p_raw !activities in
-    p := p';
-    activities := acts';
-    (if not options.fixed_f then
-       match
-         solve_f ~bounds:options.f_bounds ~activities:!activities
-           ~preferences:(fun _ -> !p) ~weights tms
-       with
-       | Some f' -> f := f'
-       | None -> ());
-    let obj =
-      errors_into ws errs ~f:!f ~activities:!activities
-        ~preferences:(fun _ -> !p) norms tms
+  let rec go f p prev sweeps =
+    let p, activities = sweep ~weights f p in
+    let preferences = pref_at p in
+    let f =
+      Option.value ~default:f
+        (solve_f ~bounds:options.f_bounds ~activities ~preferences ~weights tms)
     in
-    if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
-      continue_ := false;
-    prev := obj
-  done;
-  let params : Params.stable_fp =
-    { f = !f; preference = !p; activity = !activities }
+    let obj = errors_into ws errs ~f ~activities ~preferences norms tms in
+    let sweeps = sweeps + 1 in
+    if
+      sweeps >= options.max_sweeps
+      || (Float.is_finite prev && prev -. obj <= options.tol *. Float.max prev 1e-12)
+    then fitted (params f p activities) (Array.copy errs) sweeps
+    else go f p obj sweeps
   in
-  fitted params (Array.copy errs) !sweeps
+  go options.f_init p0 infinity 0
 
+let bins_of series = Array.init (Series.length series) (Series.tm series)
+
+let fit_stable_fp_single ws ~options series =
+  let tms = bins_of series in
+  let sweep ~weights f p =
+    let activities = Array.map (activity_solver ws ~f ~p) tms in
+    normalize_preference_and_rescale
+      (solve_preference ws ~f ~activities ~weights tms)
+      activities
+  in
+  descend ws ~options ~sweep
+    ~pref_at:(fun p _ -> p)
+    ~params:(fun f preference activity : Params.stable_fp ->
+      { f; preference; activity })
+    (initial_preference ~f_init:options.f_init tms)
+    tms
+
+(* Per-bin preferences: bin t's preference block is its own one-bin
+   subproblem, and an all-zero bin keeps the preference it had. *)
 let fit_stable_f_single ws ~options series =
-  let tms = Array.init (Series.length series) (Series.tm series) in
-  let norms = bin_norms tms in
-  let weights = weights_of_norms norms in
-  let t_count = Array.length tms in
-  let errs = Ws.vec ws "fit.errs" t_count in
-  let f = ref options.f_init in
-  let prefs = ref (Array.make t_count (initial_preference ~f_init:options.f_init tms)) in
-  let activities = ref [||] in
-  let prev = ref infinity in
-  let sweeps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !sweeps < options.max_sweeps do
-    incr sweeps;
-    (* per-bin activity and preference given the shared f *)
-    let old_prefs = !prefs in
+  let tms = bins_of series in
+  let sweep ~weights f prefs =
     let acts =
-      Array.mapi (fun t tm -> activity_solver ws ~f:!f ~p:old_prefs.(t) tm) tms
+      Array.mapi (fun t tm -> activity_solver ws ~f ~p:prefs.(t) tm) tms
     in
-    let new_prefs = Array.make t_count old_prefs.(0) in
-    Array.iteri
-      (fun t tm ->
-        if weights.(t) > 0. then begin
-          let p_raw =
-            solve_preference ws ~f:!f ~activities:[| acts.(t) |]
-              ~weights:[| 1. |] [| tm |]
-          in
-          let p', acts' = normalize_preference_and_rescale p_raw [| acts.(t) |] in
-          new_prefs.(t) <- p';
-          acts.(t) <- acts'.(0)
-        end
-        else new_prefs.(t) <- old_prefs.(t))
-      tms;
-    activities := acts;
-    prefs := new_prefs;
-    let pref_at t = (!prefs).(t) in
-    (if not options.fixed_f then
-       match
-         solve_f ~bounds:options.f_bounds ~activities:!activities
-           ~preferences:pref_at ~weights tms
-       with
-       | Some f' -> f := f'
-       | None -> ());
-    let obj =
-      errors_into ws errs ~f:!f ~activities:!activities ~preferences:pref_at
-        norms tms
+    let prefs =
+      Array.mapi
+        (fun t tm ->
+          if weights.(t) > 0. then begin
+            let p_raw =
+              solve_preference ws ~f ~activities:[| acts.(t) |] ~weights:[| 1. |]
+                [| tm |]
+            in
+            let p', acts' = normalize_preference_and_rescale p_raw [| acts.(t) |] in
+            acts.(t) <- acts'.(0);
+            p'
+          end
+          else prefs.(t))
+        tms
     in
-    if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
-      continue_ := false;
-    prev := obj
-  done;
-  let params : Params.stable_f =
-    { f = !f; preference = !prefs; activity = !activities }
+    (prefs, acts)
   in
-  fitted params (Array.copy errs) !sweeps
-
-let fit_time_varying_single ws ~options series =
-  let tms = Array.init (Series.length series) (Series.tm series) in
-  let norms = bin_norms tms in
-  let t_count = Array.length tms in
-  let fs = Array.make t_count options.f_init in
-  let prefs = Array.make t_count (initial_preference ~f_init:options.f_init tms) in
-  let activities = Array.make t_count (Vec.create (Series.size series)) in
-  let per_bin_error = Array.make t_count 0. in
-  let max_sweeps_total = ref 0 in
-  Array.iteri
-    (fun t tm ->
-      (* each bin is an independent single-bin fit *)
-      let w = weights_of_norms [| norms.(t) |] in
-      let f = ref options.f_init in
-      let p = ref (initial_preference ~f_init:options.f_init [| tm |]) in
-      let act = ref [||] in
-      let prev = ref infinity in
-      let sweeps = ref 0 in
-      let continue_ = ref true in
-      while !continue_ && !sweeps < options.max_sweeps do
-        incr sweeps;
-        act := activity_solver ws ~f:!f ~p:!p tm;
-        let p_raw =
-          solve_preference ws ~f:!f ~activities:[| !act |] ~weights:w [| tm |]
-        in
-        let p', acts' = normalize_preference_and_rescale p_raw [| !act |] in
-        p := p';
-        act := acts'.(0);
-        (if not options.fixed_f then
-           match
-             solve_f ~bounds:options.f_bounds ~activities:[| !act |]
-               ~preferences:(fun _ -> !p)
-               ~weights:w [| tm |]
-           with
-           | Some f' -> f := f'
-           | None -> ());
-        let e = model_error ws ~f:!f ~activity:!act ~p:!p norms.(t) tm in
-        per_bin_error.(t) <- e;
-        let obj = e *. e in
-        if Float.is_finite !prev && !prev -. obj <= options.tol *. Float.max !prev 1e-12 then
-          continue_ := false;
-        prev := obj
-      done;
-      if !sweeps > !max_sweeps_total then max_sweeps_total := !sweeps;
-      fs.(t) <- !f;
-      prefs.(t) <- !p;
-      activities.(t) <- !act)
-    tms;
-  let params : Params.time_varying =
-    { f = fs; preference = prefs; activity = activities }
-  in
-  fitted params per_bin_error !max_sweeps_total
+  descend ws ~options ~sweep ~pref_at:Array.get
+    ~params:(fun f preference activity : Params.stable_f ->
+      { f; preference; activity })
+    (Array.make (Array.length tms)
+       (initial_preference ~f_init:options.f_init tms))
+    tms
 
 (* The simplified IC model has a near-symmetry exchanging the roles of
    activity and preference: (f, A, P) and (1 - f, S P, A / S) produce the
@@ -434,72 +356,65 @@ let check_options options =
    f ends on the basins' shared bound 1/2. *)
 let dual_start ?incumbent ~options fit f_of series =
   check_options options;
-  if options.fixed_f then fit ~options series
-  else begin
-    let low, high = branch_options options in
-    let both a b = { (pick_basin f_of a b) with both_basins = true } in
-    match incumbent with
-    | Some err when options.f_init <> 0.5 ->
-        let in_low = options.f_init < 0.5 in
-        let warm = fit ~options:(if in_low then low else high) series in
-        if
-          warm.mean_error -. err <= tie_margin warm.mean_error err
-          && f_of warm.params <> 0.5
-        then warm
-        else begin
-          let mirror = fit ~options:(if in_low then high else low) series in
-          if in_low then both warm mirror else both mirror warm
-        end
-    | _ ->
-        let a = fit ~options:low series in
-        let b = fit ~options:high series in
-        both a b
-  end
+  let low, high = branch_options options in
+  let both a b = { (pick_basin f_of a b) with both_basins = true } in
+  match incumbent with
+  | Some err when options.f_init <> 0.5 ->
+      let in_low = options.f_init < 0.5 in
+      let warm = fit ~options:(if in_low then low else high) series in
+      if
+        warm.mean_error -. err <= tie_margin warm.mean_error err
+        && f_of warm.params <> 0.5
+      then warm
+      else begin
+        let mirror = fit ~options:(if in_low then high else low) series in
+        if in_low then both warm mirror else both mirror warm
+      end
+  | _ ->
+      let a = fit ~options:low series in
+      let b = fit ~options:high series in
+      both a b
+
+let f_of_stable_fp (p : Params.stable_fp) = p.f
 
 let fit_stable_fp ?(options = default_options) ?incumbent series =
   let ws = Ws.create () in
-  dual_start ?incumbent ~options
-    (fun ~options series -> fit_stable_fp_single ws ~options series)
-    (fun (p : Params.stable_fp) -> p.f)
-    series
+  dual_start ?incumbent ~options (fit_stable_fp_single ws) f_of_stable_fp series
 
 let fit_stable_f ?(options = default_options) series =
   let ws = Ws.create () in
   dual_start ~options
-    (fun ~options series -> fit_stable_f_single ws ~options series)
+    (fit_stable_f_single ws)
     (fun (p : Params.stable_f) -> p.f)
     series
 
+(* Equation 3 shares no parameter across bins, so each bin's fit is the
+   cold stable-fP fit of that bin alone, and all of them share one
+   workspace. [sweeps] is the most any bin's descent ran, in either
+   basin. *)
 let fit_time_varying ?(options = default_options) series =
   check_options options;
   let ws = Ws.create () in
-  (* Bins are independent; select the better basin bin by bin. *)
-  let low, high = branch_options options in
-  let a = fit_time_varying_single ws ~options:low series in
-  let b = fit_time_varying_single ws ~options:high series in
-  let t_count = Array.length a.per_bin_error in
-  let f = Array.make t_count 0. in
-  let preference = Array.make t_count [||] in
-  let activity = Array.make t_count [||] in
-  let per_bin_error = Array.make t_count 0. in
-  for t = 0 to t_count - 1 do
-    let ea = a.per_bin_error.(t) and eb = b.per_bin_error.(t) in
-    let take_a =
-      if Float.abs (ea -. eb) <= tie_margin ea eb then
-        a.params.f.(t) <= b.params.f.(t)
-      else ea < eb
-    in
-    let src = if take_a then a else b in
-    f.(t) <- src.params.f.(t);
-    preference.(t) <- src.params.preference.(t);
-    activity.(t) <- src.params.activity.(t);
-    per_bin_error.(t) <- src.per_bin_error.(t)
-  done;
-  let params : Params.time_varying = { f; preference; activity } in
-  {
-    (fitted params per_bin_error (Stdlib.max a.sweeps b.sweeps)) with
-    both_basins = true;
-  }
+  let sweeps = ref 0 in
+  let fit ~options window =
+    let r = fit_stable_fp_single ws ~options window in
+    sweeps := Stdlib.max !sweeps r.sweeps;
+    r
+  in
+  let bins =
+    Array.init (Series.length series) (fun t ->
+        dual_start ~options fit f_of_stable_fp (Series.sub series ~pos:t ~len:1))
+  in
+  let per_bin g = Array.map (fun (b : Params.stable_fp fitted) -> g b) bins in
+  let params : Params.time_varying =
+    {
+      f = per_bin (fun b -> b.params.f);
+      preference = per_bin (fun b -> b.params.preference);
+      activity = per_bin (fun b -> b.params.activity.(0));
+    }
+  in
+  let per_bin_error = per_bin (fun b -> b.per_bin_error.(0)) in
+  { (fitted params per_bin_error !sweeps) with both_basins = true }
 
 let fit_general_f (params : Params.stable_fp) series =
   let n = Params.nodes params in

@@ -18,15 +18,18 @@
 
     Reported errors are the paper's RelL2, not the surrogate; each sweep
     computes every bin's RelL2 once, without building the model matrix, and
-    its sum of squares is the sweep's objective. One fit run keeps its Gram
-    matrices and factors in one workspace, shared by every bin, sweep and
-    basin. The activity Gram depends only on [(f, P)], so a stable-fP sweep
-    builds and factors it once for all bins and accumulates only each bin's
-    right-hand side; the stable-f and time-varying fits, whose [P] differs
-    per bin, run the same two steps once per bin. Each Gram gets one
-    {!Ic_linalg.Nnls.system} on its factor, which a subproblem solves only
-    when its unconstrained solve goes negative, so a sweep's fallbacks
-    share their passive-set factors.
+    its sum of squares is the sweep's objective. The three variants differ
+    only in which parameters the bins share, so they run one descent: the
+    stable-f fit solves one preference block per bin, and the time-varying
+    fit, which shares nothing across bins, is the stable-fP fit of each bin
+    alone. One fit run keeps its Gram matrices and factors in one
+    workspace, shared by every bin, sweep and basin. The activity Gram
+    depends only on [(f, P)], so a stable-fP sweep builds and factors it
+    once for all bins and accumulates only each bin's right-hand side; the
+    stable-f fit, whose [P] differs per bin, runs the same two steps once
+    per bin. Each Gram gets one {!Ic_linalg.Nnls.system} on its factor,
+    which a subproblem solves only when its unconstrained solve goes
+    negative, so a sweep's fallbacks share their passive-set factors.
 
     The simplified IC model has a near-symmetry exchanging activity and
     preference roles, [(f, A, P) ~ (1 - f, S P, A / S)], which creates a
@@ -47,16 +50,11 @@ type options = {
           [Invalid_argument] below 1 *)
   tol : float;  (** relative surrogate-improvement stop (default 1e-6) *)
   f_init : float;  (** starting forward fraction (default 0.25) *)
-  fixed_f : bool;
-      (** when true, [f] stays at [f_init] and only activities and
-          preferences are optimized — the fit used when [f] is known from a
-          previous measurement (default false) *)
   f_bounds : float * float;
-      (** interval the [f] update is clamped into (default [(0, 1)]); unless
-          [fixed_f], every fitter overrides it per branch: [(0, 1/2)] for
-          the descent in [f_init]'s basin when [f_init < 1/2], [(1/2, 1)]
-          for the mirrored one, and the other way round when
-          [f_init > 1/2] *)
+      (** interval the [f] update is clamped into (default [(0, 1)]); every
+          fitter overrides it per branch: [(0, 1/2)] for the descent in
+          [f_init]'s basin when [f_init < 1/2], [(1/2, 1)] for the mirrored
+          one, and the other way round when [f_init > 1/2] *)
 }
 
 val default_options : options
@@ -67,9 +65,8 @@ type 'p fitted = {
   mean_error : float;
   sweeps : int;  (** sweeps actually performed *)
   both_basins : bool;
-      (** both basin descents ran: always for a cold fit without [fixed_f]
-          (and for {!fit_time_varying}), only when the guard fired for a
-          warm one *)
+      (** both basin descents ran: always for a cold fit (and for
+          {!fit_time_varying}), only when the guard fired for a warm one *)
 }
 
 val fit_stable_fp :
@@ -88,7 +85,7 @@ val fit_stable_fp :
     the warm mean error exceeds [incumbent] by more than the 3% tie margin,
     or the warm [f] ends on the bound [1/2], the mirrored descent runs too
     and the two are picked exactly as a cold fit picks them. Without
-    [incumbent], with [fixed_f], or at [f_init = 1/2] the fit is cold. *)
+    [incumbent] or at [f_init = 1/2] the fit is cold. *)
 
 val fit_stable_f :
   ?options:options ->
@@ -101,8 +98,10 @@ val fit_time_varying :
   ?options:options ->
   Ic_traffic.Series.t ->
   Params.time_varying fitted
-(** Fit the time-varying model (Equation 3): every parameter per bin. Each
-    bin is fitted independently. *)
+(** Fit the time-varying model (Equation 3): every parameter per bin. Bin
+    [t]'s parameters and error are exactly the cold {!fit_stable_fp} of the
+    one-bin series holding bin [t]; [sweeps] is the most that any bin's
+    descent ran, in either basin. *)
 
 val fit_general_f :
   Params.stable_fp -> Ic_traffic.Series.t -> Ic_linalg.Mat.t

@@ -43,7 +43,7 @@ let make_ctx ~routing ~plan ~link_loads ?(bin = 0) ?(rung = 0) () =
 
 type state = {
   owner : string;
-  mutable slabs : (string * float array) list;
+  slabs : (string * float array) list;
 }
 
 let state_create ~owner slabs = { owner; slabs }
@@ -56,12 +56,6 @@ let slab s name =
   | None ->
       invalid_arg
         (Printf.sprintf "Estimator.slab: state %S has no slab %S" s.owner name)
-
-let set_slab s name a =
-  if List.mem_assoc name s.slabs then
-    s.slabs <-
-      List.map (fun (k, v) -> if k = name then (k, a) else (k, v)) s.slabs
-  else s.slabs <- s.slabs @ [ (name, a) ]
 
 let state_copy s =
   { owner = s.owner; slabs = List.map (fun (k, v) -> (k, Array.copy v)) s.slabs }

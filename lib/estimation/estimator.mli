@@ -72,9 +72,6 @@ val state_slabs : state -> (string * float array) list
 val slab : state -> string -> float array
 (** Raises [Invalid_argument] when the slab does not exist. *)
 
-val set_slab : state -> string -> float array -> unit
-(** Replace a slab (or append a new one, preserving insertion order). *)
-
 val state_copy : state -> state
 (** Deep copy — what engine snapshots take so later bins cannot mutate
     history. *)

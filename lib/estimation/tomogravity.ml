@@ -162,8 +162,6 @@ let plan_clone plan =
     cache = fresh_cache ~m:plan.m ~n_od:plan.n_od;
   }
 
-let plan_routing plan = plan.routing
-
 let plan_last_clamp_count plan = plan.last_clamp_count
 
 let plan_fastpath_stats plan =

@@ -82,9 +82,6 @@ val plan_clone : plan -> plan
     single-threaded plan without redoing or duplicating the symbolic
     precomputation. *)
 
-val plan_routing : plan -> Ic_topology.Routing.t
-(** The routing the plan was built from. *)
-
 val plan_last_clamp_count : plan -> int
 (** Number of negative entries (floating-point cancellation overshoot) that
     the non-negativity clamp zeroed in the most recent

@@ -5,10 +5,10 @@ type t
 
 val default_ridge : float
 (** [1e-10] — the standard relative ridge for normal-equation systems built
-    from routing or design matrices (tomogravity's [R W Rᵀ], {!Lsq}'s
-    [AᵀA]). These systems are numerically rank deficient by construction, so
-    a ridge well above the [1e-12] last-resort jitter of {!factorize_ridge}
-    keeps the solve stable without visibly perturbing the solution. *)
+    from routing matrices (tomogravity's [R W Rᵀ]). These systems are
+    numerically rank deficient by construction, so a ridge well above the
+    [1e-12] last-resort jitter of {!factorize_ridge} keeps the solve stable
+    without visibly perturbing the solution. *)
 
 val factorize : Mat.t -> (t, [ `Not_positive_definite of int ]) result
 (** [factorize a] factorizes the symmetric matrix [a] (only the lower triangle

@@ -636,8 +636,6 @@ let level t = Degrade.level t.degrade
 let params t =
   match t.preference with Some p -> Some (t.f, Array.copy p) | None -> None
 
-let fit_age t = if t.fit_age = max_int then None else Some t.fit_age
-
 let telemetry t = t.tel
 
 let transitions t = Degrade.transitions t.degrade
@@ -645,8 +643,6 @@ let transitions t = Degrade.transitions t.degrade
 let config t = t.config
 
 let routing t = t.routing
-
-let estimator_name t = t.config.estimator
 
 (* --- topology changes --------------------------------------------------- *)
 

@@ -145,9 +145,6 @@ val level : t -> Degrade.level
 val params : t -> (float * Ic_linalg.Vec.t) option
 (** Current [(f, preference)]; [None] before the first (re)fit. *)
 
-val fit_age : t -> int option
-(** Bins since the last completed refit; [None] if never fitted. *)
-
 val telemetry : t -> Telemetry.t
 
 val transitions : t -> Degrade.transition list
@@ -157,9 +154,6 @@ val config : t -> config
 val routing : t -> Ic_topology.Routing.t
 (** The routing the engine is currently solving against: [config.routing]
     until the first {!set_routing}, then whatever was last installed. *)
-
-val estimator_name : t -> string
-(** [config.estimator] — ["ic"] on the native path. *)
 
 val set_routing : ?degrade:bool -> t -> Ic_topology.Routing.t -> unit
 (** Install a new routing mid-stream (a link failure/recovery or IGP

@@ -15,6 +15,29 @@ if [ -n "$(git ls-files _build 2>/dev/null)" ]; then
   exit 1
 fi
 
+echo "== every lib/ module has a caller =="
+# A module under lib/ counts as called when a .ml file under lib/, bin/,
+# examples/ or perfbench/, other than its own, names it as `Module.`.
+# Tests and benches do not count: a module only they reach is a kernel
+# production never turns on, and belongs deleted. The match is by name, so
+# a module sharing its name with another (Trace, Synth) passes on either.
+# Ic_netflow.Flow is exempt: it is the tests' oracle for Trace.measure_f's
+# matching.
+uncalled=""
+for mli in lib/*/*.mli; do
+  [ "$mli" = lib/netflow/flow.mli ] && continue
+  mod=$(basename "$mli" .mli | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+  if ! grep -rlE --include='*.ml' "(^|[^A-Za-z0-9_'])$mod\\." \
+      lib bin examples perfbench | grep -qvxF "${mli%.mli}.ml"; then
+    uncalled="$uncalled $mod"
+  fi
+done
+if [ -n "$uncalled" ]; then
+  echo "check.sh: nothing outside their own files calls these lib/ modules:$uncalled" >&2
+  exit 1
+fi
+echo "every lib/ module has a caller"
+
 echo "== dune build =="
 dune build
 

@@ -63,12 +63,6 @@ let test_fit_with_noise () =
   feq_tol 0.03 "f within 0.03 under 10% noise" truth.f fit.params.f;
   Alcotest.(check bool) "error near noise floor" true (fit.mean_error < 0.15)
 
-let test_fit_fixed_f () =
-  let _, series = clean_world 4 in
-  let options = { Fit.default_options with f_init = 0.4; fixed_f = true } in
-  let fit = Fit.fit_stable_fp ~options series in
-  feq_tol 1e-12 "f pinned" 0.4 fit.params.f
-
 let test_fit_dual_start_mirror () =
   (* even when started at the mirrored value, the fitter lands below 1/2 on
      identifiable data *)
@@ -171,7 +165,9 @@ let test_max_sweeps_rejected () =
   rejects "stable-fP" (fun () -> ignore (Fit.fit_stable_fp ~options series));
   rejects "stable-f" (fun () -> ignore (Fit.fit_stable_f ~options series));
   rejects "time-varying" (fun () ->
-      ignore (Fit.fit_time_varying ~options series))
+      ignore (Fit.fit_time_varying ~options series));
+  rejects "time-varying, no bins" (fun () ->
+      ignore (Fit.fit_time_varying ~options { series with tms = [||] }))
 
 let test_gravity_fit_rank_one () =
   (* gravity fit is exact on a rank-one TM *)
@@ -224,6 +220,44 @@ let test_variant_ordering () =
     (sf.mean_error <= fp.mean_error +. 0.01);
   Alcotest.(check bool) "time-varying <= stable-f + tol" true
     (tv.mean_error <= sf.mean_error +. 0.01)
+
+let test_time_varying_is_per_bin_stable_fp () =
+  (* Equation 3 shares no parameter across bins, so each bin of a
+     time-varying fit is the cold stable-fP fit of that bin alone, bit for
+     bit; an all-zero bin included. *)
+  let _, series = clean_world ~bins:12 12 in
+  let rng = Ic_prng.Rng.create 112 in
+  let noisy =
+    Series.map
+      (fun tm ->
+        Tm.init (Tm.size tm) (fun i j ->
+            Tm.get tm i j
+            *. exp (Ic_prng.Sampler.normal rng ~mu:0. ~sigma:0.2)))
+      series
+  in
+  let zero_bin = 5 in
+  let noisy =
+    {
+      noisy with
+      tms =
+        Array.mapi
+          (fun t tm -> if t = zero_bin then Tm.create (Tm.size tm) else tm)
+          noisy.tms;
+    }
+  in
+  let tv = Fit.fit_time_varying noisy in
+  for t = 0 to Series.length noisy - 1 do
+    let one = Fit.fit_stable_fp (Series.sub noisy ~pos:t ~len:1) in
+    let same msg ok =
+      Alcotest.(check bool) (Printf.sprintf "bin %d: %s" t msg) true ok
+    in
+    same "f" (bits one.params.f = bits tv.params.f.(t));
+    same "preference"
+      (floats_bitwise one.params.preference tv.params.preference.(t));
+    same "activities"
+      (floats_bitwise one.params.activity.(0) tv.params.activity.(t));
+    same "error" (floats_bitwise one.per_bin_error [| tv.per_bin_error.(t) |])
+  done
 
 let test_fit_general_f_recovery () =
   (* general-f estimation on clean general-model data *)
@@ -307,7 +341,6 @@ let () =
           Alcotest.test_case "recovers activities" `Quick
             test_fit_activity_recovered;
           Alcotest.test_case "robust to noise" `Quick test_fit_with_noise;
-          Alcotest.test_case "fixed f" `Quick test_fit_fixed_f;
           Alcotest.test_case "dual start escapes mirror" `Quick
             test_fit_dual_start_mirror;
           Alcotest.test_case "warm fit in its basin matches cold" `Quick
@@ -329,6 +362,8 @@ let () =
           Alcotest.test_case "stable-f" `Quick test_fit_stable_f;
           Alcotest.test_case "time-varying" `Quick test_fit_time_varying;
           Alcotest.test_case "error ordering" `Quick test_variant_ordering;
+          Alcotest.test_case "time-varying is per-bin stable-fP" `Quick
+            test_time_varying_is_per_bin_stable_fp;
           Alcotest.test_case "general f recovery" `Quick
             test_fit_general_f_recovery;
         ] );

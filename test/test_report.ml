@@ -1,22 +1,3 @@
-let test_table_render () =
-  let s =
-    Ic_report.Table.render ~header:[ "name"; "value" ]
-      [ [ "alpha"; "1" ]; [ "beta-long"; "23" ] ]
-  in
-  let lines = String.split_on_char '\n' s in
-  Alcotest.(check int) "header + sep + 2 rows" 4 (List.length lines);
-  Alcotest.(check bool) "aligned" true
-    (String.length (List.nth lines 0) = String.length (List.nth lines 1))
-
-let test_table_ragged () =
-  Alcotest.check_raises "ragged" (Invalid_argument "Table.render: ragged row")
-    (fun () -> ignore (Ic_report.Table.render ~header:[ "a" ] [ [ "1"; "2" ] ]))
-
-let test_table_floats () =
-  let s = Ic_report.Table.render_floats ~header:[ "x" ] [ [ 3.14159 ] ] in
-  Alcotest.(check bool) "formatted" true
-    (String.length s > 0 && String.index_opt s '3' <> None)
-
 let utf8_length s =
   (* each sparkline block is 3 bytes *)
   String.length s / 3
@@ -117,12 +98,6 @@ let test_svg_write () =
 let () =
   Alcotest.run "ic_report"
     [
-      ( "table",
-        [
-          Alcotest.test_case "render" `Quick test_table_render;
-          Alcotest.test_case "ragged" `Quick test_table_ragged;
-          Alcotest.test_case "floats" `Quick test_table_floats;
-        ] );
       ( "sparkline",
         [
           Alcotest.test_case "render" `Quick test_sparkline;
