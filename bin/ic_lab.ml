@@ -361,7 +361,7 @@ let run_stream_sharded which series routing config ~shards ~jobs ~total
       in
       let fleet, final =
         match kill_after with
-        | Some k when k > 0 && k < per_shard ->
+        | Some k ->
             let fleet0 = Ic_runtime.Shard.create ~tracer ~pool (specs ()) in
             ignore (Ic_runtime.Shard.run ~max_bins:k fleet0);
             Ic_runtime.Shard.save ~path:checkpoint_path fleet0;
@@ -403,7 +403,7 @@ let run_stream_sharded which series routing config ~shards ~jobs ~total
                   if not identical then exit 1;
                   (fleet1, combined)
             end
-        | _ ->
+        | None ->
             let fleet = Ic_runtime.Shard.create ~tracer ~pool (specs ()) in
             let res = Ic_runtime.Shard.run fleet in
             (fleet, res)
@@ -500,7 +500,7 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
   in
   let engine, estimates =
     match kill_after with
-    | Some k when k > 0 && k < total ->
+    | Some k ->
         let engine0 = Ic_runtime.Engine.create ~tracer config in
         let head =
           Ic_runtime.Replay.run ~max_bins:k engine0
@@ -545,7 +545,7 @@ let run_stream which weeks seed bins drop_rate corrupt_rate noise open_loop
               if not identical then exit 1;
               (engine1, combined)
         end
-    | _ ->
+    | None ->
         let engine = Ic_runtime.Engine.create ~tracer config in
         let res =
           Ic_runtime.Replay.run ~max_bins:total engine
@@ -911,7 +911,7 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate events
   in
   let engine, segment =
     match kill_after with
-    | Some k when k > 0 && k < total ->
+    | Some k ->
         let engine0 = Ic_runtime.Engine.create config in
         let head =
           Ic_scenario.Runner.play ~upto:k engine0 (mk_feed engine0) tl
@@ -955,7 +955,7 @@ let run_scenario topology family bins seed noise drop_rate corrupt_rate events
               if not identical then exit 1;
               (engine1, combined)
         end
-    | _ -> run_full ()
+    | None -> run_full ()
   in
   Printf.printf "processed %d bins; final prior rung: %s\n"
     (Array.length segment.Ic_scenario.Runner.estimates)
@@ -1058,7 +1058,7 @@ let run_serve which weeks seed bins socket port workers queue_cap max_inflight
     (Ic_traffic.Series.size series);
   let engine =
     match kill_after with
-    | Some k when k > 0 && k < total ->
+    | Some k ->
         (* Kill/resume under load: checkpoint mid-replay, restore, finish,
            and require the served estimates bit-identical to an
            uninterrupted replay before opening the socket. *)
@@ -1100,7 +1100,7 @@ let run_serve which weeks seed bins socket port workers queue_cap max_inflight
               if not identical then exit 1;
               engine1
         end
-    | _ ->
+    | None ->
         let engine = Ic_runtime.Engine.create ~telemetry ~tracer config in
         ignore
           (Ic_runtime.Replay.run ~max_bins:total ~on_bin:publish engine
@@ -1243,6 +1243,17 @@ let int_at_least least =
   Arg.conv (parse, Format.pp_print_int)
 
 let pos_int = int_at_least 1
+
+(* --kill-after K stops a run of [bins] bins after K of them, so K must lie
+   below [bins]; --resume finishes a killed run, so it needs --kill-after.
+   [what bins] names the run's bins in the message. *)
+let check_kill_after ~bins ~what kill_after resume =
+  match kill_after with
+  | None when resume -> `Error (true, "--resume needs --kill-after")
+  | Some k when k >= bins ->
+      `Error
+        (true, Printf.sprintf "--kill-after %d must be below %s" k (what bins))
+  | _ -> `Ok kill_after
 
 (* Float flags: a value outside the flag's range — NaN and the infinities
    included — is a usage error before any work starts. *)
@@ -1515,7 +1526,8 @@ let stream_cmd =
   in
   let kill_after =
     let doc = "Kill the engine after BINS bins and write a checkpoint." in
-    Arg.(value & opt (some int) None & info [ "kill-after" ] ~docv:"BINS" ~doc)
+    Arg.(
+      value & opt (some pos_int) None & info [ "kill-after" ] ~docv:"BINS" ~doc)
   in
   let resume =
     let doc =
@@ -1601,6 +1613,23 @@ let stream_cmd =
     in
     Term.(
       ret (const check $ dataset_arg $ weeks_arg $ shards $ bins $ open_loop))
+  in
+  let kill_after =
+    let check which weeks bins shards kill_after resume =
+      let len = dataset_bins which weeks in
+      let total = match bins with Some b -> min b len | None -> len in
+      if shards > 1 then
+        check_kill_after ~bins:(total / shards)
+          ~what:(Printf.sprintf "the %d bins of each shard")
+          kill_after resume
+      else
+        check_kill_after ~bins:total ~what:(Printf.sprintf "the run's %d bins")
+          kill_after resume
+    in
+    Term.(
+      ret
+        (const check $ dataset_arg $ weeks_arg $ bins $ shards $ kill_after
+       $ resume))
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Verbose logging.")
@@ -1772,7 +1801,8 @@ let scenario_cmd =
       "Kill the engine after BINS bins (mid-scenario) and write a \
        checkpoint."
     in
-    Arg.(value & opt (some int) None & info [ "kill-after" ] ~docv:"BINS" ~doc)
+    Arg.(
+      value & opt (some pos_int) None & info [ "kill-after" ] ~docv:"BINS" ~doc)
   in
   let resume =
     let doc =
@@ -1819,6 +1849,13 @@ let scenario_cmd =
       ret
         (const scenario_events $ topology $ bins $ fails $ reweights $ ddoses
        $ flashes $ outages))
+  in
+  let kill_after =
+    let check bins kill_after resume =
+      check_kill_after ~bins ~what:(Printf.sprintf "the scenario's %d bins")
+        kill_after resume
+    in
+    Term.(ret (const check $ bins $ kill_after $ resume))
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Verbose logging.")
@@ -1893,7 +1930,8 @@ let serve_cmd =
       "Kill the replay after BINS bins and write a checkpoint before \
        serving (with --resume: restore, finish, verify bit-identity)."
     in
-    Arg.(value & opt (some int) None & info [ "kill-after" ] ~docv:"BINS" ~doc)
+    Arg.(
+      value & opt (some pos_int) None & info [ "kill-after" ] ~docv:"BINS" ~doc)
   in
   let resume =
     let doc =
@@ -1902,6 +1940,16 @@ let serve_cmd =
        uninterrupted run before opening the socket."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
+  in
+  let kill_after =
+    let check which weeks bins kill_after resume =
+      let len = dataset_bins which weeks in
+      let total = match bins with Some b -> min b len | None -> len in
+      check_kill_after ~bins:total ~what:(Printf.sprintf "the replay's %d bins")
+        kill_after resume
+    in
+    Term.(
+      ret (const check $ dataset_arg $ weeks_arg $ bins $ kill_after $ resume))
   in
   let checkpoint =
     let doc =

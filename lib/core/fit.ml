@@ -22,9 +22,20 @@ type 'p fitted = {
   both_basins : bool;
 }
 
-(* Block subproblems. The Gram matrices, right-hand sides and Cholesky
-   factors live in a workspace shared by every bin, sweep and basin of one
-   fit run, and accumulate by flat index.
+(* Block subproblems. The model of bin t, X = f A Pᵀ + (1 - f) P Aᵀ, is
+   bilinear, so every block sees the bin's matrix only through the
+   products X z and Xᵀ z, and has a closed-form Gram. With
+   α = f² + (1 - f)² and β = 2f(1 - f):
+
+   - activities: Gram α‖p‖² I + β p pᵀ, right-hand side
+     f X p + (1 - f) Xᵀ p;
+   - preferences: Gram Σ_t w_t (α‖A_t‖² I + β A_t A_tᵀ), right-hand side
+     Σ_t w_t (f Xᵀ A_t + (1 - f) X A_t).
+
+   A sweep thus reads each bin's matrix twice, once per block, and keeps
+   X A_t and Xᵀ A_t for the f solve and the errors. The Gram matrices,
+   right-hand sides, products and Cholesky factors live in a workspace
+   shared by every bin, sweep and basin of one fit run.
 
    [nonneg_solver ws g] solves G x = c under x >= 0 for every [c] it is
    given, until the workspace's factor buffer is reused. The unconstrained
@@ -49,105 +60,99 @@ let nonneg_solver ws g =
   | Error (`Not_positive_definite _) ->
       Ic_linalg.Nnls.solve_system (Ic_linalg.Nnls.system g)
 
-(* Activity subproblem: bin t's n^2 x n design has row (i,j) with f*p_j at
-   column i and (1-f)*p_i at column j (column i gets the full p_i when
-   i = j). Its Gram depends only on (f, p), so [activity_solver ws ~f ~p]
-   accumulates the Gram and factors it once, and the solver it returns
-   accumulates only each bin's right-hand side. The solver is valid until
-   the next subproblem reuses the workspace. *)
+(* g <- g + w (α‖v‖² I + β v vᵀ): one bin's share of a block's Gram. *)
+let add_gram g ~f ~w v =
+  let n = Array.length v in
+  let d = w *. ((f *. f) +. ((1. -. f) *. (1. -. f))) *. Vec.dot v v in
+  for i = 0 to n - 1 do
+    g.Mat.data.((i * n) + i) <- g.Mat.data.((i * n) + i) +. d
+  done;
+  Ws.syr ~alpha:(w *. 2. *. f *. (1. -. f)) v g
+
+(* Activity subproblem. Its Gram depends only on (f, p), so
+   [activity_solver ws ~f ~p] factors it once, and the solver it returns
+   forms only each bin's right-hand side. The solver is valid until the
+   next subproblem reuses the workspace. *)
 let activity_solver ws ~f ~p =
   let n = Array.length p in
   let g = Ws.zero_mat ws "fit.g" n n in
-  let gd = g.Mat.data in
-  for i = 0 to n - 1 do
-    let base = i * n in
-    for j = 0 to n - 1 do
-      if i = j then gd.(base + i) <- gd.(base + i) +. (p.(i) *. p.(i))
-      else begin
-        let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
-        gd.(base + i) <- gd.(base + i) +. (a *. a);
-        gd.((j * n) + j) <- gd.((j * n) + j) +. (b *. b);
-        gd.(base + j) <- gd.(base + j) +. (a *. b);
-        gd.((j * n) + i) <- gd.((j * n) + i) +. (a *. b)
-      end
-    done
-  done;
+  add_gram g ~f ~w:1. p;
   let solve = nonneg_solver ws g in
+  let u = Ws.vec ws "fit.u" n and v = Ws.vec ws "fit.v" n
+  and c = Ws.vec ws "fit.c" n in
   fun tm ->
-    let c = Ws.zero_vec ws "fit.c" n in
-    let xd = Tm.unsafe_data tm in
-    for i = 0 to n - 1 do
-      let base = i * n in
-      for j = 0 to n - 1 do
-        let x = Array.unsafe_get xd (base + j) in
-        if i = j then c.(i) <- c.(i) +. (p.(i) *. x)
-        else begin
-          let a = f *. p.(j) and b = (1. -. f) *. p.(i) in
-          c.(i) <- c.(i) +. (a *. x);
-          c.(j) <- c.(j) +. (b *. x)
-        end
-      done
+    Ws.mulv_pair (Tm.unsafe_data tm) p u v;
+    for k = 0 to n - 1 do
+      c.(k) <- (f *. u.(k)) +. ((1. -. f) *. v.(k))
     done;
     solve c
 
-(* Preference subproblem: same structure with the roles of A and P swapped;
-   accumulated across bins with weights w.(t), then solved once. *)
-let solve_preference ws ~f ~activities ~weights tms =
-  let n = Array.length activities.(0) in
-  let g = Ws.zero_mat ws "fit.g" n n in
-  let c = Ws.zero_vec ws "fit.c" n in
-  let gd = g.Mat.data in
-  Array.iteri
-    (fun t tm ->
-      let w = weights.(t) in
-      if w > 0. then begin
-        let a_t = activities.(t) in
-        let xd = Tm.unsafe_data tm in
-        for i = 0 to n - 1 do
-          let base = i * n in
-          for j = 0 to n - 1 do
-            let x = Array.unsafe_get xd (base + j) in
-            if i = j then begin
-              gd.(base + i) <- gd.(base + i) +. (w *. a_t.(i) *. a_t.(i));
-              c.(i) <- c.(i) +. (w *. a_t.(i) *. x)
-            end
-            else begin
-              let a = f *. a_t.(i) and b = (1. -. f) *. a_t.(j) in
-              gd.((j * n) + j) <- gd.((j * n) + j) +. (w *. a *. a);
-              gd.(base + i) <- gd.(base + i) +. (w *. b *. b);
-              gd.(base + j) <- gd.(base + j) +. (w *. a *. b);
-              gd.((j * n) + i) <- gd.((j * n) + i) +. (w *. a *. b);
-              c.(j) <- c.(j) +. (w *. a *. x);
-              c.(i) <- c.(i) +. (w *. b *. x)
-            end
-          done
-        done
-      end)
-    tms;
-  nonneg_solver ws g c
+(* Preference subproblem, bin t's share at weight [w]: its products X A and
+   Xᵀ A go to row t of [xa] and [xta], and its Gram and right-hand side
+   onto [g] and [c]. *)
+let add_preference ws (xa, xta) ~g ~c ~f ~w t tm a =
+  let n = Array.length a in
+  let u = Ws.vec ws "fit.u" n and v = Ws.vec ws "fit.v" n in
+  Ws.mulv_pair (Tm.unsafe_data tm) a u v;
+  Array.blit u 0 xa.Mat.data (t * n) n;
+  Array.blit v 0 xta.Mat.data (t * n) n;
+  if w > 0. then begin
+    add_gram g ~f ~w a;
+    for k = 0 to n - 1 do
+      c.(k) <- c.(k) +. (w *. ((f *. v.(k)) +. ((1. -. f) *. u.(k))))
+    done
+  end
 
-(* Forward-fraction subproblem: X_ij = f (A_i p_j - A_j p_i) + A_j p_i is
-   linear in f; weighted scalar least squares, clamped into [0,1]. *)
-let solve_f ~bounds:(f_lo, f_hi) ~activities ~preferences ~weights tms =
+(* Normalizes the preference solve [p] to the simplex, in place, and
+   absorbs its sum into the activities of bins [lo, hi) and their
+   products. *)
+let normalize ~lo ~hi p activities (xa, xta) =
+  let s = Vec.sum p in
+  if s > 0. then begin
+    Vec.scale_inplace (1. /. s) p;
+    let n = Array.length p in
+    for t = lo to hi - 1 do
+      Vec.scale_inplace s activities.(t);
+      for k = t * n to ((t + 1) * n) - 1 do
+        xa.Mat.data.(k) <- s *. xa.Mat.data.(k);
+        xta.Mat.data.(k) <- s *. xta.Mat.data.(k)
+      done
+    done
+  end
+
+(* The f solve and bin t's error see its model only through ‖A‖²‖p‖²,
+   (A·p)², Aᵀ X p = p·(Xᵀ A) and pᵀ X A = p·(X A), which [bin_terms]
+   writes to [d] in one pass. *)
+let bin_terms d (xa, xta) t a p =
+  let n = Array.length p in
+  let aa = ref 0. and pp = ref 0. and ap = ref 0. in
+  let axp = ref 0. and pxa = ref 0. in
+  for k = 0 to n - 1 do
+    let ak = a.(k) and pk = p.(k) in
+    aa := !aa +. (ak *. ak);
+    pp := !pp +. (pk *. pk);
+    ap := !ap +. (ak *. pk);
+    axp := !axp +. (pk *. xta.Mat.data.((t * n) + k));
+    pxa := !pxa +. (pk *. xa.Mat.data.((t * n) + k))
+  done;
+  d.(0) <- !aa *. !pp;
+  d.(1) <- !ap *. !ap;
+  d.(2) <- !axp;
+  d.(3) <- !pxa
+
+(* Forward-fraction subproblem: X = f (A pᵀ - p Aᵀ) + p Aᵀ is linear in f;
+   weighted scalar least squares, clamped into [bounds]. The slope
+   A pᵀ - p Aᵀ has squared norm 2(‖A‖²‖p‖² - (A·p)²) and inner product
+   Aᵀ X p - pᵀ X A - (A·p)² + ‖A‖²‖p‖² with X - p Aᵀ. *)
+let solve_f ~bounds:(f_lo, f_hi) d ~activities ~preferences ~weights prods =
   let num = ref 0. and den = ref 0. in
-  for t = 0 to Array.length tms - 1 do
+  for t = 0 to Array.length activities - 1 do
     let w = weights.(t) in
     if w > 0. then begin
-      let a_t = activities.(t) and p = preferences t in
-      let n = Array.length a_t in
-      let xd = Tm.unsafe_data tms.(t) in
-      for i = 0 to n - 1 do
-        let base = i * n in
-        for j = 0 to n - 1 do
-          if i <> j then begin
-            let slope = (a_t.(i) *. p.(j)) -. (a_t.(j) *. p.(i)) in
-            let base_flow = a_t.(j) *. p.(i) in
-            let x = Array.unsafe_get xd (base + j) in
-            num := !num +. (w *. slope *. (x -. base_flow));
-            den := !den +. (w *. slope *. slope)
-          end
-        done
-      done
+      bin_terms d prods t activities.(t) (preferences t);
+      let cross = d.(0) -. d.(1) in
+      num := !num +. (w *. (d.(2) -. d.(3) +. cross));
+      den := !den +. (w *. 2. *. cross)
     end
   done;
   if !den <= 0. then None
@@ -162,49 +167,30 @@ let rel_l2 tm model norm =
   if norm <= 0. then 0.
   else Vec.nrm2_diff (Tm.unsafe_data tm) (Tm.unsafe_data model) /. norm
 
-(* RelL2 of one bin under the model X_ij = f A_i p_j + (1 - f) A_j p_i,
-   without building the model: the workspace buffer receives X minus the
-   model, and [Vec.nrm2] scales it as [Vec.nrm2_diff] scales the pair. *)
-let model_error ws ~f ~activity ~p norm tm =
-  if norm <= 0. then 0.
-  else begin
-    let n = Array.length p in
-    let d = Ws.vec ws "fit.diff" (n * n) in
-    let xd = Tm.unsafe_data tm in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let model =
-          (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i))
-        in
-        d.((i * n) + j) <- xd.((i * n) + j) -. model
-      done
-    done;
-    Vec.nrm2 d /. norm
-  end
-
-(* Every bin's RelL2 into [errs]; returns the sum of their squares, the
+(* Every bin's RelL2 into [errs], from ‖X - M‖² = ‖X‖² - 2⟨X, M⟩ + ‖M‖²
+   (floored at 0), with ⟨X, M⟩ = f Aᵀ X p + (1 - f) pᵀ X A and
+   ‖M‖² = α‖A‖²‖p‖² + β(A·p)²; returns the sum of their squares, the
    surrogate objective. After a descent's last sweep [errs] holds its
    per-bin errors. *)
-let errors_into ws errs ~f ~activities ~preferences norms tms =
+let errors_into errs d ~f ~activities ~preferences norms prods =
+  let alpha = (f *. f) +. ((1. -. f) *. (1. -. f))
+  and beta = 2. *. f *. (1. -. f) in
   let obj = ref 0. in
-  for t = 0 to Array.length tms - 1 do
+  for t = 0 to Array.length errs - 1 do
+    let norm = norms.(t) in
     let e =
-      model_error ws ~f ~activity:activities.(t) ~p:(preferences t) norms.(t)
-        tms.(t)
+      if norm <= 0. then 0.
+      else begin
+        bin_terms d prods t activities.(t) (preferences t);
+        let xm = (f *. d.(2)) +. ((1. -. f) *. d.(3)) in
+        let mm = (alpha *. d.(0)) +. (beta *. d.(1)) in
+        Float.sqrt (Float.max 0. ((norm *. norm) -. (2. *. xm) +. mm)) /. norm
+      end
     in
     errs.(t) <- e;
     obj := !obj +. (e *. e)
   done;
   !obj
-
-let normalize_preference_and_rescale p activities =
-  let s = Vec.sum p in
-  if s <= 0. then (p, activities)
-  else begin
-    let p' = Vec.scale (1. /. s) p in
-    let activities' = Array.map (Vec.scale s) activities in
-    (p', activities')
-  end
 
 let mean_of errs =
   if Array.length errs = 0 then 0. else Vec.sum errs /. float_of_int (Array.length errs)
@@ -245,24 +231,29 @@ let initial_preference ~f_init tms =
   | exception Invalid_argument _ -> fallback ()
 
 (* The block-coordinate descent every fitter runs, from [options.f_init]
-   and the preferences [p0]. [sweep ~weights f p] solves the activity and
-   preference blocks at forward fraction [f], starting from preferences
-   [p], and returns the new preferences and activities; [pref_at p t] is
+   and the preferences [p0]. [sweep ~weights ~prods f p] solves the
+   activity and preference blocks at forward fraction [f], starting from
+   preferences [p], returns the new preferences and activities, and leaves
+   every bin's products with its activities in [prods]; [pref_at p t] is
    bin t's preference vector. The descent then solves f, scores every bin,
    and stops once the surrogate improves by at most [tol] relative to the
    previous sweep's, or after [max_sweeps] sweeps (checked >= 1). *)
 let descend ws ~options ~sweep ~pref_at ~params p0 tms =
+  let bins = Array.length tms and n = Tm.size tms.(0) in
   let norms = bin_norms tms in
   let weights = weights_of_norms norms in
-  let errs = Ws.vec ws "fit.errs" (Array.length tms) in
+  let errs = Ws.vec ws "fit.errs" bins in
+  let d = Ws.vec ws "fit.terms" 4 in
+  let prods = (Ws.mat ws "fit.xa" bins n, Ws.mat ws "fit.xta" bins n) in
   let rec go f p prev sweeps =
-    let p, activities = sweep ~weights f p in
+    let p, activities = sweep ~weights ~prods f p in
     let preferences = pref_at p in
     let f =
       Option.value ~default:f
-        (solve_f ~bounds:options.f_bounds ~activities ~preferences ~weights tms)
+        (solve_f ~bounds:options.f_bounds d ~activities ~preferences ~weights
+           prods)
     in
-    let obj = errors_into ws errs ~f ~activities ~preferences norms tms in
+    let obj = errors_into errs d ~f ~activities ~preferences norms prods in
     let sweeps = sweeps + 1 in
     if
       sweeps >= options.max_sweeps
@@ -276,11 +267,17 @@ let bins_of series = Array.init (Series.length series) (Series.tm series)
 
 let fit_stable_fp_single ws ~options series =
   let tms = bins_of series in
-  let sweep ~weights f p =
+  let n = Series.size series in
+  let sweep ~weights ~prods f p =
     let activities = Array.map (activity_solver ws ~f ~p) tms in
-    normalize_preference_and_rescale
-      (solve_preference ws ~f ~activities ~weights tms)
-      activities
+    let g = Ws.zero_mat ws "fit.g" n n and c = Ws.zero_vec ws "fit.c" n in
+    Array.iteri
+      (fun t tm ->
+        add_preference ws prods ~g ~c ~f ~w:weights.(t) t tm activities.(t))
+      tms;
+    let p = nonneg_solver ws g c in
+    normalize ~lo:0 ~hi:(Array.length tms) p activities prods;
+    (p, activities)
   in
   descend ws ~options ~sweep
     ~pref_at:(fun p _ -> p)
@@ -293,21 +290,21 @@ let fit_stable_fp_single ws ~options series =
    subproblem, and an all-zero bin keeps the preference it had. *)
 let fit_stable_f_single ws ~options series =
   let tms = bins_of series in
-  let sweep ~weights f prefs =
+  let n = Series.size series in
+  let sweep ~weights ~prods f prefs =
     let acts =
       Array.mapi (fun t tm -> activity_solver ws ~f ~p:prefs.(t) tm) tms
     in
     let prefs =
       Array.mapi
         (fun t tm ->
-          if weights.(t) > 0. then begin
-            let p_raw =
-              solve_preference ws ~f ~activities:[| acts.(t) |] ~weights:[| 1. |]
-                [| tm |]
-            in
-            let p', acts' = normalize_preference_and_rescale p_raw [| acts.(t) |] in
-            acts.(t) <- acts'.(0);
-            p'
+          let g = Ws.zero_mat ws "fit.g" n n and c = Ws.zero_vec ws "fit.c" n in
+          let w = if weights.(t) > 0. then 1. else 0. in
+          add_preference ws prods ~g ~c ~f ~w t tm acts.(t);
+          if w > 0. then begin
+            let p = nonneg_solver ws g c in
+            normalize ~lo:t ~hi:(t + 1) p acts prods;
+            p
           end
           else prefs.(t))
         tms

@@ -7,29 +7,38 @@
     descent where every block subproblem is a constrained linear
     least-squares problem solved exactly:
 
-    - activities [A(t)]: one non-negative least-squares problem per bin
-      (the design has two nonzeros per row, so normal equations are
-      accumulated directly);
+    - activities [A(t)]: one non-negative least-squares problem per bin;
     - preferences [P]: one NNLS problem accumulated over all bins with
       per-bin weights [1 / ||X(t)||^2], then normalized to the simplex with
       the scale absorbed into the activities;
     - forward fraction [f]: a closed-form weighted scalar solve clamped to
       [[0, 1]].
 
+    The model of bin [t], [X = f A P^T + (1 - f) P A^T], is bilinear, so
+    each block's Gram matrix has a closed form in [(f, P)] or [(f, A(t))],
+    and its right-hand side needs the bin's matrix only through the
+    products [X z] and [X^T z]. A sweep therefore reads each bin's matrix
+    twice, once per block, and keeps [X A(t)] and [X^T A(t)]; the [f] solve
+    and every bin's error then cost O(n) per bin.
+
     Reported errors are the paper's RelL2, not the surrogate; each sweep
-    computes every bin's RelL2 once, without building the model matrix, and
-    its sum of squares is the sweep's objective. The three variants differ
-    only in which parameters the bins share, so they run one descent: the
-    stable-f fit solves one preference block per bin, and the time-varying
-    fit, which shares nothing across bins, is the stable-fP fit of each bin
-    alone. One fit run keeps its Gram matrices and factors in one
-    workspace, shared by every bin, sweep and basin. The activity Gram
-    depends only on [(f, P)], so a stable-fP sweep builds and factors it
-    once for all bins and accumulates only each bin's right-hand side; the
-    stable-f fit, whose [P] differs per bin, runs the same two steps once
-    per bin. Each Gram gets one {!Ic_linalg.Nnls.system} on its factor,
-    which a subproblem solves only when its unconstrained solve goes
-    negative, so a sweep's fallbacks share their passive-set factors.
+    computes every bin's RelL2 once, from the expanded norm
+    [||X||^2 - 2 <X, M> + ||M||^2] (floored at 0) without building the
+    model matrix [M], and its sum of squares is the sweep's objective. The
+    expansion cancels: on an exact fit a reported RelL2 has an absolute
+    rounding floor near [1e-8] rather than reading 0. The three variants
+    differ only in which parameters the bins share, so they run one
+    descent: the stable-f fit solves one preference block per bin, and the
+    time-varying fit, which shares nothing across bins, is the stable-fP
+    fit of each bin alone. One fit run keeps its Gram matrices, products
+    and factors in one workspace, shared by every bin, sweep and basin. The
+    activity Gram depends only on [(f, P)], so a stable-fP sweep builds and
+    factors it once for all bins and forms only each bin's right-hand side;
+    the stable-f fit, whose [P] differs per bin, runs the same two steps
+    once per bin. Each Gram gets one {!Ic_linalg.Nnls.system} on its
+    factor, which a subproblem solves only when its unconstrained solve
+    goes negative, so a sweep's fallbacks share their passive-set
+    factors.
 
     The simplified IC model has a near-symmetry exchanging activity and
     preference roles, [(f, A, P) ~ (1 - f, S P, A / S)], which creates a

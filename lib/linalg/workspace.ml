@@ -44,38 +44,30 @@ let zero_mat t name rows cols =
   Mat.fill m 0.;
   m
 
-(* y <- A x, same operation order as [Mat.mulv]. *)
-let gemv_inplace a x y =
-  let rows, cols = Mat.dims a in
-  if Array.length x <> cols then invalid_arg "Workspace.gemv_inplace: bad x";
-  if Array.length y <> rows then invalid_arg "Workspace.gemv_inplace: bad y";
-  let ad = a.Mat.data in
-  for i = 0 to rows - 1 do
-    let base = i * cols in
+(* u <- X z and v <- Xᵀ z for the row-major n x n array x, in one pass
+   over x: u in the operation order of [Mat.mulv], v in that of
+   [Mat.mulv_t], which skips the rows where z is zero. *)
+let mulv_pair x z u v =
+  let n = Array.length z in
+  if Array.length x <> n * n then invalid_arg "Workspace.mulv_pair: bad x";
+  if Array.length u <> n || Array.length v <> n then
+    invalid_arg "Workspace.mulv_pair: bad u or v";
+  Array.fill v 0 n 0.;
+  for i = 0 to n - 1 do
+    let base = i * n in
+    let zi = Array.unsafe_get z i in
     let acc = ref 0. in
-    for j = 0 to cols - 1 do
-      acc :=
-        !acc +. (Array.unsafe_get ad (base + j) *. Array.unsafe_get x j)
-    done;
-    Array.unsafe_set y i !acc
-  done
-
-(* y <- Aᵀ x, same operation order as [Mat.mulv_t]. *)
-let gemv_t_inplace a x y =
-  let rows, cols = Mat.dims a in
-  if Array.length x <> rows then invalid_arg "Workspace.gemv_t_inplace: bad x";
-  if Array.length y <> cols then invalid_arg "Workspace.gemv_t_inplace: bad y";
-  let ad = a.Mat.data in
-  Array.fill y 0 cols 0.;
-  for i = 0 to rows - 1 do
-    let base = i * cols in
-    let xi = Array.unsafe_get x i in
-    if xi <> 0. then
-      for j = 0 to cols - 1 do
-        Array.unsafe_set y j
-          (Array.unsafe_get y j
-          +. (Array.unsafe_get ad (base + j) *. xi))
+    if zi <> 0. then
+      for j = 0 to n - 1 do
+        let xij = Array.unsafe_get x (base + j) in
+        acc := !acc +. (xij *. Array.unsafe_get z j);
+        Array.unsafe_set v j (Array.unsafe_get v j +. (xij *. zi))
       done
+    else
+      for j = 0 to n - 1 do
+        acc := !acc +. (Array.unsafe_get x (base + j) *. Array.unsafe_get z j)
+      done;
+    Array.unsafe_set u i !acc
   done
 
 (* a <- a + alpha x xᵀ, both triangles (a stays symmetric). *)

@@ -35,12 +35,10 @@ val mat : t -> string -> int -> int -> Mat.t
 val zero_mat : t -> string -> int -> int -> Mat.t
 (** {!mat}, then fill with [0.]. *)
 
-val gemv_inplace : Mat.t -> Vec.t -> Vec.t -> unit
-(** [gemv_inplace a x y] sets [y <- A x]. Bit-identical to {!Mat.mulv}. *)
-
-val gemv_t_inplace : Mat.t -> Vec.t -> Vec.t -> unit
-(** [gemv_t_inplace a x y] sets [y <- Aᵀ x]. Bit-identical to
-    {!Mat.mulv_t}. *)
+val mulv_pair : float array -> Vec.t -> Vec.t -> Vec.t -> unit
+(** [mulv_pair x z u v] sets [u <- X z] and [v <- Xᵀ z] for the row-major
+    [n]x[n] array [x], [n = length z], in one pass over [x]. [u] is
+    bit-identical to {!Mat.mulv} and [v] to {!Mat.mulv_t}. *)
 
 val syr : alpha:float -> Vec.t -> Mat.t -> unit
 (** [syr ~alpha x a] performs the symmetric rank-1 update

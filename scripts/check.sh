@@ -93,7 +93,10 @@ perfbench all 1
 pin_counts stream-ic 1 'bins 6048, refit.count 21, fastpath hit/update/refactorize 5974/0/74, ipf.iterations 43328, clamped 125659, degrade.transitions 53, rel_l2_mean 0.289908'
 pin_counts stream-tomogravity 1 'bins 6048, refit.count 0, fastpath hit/update/refactorize 5997/0/51, ipf.iterations 33119, clamped 116834, degrade.transitions 50, rel_l2_mean 0.323513'
 perfbench stream-ic 7
-pin_counts stream-ic 7 'bins 6048, refit.count 21, fastpath hit/update/refactorize 5950/0/98, ipf.iterations 42857, clamped 128625, degrade.transitions 78, rel_l2_mean 0.291260'
+# clamped read 128625 before the refit moved to per-bin matrix-vector
+# products; their rounding-level drift in the fitted preferences moves one
+# clamp decision at this seed.
+pin_counts stream-ic 7 'bins 6048, refit.count 21, fastpath hit/update/refactorize 5950/0/98, ipf.iterations 42857, clamped 128624, degrade.transitions 78, rel_l2_mean 0.291260'
 perfbench stream-tomogravity 7
 pin_counts stream-tomogravity 7 'bins 6048, refit.count 0, fastpath hit/update/refactorize 5967/0/81, ipf.iterations 33262, clamped 116430, degrade.transitions 80, rel_l2_mean 0.325074'
 

@@ -105,22 +105,27 @@ let test_factorize_into_not_pd () =
 
 let test_workspace_kernels () =
   let rng = Ic_prng.Rng.create 104 in
-  let rows = 9 and cols = 6 in
-  let a = Mat.init rows cols (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
-  let x = Array.init cols (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
-  let y = Array.init rows (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
-  let out = Array.make rows 0. in
-  Workspace.gemv_inplace a x out;
-  Array.iteri (fun i v -> feq (Printf.sprintf "gemv[%d]" i) v out.(i)) (Mat.mulv a x);
-  let out_t = Array.make cols 1234. in
-  Workspace.gemv_t_inplace a y out_t;
+  let n = 9 in
+  let a = Mat.init n n (fun _ _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+  (* a zero entry of z exercises the row that Mat.mulv_t skips *)
+  let z =
+    Array.init n (fun i ->
+        if i = 3 then 0. else Ic_prng.Rng.float_range rng (-1.) 1.)
+  in
+  let y = Array.init n (fun _ -> Ic_prng.Rng.float_range rng (-1.) 1.) in
+  let u = Array.make n 1234. and v = Array.make n 1234. in
+  Workspace.mulv_pair a.Mat.data z u v;
+  let exact = Alcotest.(check (float 0.)) in
   Array.iteri
-    (fun i v -> feq (Printf.sprintf "gemv_t[%d]" i) v out_t.(i))
-    (Mat.mulv_t a y);
+    (fun i x -> exact (Printf.sprintf "X z [%d]" i) x u.(i))
+    (Mat.mulv a z);
+  Array.iteri
+    (fun i x -> exact (Printf.sprintf "Xᵀ z [%d]" i) x v.(i))
+    (Mat.mulv_t a z);
   (* syr: rank-1 update against the dense construction *)
-  let s = spd_matrix rng rows in
+  let s = spd_matrix rng n in
   let expected =
-    Mat.init rows rows (fun i j -> Mat.get s i j +. (0.5 *. y.(i) *. y.(j)))
+    Mat.init n n (fun i j -> Mat.get s i j +. (0.5 *. y.(i) *. y.(j)))
   in
   Workspace.syr ~alpha:0.5 y s;
   Alcotest.(check bool) "syr" true (Mat.approx_equal ~tol:1e-12 expected s)
@@ -320,7 +325,9 @@ let test_fit_matches_pgd () =
    the fit's scalars. The fitters' refactorings (shared factors, memoized
    passive sets, fused error passes) are all meant to repeat the same
    arithmetic in the same order, so these strings must not move; a change
-   that moves them on purpose re-pins them and says why. *)
+   that moves them on purpose re-pins them and says why. They record the
+   sweeps on per-bin matrix-vector products, whose rounding the tolerance
+   oracle below holds to the earlier scatter kernels'. *)
 let fit_pin ~f ~preference ~activity (r : _ Ic_core.Fit.fitted) =
   let b = Buffer.create 4096 in
   let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
@@ -359,30 +366,156 @@ let test_fit_bit_pins () =
     (fun (name, expected, got) -> Alcotest.(check string) name expected got)
     [
       ( "stable_fp cold",
-        "06c812f18820c846ee7a0f81cbabcbb0 mean 0x1.c1498b0154916p-6 sweeps 8 \
+        "44f83c9bbbf69e4487ff158498bf6457 mean 0x1.c1498b015401p-6 sweeps 8 \
          both true",
         stable_fp_pin cold );
       ( "stable_fp warm, guard quiet",
-        "d1922b134e00968800b470cf4059a1c3 mean 0x1.4e4e13e50afafp-5 sweeps 7 \
+        "84f63288fc4f50c58709e085bf630ac2 mean 0x1.4e4e13e50aea9p-5 sweeps 7 \
          both false",
         stable_fp_pin quiet );
       ( "stable_fp warm, guard fires",
-        "d1922b134e00968800b470cf4059a1c3 mean 0x1.4e4e13e50afafp-5 sweeps 7 \
+        "84f63288fc4f50c58709e085bf630ac2 mean 0x1.4e4e13e50aea9p-5 sweeps 7 \
          both true",
         stable_fp_pin firing );
       ( "stable_f",
-        "30861d6868a769e5a2a8e9d0215e055d mean 0x1.447b63942d00ap-5 sweeps 14 \
+        "f01bf13de25edb92f6ff3d5dc31980ff mean 0x1.447b63942d0ep-5 sweeps 14 \
          both true",
         fit_pin ~f:[| stable_f.params.f |]
           ~preference:stable_f.params.preference
           ~activity:stable_f.params.activity stable_f );
       ( "time_varying",
-        "e9d7f04433d80b53150c44058ecbd4ce mean 0x1.1ff8be9b4c64dp-5 sweeps 27 \
+        "8aa879a2a804c3e9fc497efdfa8661b5 mean 0x1.1ff8be9b4c4f6p-5 sweeps 27 \
          both true",
         fit_pin ~f:time_varying.params.f
           ~preference:time_varying.params.preference
           ~activity:time_varying.params.activity time_varying );
     ]
+
+(* --- Fit tolerance oracle --- *)
+
+(* A change that re-associates the fits' sums moves their bits at rounding
+   level only. This holds what such a change may not move, on the Géant
+   data the engine refits: a cold week fit, a chain of warm day-window
+   refits run as the engine runs them, a stable-f fit of two days and a
+   time-varying fit of 48 bins. Their f, preferences and mean errors must
+   stay within [oracle_tol] relative of the values recorded in
+   [fit_oracle.expected], and their sweep counts and basin flags exactly.
+   The stable-f preferences are held on every 24th bin, which keeps the
+   recorded file small. *)
+let oracle_tol = 1e-10
+
+type oracle = Floats of float array | Exact of string
+
+let oracle_fit name ~f ~preferences (r : _ Ic_core.Fit.fitted) =
+  ((name ^ ".f", Floats f)
+  :: List.map
+       (fun (suffix, p) -> (name ^ ".preference" ^ suffix, Floats p))
+       preferences)
+  @ [
+      (name ^ ".mean_error", Floats [| r.mean_error |]);
+      (name ^ ".sweeps", Exact (string_of_int r.sweeps));
+      (name ^ ".both_basins", Exact (string_of_bool r.both_basins));
+    ]
+
+let oracle_records () =
+  let week = (Ic_datasets.Geant.generate ~weeks:1 ()).series in
+  let day = 288 in
+  let stable_fp name (r : Ic_core.Params.stable_fp Ic_core.Fit.fitted) =
+    oracle_fit name ~f:[| r.params.f |]
+      ~preferences:[ ("", r.params.preference) ]
+      r
+  in
+  let cold = Ic_core.Fit.fit_stable_fp week in
+  (* Each refit starts from the previous fit's f, with its mean error as
+     the incumbent, and runs at most the engine's 6 sweeps. *)
+  let refits =
+    List.init (Series.length week / day) Fun.id
+    |> List.fold_left
+         (fun ((prev : Ic_core.Params.stable_fp Ic_core.Fit.fitted), acc) k ->
+           let r =
+             Ic_core.Fit.fit_stable_fp
+               ~options:
+                 {
+                   Ic_core.Fit.default_options with
+                   max_sweeps = 6;
+                   f_init = prev.params.f;
+                 }
+               ~incumbent:prev.mean_error
+               (Series.sub week ~pos:(k * day) ~len:day)
+           in
+           (r, acc @ [ r ]))
+         (cold, [])
+    |> snd
+  in
+  Alcotest.(check bool)
+    "a refit fires the guard" true
+    (List.exists (fun (r : _ Ic_core.Fit.fitted) -> r.both_basins) refits);
+  let stable_f =
+    Ic_core.Fit.fit_stable_f (Series.sub week ~pos:0 ~len:(2 * day))
+  in
+  let time_varying =
+    Ic_core.Fit.fit_time_varying (Series.sub week ~pos:0 ~len:48)
+  in
+  let at_bins step ps =
+    List.filter_map
+      (fun t ->
+        if t mod step = 0 then Some (Printf.sprintf ".%d" t, ps.(t)) else None)
+      (List.init (Array.length ps) Fun.id)
+  in
+  List.concat
+    [
+      stable_fp "week" cold;
+      List.concat
+        (List.mapi (fun k r -> stable_fp (Printf.sprintf "refit%d" k) r) refits);
+      oracle_fit "stable_f" ~f:[| stable_f.params.f |]
+        ~preferences:(at_bins 24 stable_f.params.preference) stable_f;
+      oracle_fit "time_varying" ~f:time_varying.params.f
+        ~preferences:(at_bins 1 time_varying.params.preference) time_varying;
+    ]
+
+(* One line per record: its key, then its values (floats to 17 digits). *)
+let oracle_line (key, v) =
+  let values =
+    match v with
+    | Floats xs -> Array.to_list (Array.map (Printf.sprintf "%.17g") xs)
+    | Exact s -> [ s ]
+  in
+  String.concat " " (key :: values)
+
+let test_fit_tolerance_oracle () =
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "fit_oracle.expected"
+  in
+  let expected =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let got = oracle_records () in
+  Alcotest.(check (list string))
+    "recorded keys"
+    (List.map (fun line -> List.hd (String.split_on_char ' ' line)) expected)
+    (List.map fst got);
+  List.iter2
+    (fun line (key, v) ->
+      match v with
+      | Exact _ -> Alcotest.(check string) key line (oracle_line (key, v))
+      | Floats xs ->
+          let values = List.tl (String.split_on_char ' ' line) in
+          Alcotest.(check int)
+            (key ^ " length") (List.length values) (Array.length xs);
+          List.iteri
+            (fun i s ->
+              let e = float_of_string s and x = xs.(i) in
+              let scale = Float.max (Float.abs x) (Float.abs e) in
+              if not (Float.abs (x -. e) <= oracle_tol *. scale) then
+                Alcotest.failf "%s[%d]: %.17g vs recorded %.17g (rel err %.3g)"
+                  key i x e
+                  (Float.abs (x -. e) /. scale))
+            values)
+    expected got
 
 (* --- Estimate_a.prior_series hoist --- *)
 
@@ -448,6 +581,8 @@ let () =
           Alcotest.test_case "stable_fp agrees with Pgd" `Quick
             test_fit_matches_pgd;
           Alcotest.test_case "fitter bit pins" `Quick test_fit_bit_pins;
+          Alcotest.test_case "tolerance oracle on Geant" `Quick
+            test_fit_tolerance_oracle;
           Alcotest.test_case "prior_series matches per-bin solves" `Quick
             test_prior_series_matches_per_bin;
         ] );
