@@ -128,7 +128,11 @@ let figure_tests =
            Ic_stats.Fit_dist.compare_tail_models preference_sample));
     Test.make ~name:"fig9/acf-daily-period"
       (Staged.stage (fun () ->
-           let series = Ic_traffic.Series.ingress_series fit_series 0 in
+           (* one node's fitted activity series, as Fig9 reads it *)
+           let activity = fitted.params.activity in
+           let series =
+             Array.init (Array.length activity) (fun t -> activity.(t).(0))
+           in
            Ic_timeseries.Acf.periodicity_strength series ~period:16));
     Test.make ~name:"fig11/tomogravity-one-bin"
       (Staged.stage (fun () ->

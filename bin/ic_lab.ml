@@ -1228,19 +1228,26 @@ open Cmdliner
 let names_of choices =
   Arg.enum (List.map (fun (name, _) -> (name, name)) choices)
 
-(* Count flags: a value below [least] is a usage error before any work
-   starts. *)
-let int_at_least least =
+(* Count flags: a value outside [least .. most] is a usage error before any
+   work starts. *)
+let int_in least most =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= least -> Ok n
+    | Some n when n >= least && n <= most -> Ok n
     | _ ->
         Error
           (`Msg
-             (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
-                least))
+             (if most = max_int then
+                Printf.sprintf "invalid value '%s', expected an integer >= %d"
+                  s least
+              else
+                Printf.sprintf
+                  "invalid value '%s', expected an integer in %d..%d" s least
+                  most))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let int_at_least least = int_in least max_int
 
 let pos_int = int_at_least 1
 
@@ -1892,7 +1899,7 @@ let serve_cmd =
   in
   let port =
     let doc = "TCP port on 127.0.0.1 when no --socket is given (0 = ephemeral)." in
-    Arg.(value & opt int 4317 & info [ "port" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt (int_in 0 65535) 4317 & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let workers =
     let doc = "Worker domains serving connections." in
@@ -1918,7 +1925,7 @@ let serve_cmd =
       "Drain and exit after N answered requests (run until SIGINT/SIGTERM \
        if omitted) — the deterministic shutdown tests rely on."
     in
-    Arg.(value & opt (some int) None & info [ "stop-after" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some pos_int) None & info [ "stop-after" ] ~docv:"N" ~doc)
   in
   let read_timeout =
     let doc = "Per-connection read timeout in seconds." in
@@ -1984,7 +1991,7 @@ let loadgen_cmd =
   in
   let port =
     let doc = "Server TCP port when no --socket is given." in
-    Arg.(value & opt int 4317 & info [ "port" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt (int_in 1 65535) 4317 & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let queries =
     let doc = "Number of queries to send." in

@@ -22,93 +22,6 @@ type general = {
   activity : Ic_linalg.Vec.t;
 }
 
-let ( let* ) = Result.bind
-
-let check_f f = if f < 0. || f > 1. || Float.is_nan f then Error "f out of [0,1]" else Ok ()
-
-let check_nonneg name v =
-  if Array.exists (fun x -> x < 0. || Float.is_nan x) v then
-    Error (name ^ " has negative or NaN entries")
-  else Ok ()
-
-let normalize_preference p =
-  let* () = check_nonneg "preference" p in
-  let s = Ic_linalg.Vec.sum p in
-  if s <= 0. then Error "preference sums to zero"
-  else Ok (Ic_linalg.Vec.scale (1. /. s) p)
-
-let check_activity n activity =
-  if Array.length activity = 0 then Error "no activity bins"
-  else begin
-    let bad =
-      Array.exists (fun a -> Array.length a <> n) activity
-    in
-    if bad then Error "activity dimension mismatch"
-    else
-      Array.fold_left
-        (fun acc a -> Result.bind acc (fun () -> check_nonneg "activity" a))
-        (Ok ()) activity
-  end
-
-let validate_stable_fp (p : stable_fp) =
-  let n = Array.length p.preference in
-  let* () = check_f p.f in
-  let* preference = normalize_preference p.preference in
-  let* () = check_activity n p.activity in
-  Ok { p with preference }
-
-let validate_stable_f (p : stable_f) =
-  let* () = check_f p.f in
-  if Array.length p.preference <> Array.length p.activity then
-    Error "preference/activity bin count mismatch"
-  else if Array.length p.activity = 0 then Error "no activity bins"
-  else begin
-    let n = Array.length p.preference.(0) in
-    let* () = check_activity n p.activity in
-    let rec normalize_all k acc =
-      if k < 0 then Ok acc
-      else
-        let* pk = normalize_preference p.preference.(k) in
-        normalize_all (k - 1) (pk :: acc)
-    in
-    let* prefs = normalize_all (Array.length p.preference - 1) [] in
-    Ok { p with preference = Array.of_list prefs }
-  end
-
-let validate_time_varying (p : time_varying) =
-  if
-    Array.length p.f <> Array.length p.activity
-    || Array.length p.preference <> Array.length p.activity
-  then Error "bin count mismatch across f/preference/activity"
-  else begin
-    let* () =
-      Array.fold_left
-        (fun acc f -> Result.bind acc (fun () -> check_f f))
-        (Ok ()) p.f
-    in
-    let* validated =
-      validate_stable_f { f = 0.; preference = p.preference; activity = p.activity }
-    in
-    Ok { p with preference = validated.preference }
-  end
-
-let validate_general (p : general) =
-  let n = Array.length p.preference in
-  let rows, cols = Ic_linalg.Mat.dims p.f_matrix in
-  if rows <> n || cols <> n then Error "f_matrix dimension mismatch"
-  else begin
-    let bad = ref false in
-    Ic_linalg.Mat.fold
-      (fun () x -> if x < 0. || x > 1. || Float.is_nan x then bad := true)
-      () p.f_matrix;
-    if !bad then Error "f_matrix entries out of [0,1]"
-    else
-      let* preference = normalize_preference p.preference in
-      let* () = check_nonneg "activity" p.activity in
-      if Array.length p.activity <> n then Error "activity dimension mismatch"
-      else Ok { p with preference }
-  end
-
 let bins (p : stable_fp) = Array.length p.activity
 
 let nodes (p : stable_fp) = Array.length p.preference

@@ -35,16 +35,6 @@ type general = {
 (** Equation 1 for a single bin: per-OD-pair forward fractions, for networks
     with routing asymmetry (paper Section 5.6). *)
 
-val validate_stable_fp : stable_fp -> (stable_fp, string) result
-(** Check ranges, dimensions, and preference normalization (re-normalizing
-    when the sum is positive but not 1). *)
-
-val validate_stable_f : stable_f -> (stable_f, string) result
-
-val validate_time_varying : time_varying -> (time_varying, string) result
-
-val validate_general : general -> (general, string) result
-
 val bins : stable_fp -> int
 
 val nodes : stable_fp -> int

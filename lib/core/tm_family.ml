@@ -11,8 +11,6 @@ let name = function
   | Uniform_normal -> "uniform-normal"
   | Nucci -> "nucci"
 
-let of_name s = List.find_opt (fun f -> name f = s) all
-
 type spec = {
   nodes : int;
   binning : Ic_timeseries.Timebin.t;

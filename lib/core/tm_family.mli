@@ -24,8 +24,6 @@ val all : t list
 val name : t -> string
 (** ["ic"], ["bimodal"], ["uniform-normal"], ["nucci"]. *)
 
-val of_name : string -> t option
-
 type spec = {
   nodes : int;
   binning : Ic_timeseries.Timebin.t;

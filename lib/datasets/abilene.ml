@@ -13,8 +13,6 @@ let node graph name =
   | Some i -> i
   | None -> invalid_arg ("Abilene: missing PoP " ^ name)
 
-let ipls t = node t.graph "IPLS"
-
 (* Generate connections between one node pair over the capture window plus
    a lead-in, then shift times so the capture starts at 0. Connections from
    the lead-in that are still alive at time 0 have no SYN inside the window

@@ -16,9 +16,6 @@ type t = {
 
 val default_seed : int
 
-val ipls : t -> int
-(** Node index of IPLS in the graph. *)
-
 val generate :
   ?seed:int ->
   ?duration_s:float ->

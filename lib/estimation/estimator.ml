@@ -17,12 +17,11 @@ type ctx = {
   ingress : Vec.t;
   egress : Vec.t;
   bin : int;
-  rung : int;
   weights : Vec.t option;
   ipf : ipf_tally;
 }
 
-let make_ctx ~routing ~plan ~link_loads ?(bin = 0) ?(rung = 0) () =
+let make_ctx ~routing ~plan ~link_loads ?(bin = 0) () =
   if not routing.Routing.with_marginals then
     invalid_arg "Estimator.make_ctx: routing must include marginal rows";
   if Array.length link_loads <> Routing.row_count routing then
@@ -35,7 +34,7 @@ let make_ctx ~routing ~plan ~link_loads ?(bin = 0) ?(rung = 0) () =
     Array.init n (fun j -> link_loads.(Routing.egress_row routing j))
   in
   let ipf = { iterations = 0; unconverged = 0 } in
-  { routing; plan; link_loads; ingress; egress; bin; rung; weights = None; ipf }
+  { routing; plan; link_loads; ingress; egress; bin; weights = None; ipf }
 
 (* ------------------------------------------------------------------ *)
 (* Serializable per-estimator state                                    *)

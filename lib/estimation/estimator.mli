@@ -31,9 +31,6 @@ type ctx = {
   ingress : Ic_linalg.Vec.t;  (** the marginal rows of [link_loads] *)
   egress : Ic_linalg.Vec.t;
   bin : int;  (** bin index within the host's stream or series *)
-  rung : int;
-      (** degradation-ladder rung the host is running at (0 = full
-          telemetry); estimators may consult it to cheapen stages *)
   weights : Ic_linalg.Vec.t option;
       (** least-squares weights for {!tomogravity_refine}: [None] weights
           by the prior being refined; the streaming engine passes the
@@ -51,7 +48,6 @@ val make_ctx :
   plan:Tomogravity.plan ->
   link_loads:Ic_linalg.Vec.t ->
   ?bin:int ->
-  ?rung:int ->
   unit ->
   ctx
 (** Derives the marginal views from [link_loads], with [weights = None]

@@ -2,8 +2,6 @@ type dataset_id = Geant | Totem
 
 type t = {
   stride : int;
-  weeks_geant : int;
-  weeks_totem : int;
   out_dir : string option;
   mutable geant : Ic_datasets.Dataset.t option;
   mutable totem : Ic_datasets.Dataset.t option;
@@ -12,20 +10,21 @@ type t = {
     (dataset_id * int, Ic_core.Params.stable_fp Ic_core.Fit.fitted) Hashtbl.t;
 }
 
-let create ?(stride = 1) ?(weeks_geant = 3) ?(weeks_totem = 7) ?out_dir () =
+(* Weeks generated per dataset, as in the paper. *)
+let weeks_geant = 3
+
+let weeks_totem = 7
+
+let create ?(stride = 1) ?out_dir () =
   if stride < 1 then invalid_arg "Context.create: stride must be >= 1";
   {
     stride;
-    weeks_geant;
-    weeks_totem;
     out_dir;
     geant = None;
     totem = None;
     abilene = None;
     fit_cache = Hashtbl.create 16;
   }
-
-let quick () = create ~stride:24 ()
 
 let stride t = t.stride
 
@@ -35,7 +34,7 @@ let geant t =
   match t.geant with
   | Some d -> d
   | None ->
-      let d = Ic_datasets.Geant.generate ~weeks:t.weeks_geant () in
+      let d = Ic_datasets.Geant.generate ~weeks:weeks_geant () in
       t.geant <- Some d;
       d
 
@@ -43,7 +42,7 @@ let totem t =
   match t.totem with
   | Some d -> d
   | None ->
-      let d = Ic_datasets.Totem.generate ~weeks:t.weeks_totem () in
+      let d = Ic_datasets.Totem.generate ~weeks:weeks_totem () in
       t.totem <- Some d;
       d
 

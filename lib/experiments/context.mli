@@ -6,19 +6,10 @@ type dataset_id = Geant | Totem
 
 type t
 
-val create :
-  ?stride:int ->
-  ?weeks_geant:int ->
-  ?weeks_totem:int ->
-  ?out_dir:string ->
-  unit ->
-  t
+val create : ?stride:int -> ?out_dir:string -> unit -> t
 (** [stride] keeps every k-th bin of each week (default 1 = full
-    resolution; the tests use larger strides for speed). Default weeks: 3
-    for Géant, 7 for Totem, as in the paper. *)
-
-val quick : unit -> t
-(** Heavily subsampled context for tests and smoke runs. *)
+    resolution; the tests use larger strides for speed). Géant gets 3
+    weeks and Totem 7, as in the paper. *)
 
 val stride : t -> int
 

@@ -164,8 +164,8 @@ let run ?estimators ?(folds = 3) ?(seed = 42) ?(stride = 21) ?(timing = true)
       List.map (fun r -> { r with dataset = ds }) (mark_frontier rows))
     datasets
 
-let render ?(out = stdout) ~folds ~seed ~stride ~timing rows =
-  let pr fmt = Printf.fprintf out fmt in
+let render ~folds ~seed ~stride ~timing rows =
+  let pr fmt = Printf.printf fmt in
   pr "shootout: folds=%d seed=%d stride=%d timing=%s\n" folds seed stride
     (if timing then "on" else "off");
   pr "%-9s %-22s %12s %10s  %s\n" "dataset" "estimator" "mean-RelL2" "us/bin"

@@ -26,14 +26,6 @@ type row = {
 val dataset_names : string list
 (** [["abilene"; "geant"; "totem"]]. *)
 
-val abilene_spec : ?weeks:int -> unit -> Ic_datasets.Dataset.spec
-(** The Geant generator rescaled onto the Abilene-like graph (11 nodes,
-    smaller aggregate, forward fraction in the Section 4 band). *)
-
-val spec_of_name : string -> Ic_datasets.Dataset.spec
-(** One-week spec for a dataset name. Raises [Invalid_argument] listing
-    {!dataset_names} on an unknown name. *)
-
 val run :
   ?estimators:string list ->
   ?folds:int ->
@@ -50,13 +42,7 @@ val run :
     estimator (listing the registry) or dataset. *)
 
 val render :
-  ?out:out_channel ->
-  folds:int ->
-  seed:int ->
-  stride:int ->
-  timing:bool ->
-  row list ->
-  unit
-(** Deterministic aligned table plus one [pareto <dataset>: ...] line per
-    dataset. With [timing:false] the latency column renders as [-] and the
-    output is bit-reproducible (what the cram test pins). *)
+  folds:int -> seed:int -> stride:int -> timing:bool -> row list -> unit
+(** Deterministic aligned table on stdout, plus one [pareto <dataset>: ...]
+    line per dataset. With [timing:false] the latency column renders as [-]
+    and the output is bit-reproducible (what the cram test pins). *)

@@ -190,10 +190,3 @@ let solve { l } b =
   done;
   y
 
-let log_det { l } =
-  let n, _ = Mat.dims l in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. log (Mat.get l i i)
-  done;
-  2. *. !acc

@@ -60,5 +60,3 @@ val solve_into_t : t -> lt:Mat.t -> Vec.t -> unit
     instead of stride-n column walks). Bit-identical to {!solve_into}:
     the same values are combined in the same order. *)
 
-val log_det : t -> float
-(** Log-determinant of [A]. *)

@@ -10,7 +10,13 @@ let off_diagonal_norm a n =
   done;
   sqrt !acc
 
-let decompose ?(max_sweeps = 50) ?(tol = 1e-12) input =
+(* Jacobi sweeps stop once the off-diagonal norm falls below [tol] relative
+   to the Frobenius norm, or after [max_sweeps]. *)
+let max_sweeps = 50
+
+let tol = 1e-12
+
+let decompose input =
   let n, cols = Mat.dims input in
   if n <> cols then invalid_arg "Eig.decompose: matrix not square";
   (* symmetrize defensively *)

@@ -5,12 +5,12 @@ type t = {
   eigenvectors : Mat.t;  (** column [k] pairs with eigenvalue [k]; orthonormal *)
 }
 
-val decompose : ?max_sweeps:int -> ?tol:float -> Mat.t -> t
+val decompose : Mat.t -> t
 (** [decompose a] diagonalizes the symmetric matrix [a] (only the lower
-    triangle is trusted; the matrix is symmetrized first). [max_sweeps]
-    bounds the Jacobi sweeps (default 50); [tol] is the off-diagonal target
-    relative to the Frobenius norm (default 1e-12). Raises
-    [Invalid_argument] on non-square input. *)
+    triangle is trusted; the matrix is symmetrized first). At most 50
+    Jacobi sweeps run, stopping once the off-diagonal norm is below 1e-12
+    of the Frobenius norm. Raises [Invalid_argument] on non-square
+    input. *)
 
 val reconstruct : t -> Mat.t
 (** [V diag(lambda) Vᵀ] — for testing. *)

@@ -41,9 +41,6 @@ let update m i j f =
   let k = (i * m.cols) + j in
   m.data.(k) <- f m.data.(k)
 
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
 
 let diag v =
@@ -57,10 +54,6 @@ let dims m = (m.rows, m.cols)
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
 let col m j = Array.init m.rows (fun i -> get m i j)
-
-let set_row m i v =
-  if Array.length v <> m.cols then invalid_arg "Mat.set_row: bad length";
-  Array.blit v 0 m.data (i * m.cols) m.cols
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
@@ -152,8 +145,6 @@ let gram a =
   g
 
 let frobenius m = Vec.nrm2 m.data
-
-let max_abs m = Vec.amax m.data
 
 let approx_equal ?tol a b =
   a.rows = b.rows && a.cols = b.cols

@@ -15,8 +15,6 @@ val init : int -> int -> (int -> int -> float) -> t
 val of_arrays : float array array -> t
 (** Build from an array of equal-length rows. *)
 
-val to_arrays : t -> float array array
-
 val identity : int -> t
 
 val diag : Vec.t -> t
@@ -48,8 +46,6 @@ val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 (** Copy of column [j]. *)
 
-val set_row : t -> int -> Vec.t -> unit
-
 val transpose : t -> t
 
 val add : t -> t -> t
@@ -71,8 +67,6 @@ val gram : t -> t
 (** [gram a] is [transpose a * a], exploiting symmetry. *)
 
 val frobenius : t -> float
-
-val max_abs : t -> float
 
 val approx_equal : ?tol:float -> t -> t -> bool
 

@@ -25,5 +25,3 @@ let simplex ?(total = 1.) v =
   else Array.map (fun x -> Float.max 0. (x -. !theta)) v
 
 let box ~lo ~hi x = Float.min hi (Float.max lo x)
-
-let nonneg = Vec.clamp_nonneg

@@ -8,6 +8,3 @@ val simplex : ?total:float -> Vec.t -> Vec.t
 
 val box : lo:float -> hi:float -> float -> float
 (** Clamp a scalar into [[lo, hi]]. *)
-
-val nonneg : Vec.t -> Vec.t
-(** Projection onto the non-negative orthant. *)

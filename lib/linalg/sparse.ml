@@ -122,13 +122,6 @@ let mulv_t t x =
   mulv_t_into t x ~into:y;
   y
 
-let scale_cols t d =
-  if Array.length d <> t.cols then invalid_arg "Sparse.scale_cols: bad vector";
-  {
-    t with
-    values = Array.mapi (fun k v -> v *. d.(t.col_idx.(k))) t.values;
-  }
-
 let row_iter t i f =
   if i < 0 || i >= t.rows then invalid_arg "Sparse.row_iter: bad row";
   for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do

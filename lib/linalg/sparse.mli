@@ -37,9 +37,6 @@ val mulv_t_into : t -> Vec.t -> into:Vec.t -> unit
 (** [mulv_t_into a x ~into] writes [aᵀ x] into [into] (length [cols a],
     zeroed first) without allocating. Bit-identical to {!mulv_t}. *)
 
-val scale_cols : t -> Vec.t -> t
-(** [scale_cols a d] is [a * diag d]. *)
-
 val row_iter : t -> int -> (int -> float -> unit) -> unit
 (** Iterate over the stored entries of one row. *)
 

@@ -65,13 +65,6 @@ let nrm2_diff x y =
     m *. sqrt !acc
   end
 
-let asum v =
-  let acc = ref 0. in
-  for i = 0 to Array.length v - 1 do
-    acc := !acc +. Float.abs v.(i)
-  done;
-  !acc
-
 let sum v =
   let acc = ref 0. in
   for i = 0 to Array.length v - 1 do

@@ -30,9 +30,6 @@ val nrm2 : t -> float
 val nrm2_diff : t -> t -> float
 (** [nrm2_diff x y] is [nrm2 (sub x y)] without allocating. *)
 
-val asum : t -> float
-(** Sum of absolute values. *)
-
 val sum : t -> float
 
 val mean : t -> float

@@ -27,9 +27,3 @@ let to_series connections ~n ~binning ~bins =
         ~row:c.responder ~col:c.initiator ~bytes:c.rev_bytes)
     connections;
   Ic_traffic.Series.make binning tms
-
-let expected_tm ~f ~activity ~preference =
-  let n = Array.length preference in
-  let p = Ic_linalg.Vec.normalize_sum preference in
-  Ic_traffic.Tm.init n (fun i j ->
-      (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i)))

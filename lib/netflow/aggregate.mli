@@ -14,12 +14,3 @@ val to_series :
     (a long transfer contributes to every bin it spans). Bytes falling
     outside the [0, bins) window are clipped — exactly what a
     fixed-duration collection sees. *)
-
-val expected_tm :
-  f:float ->
-  activity:Ic_linalg.Vec.t ->
-  preference:Ic_linalg.Vec.t ->
-  Ic_traffic.Tm.t
-(** The IC-model expectation of {!to_series}'s output for one bin given the
-    workload's parameters — i.e. Equation 2. Exposed so tests can check the
-    simulator converges to the model. *)

@@ -17,9 +17,6 @@ type t = {
   syn_ack : bool;  (** first packet from the responder *)
 }
 
-val mss : float
-(** Segment payload size used for packetization (1460 bytes). *)
-
 val of_connection : Connection.t -> t list
 (** Both directions of one connection: forward packets from the initiator's
     node, reverse packets from the responder's node, spread uniformly over

@@ -1,8 +1,3 @@
-let sample_packets rng ~rate packets =
-  if rate <= 0 then invalid_arg "Sampling.sample_packets: bad rate";
-  let p = 1. /. float_of_int rate in
-  List.filter (fun _ -> Ic_prng.Rng.float rng < p) packets
-
 let estimate_volume rng ~rate ~pkt_bytes v =
   if rate <= 0 then invalid_arg "Sampling.estimate_volume: bad rate";
   if pkt_bytes <= 0. then invalid_arg "Sampling.estimate_volume: bad packet size";
@@ -13,8 +8,3 @@ let estimate_volume rng ~rate ~pkt_bytes v =
     let sampled = Ic_prng.Sampler.poisson rng ~lambda in
     float_of_int sampled *. pkt_bytes *. float_of_int rate
   end
-
-let noisy_tm rng ~rate ~pkt_bytes tm =
-  let n = Ic_traffic.Tm.size tm in
-  Ic_traffic.Tm.init n (fun i j ->
-      estimate_volume rng ~rate ~pkt_bytes (Ic_traffic.Tm.get tm i j))

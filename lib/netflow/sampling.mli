@@ -2,9 +2,6 @@
     and D2 (1 packet in 1000). Sampling then inverting introduces the
     measurement noise that real TM data carries. *)
 
-val sample_packets : Ic_prng.Rng.t -> rate:int -> Packet.t list -> Packet.t list
-(** Keep each packet independently with probability [1/rate]. *)
-
 val estimate_volume :
   Ic_prng.Rng.t -> rate:int -> pkt_bytes:float -> float -> float
 (** [estimate_volume rng ~rate ~pkt_bytes v] simulates measuring a byte
@@ -13,9 +10,3 @@ val estimate_volume :
     [v / pkt_bytes / rate], and the estimate inverts the sampling. The
     estimator is unbiased with relative standard deviation
     [sqrt(rate * pkt_bytes / v)]. *)
-
-val noisy_tm :
-  Ic_prng.Rng.t -> rate:int -> pkt_bytes:float -> Ic_traffic.Tm.t ->
-  Ic_traffic.Tm.t
-(** Apply {!estimate_volume} to every OD entry — what a sampled-netflow
-    pipeline reports for a true TM. *)

@@ -169,8 +169,7 @@ let expose_float f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
-let expose ?(prefix = "") t =
-  let sanitize_name s = sanitize_name (prefix ^ s) in
+let expose t =
   let buf = Buffer.create 1024 in
   let header name help kind =
     if help <> "" then

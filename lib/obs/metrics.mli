@@ -89,8 +89,5 @@ val histograms : t -> (string * hist_snapshot) list
 val sanitize_name : string -> string
 (** Map to a legal Prometheus metric name; [""] becomes ["_"]. *)
 
-val expose : ?prefix:string -> t -> string
-(** Prometheus text exposition of every registered instrument. [prefix]
-    (default empty) is prepended to every metric name before
-    sanitization — multi-tenant hosts expose several registries in one
-    scrape body by prefixing each with its tenant. *)
+val expose : t -> string
+(** Prometheus text exposition of every registered instrument. *)

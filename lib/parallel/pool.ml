@@ -231,16 +231,6 @@ let map t ?chunk ~n f =
       out
   end
 
-let map_reduce t ?chunk ~n ~reduce ~init f =
-  if n < 0 then invalid_arg "Pool.map_reduce: negative length";
-  if n = 0 then init
-  else begin
-    let values = map t ?chunk ~n f in
-    (* Ordered reduction: a sequential fold over index order, independent
-       of which domain produced which value. *)
-    Array.fold_left reduce init values
-  end
-
 let shutdown t =
   if not t.stopping then begin
     Mutex.lock t.mutex;

@@ -12,10 +12,8 @@
       cursor; domains that find the queue empty (more domains than chunks)
       simply return.
     + {b Deterministic results.} [map] writes each result into its input's
-      slot and [map_reduce] folds the per-index results in index order
-      after the parallel phase completes, so the outcome is a pure function
-      of the inputs — never of the scheduling. Any run order gives results
-      bit-identical to [jobs = 1].
+      slot, so the outcome is a pure function of the inputs — never of the
+      scheduling. Any run order gives results bit-identical to [jobs = 1].
     + {b Per-domain scratch, never shared.} Each worker slot owns one
       {!Ic_linalg.Workspace.t} and one jump-ahead split of the pool's PRNG
       stream ({!Ic_prng.Rng.split}). Tasks address them by the [slot]
@@ -63,8 +61,8 @@ val run_chunks : t -> chunks:int -> (slot:int -> chunk:int -> unit) -> unit
     [chunk] in [0 .. chunks-1], distributed over the pool; [slot]
     identifies the worker (and its scratch state) executing the chunk.
     Returns when every chunk has finished. If any [f] raises, the first
-    exception is re-raised here after all domains drain. The primitive the
-    typed combinators below are built on. *)
+    exception is re-raised here after all domains drain. The primitive
+    {!map} is built on. *)
 
 val map : t -> ?chunk:int -> n:int -> (slot:int -> int -> 'a) -> 'a array
 (** [map t ~n f] is [Array.init n (f ~slot)] computed on the pool:
@@ -72,20 +70,6 @@ val map : t -> ?chunk:int -> n:int -> (slot:int -> int -> 'a) -> 'a array
     [chunk] is the number of consecutive indices per queue entry (default:
     [n] split ~4 ways per worker, min 1). Deterministic whenever [f]'s
     value depends only on [i] (and not on scratch-state history). *)
-
-val map_reduce :
-  t ->
-  ?chunk:int ->
-  n:int ->
-  reduce:('b -> 'a -> 'b) ->
-  init:'b ->
-  (slot:int -> int -> 'a) ->
-  'b
-(** [map_reduce t ~n ~reduce ~init f] computes [f ~slot i] for every [i]
-    on the pool, then folds the results {e sequentially in index order}:
-    [reduce (... (reduce init r0) ...) r(n-1)]. The ordered reduction
-    means [reduce] need not be commutative — float accumulation order is
-    fixed, so the result is bit-identical at every pool size. *)
 
 type slot_stats = {
   chunks : int;  (** chunks this slot ran (attempted ones included) *)

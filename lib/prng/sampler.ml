@@ -37,46 +37,3 @@ let poisson rng ~lambda =
     let r = Float.round x in
     if r < 0. then 0 else int_of_float r
   end
-
-let zipf rng ~s ~n =
-  if n <= 0 then invalid_arg "Sampler.zipf: n must be positive";
-  let weights = Array.init n (fun k -> (float_of_int (k + 1)) ** -.s) in
-  let total = Array.fold_left ( +. ) 0. weights in
-  let target = Rng.float rng *. total in
-  let rec scan k acc =
-    if k >= n - 1 then n
-    else begin
-      let acc = acc +. weights.(k) in
-      if target < acc then k + 1 else scan (k + 1) acc
-    end
-  in
-  scan 0 0.
-
-let categorical rng weights =
-  let n = Array.length weights in
-  if n = 0 then invalid_arg "Sampler.categorical: no weights";
-  let total = ref 0. in
-  Array.iter
-    (fun w ->
-      if w < 0. then invalid_arg "Sampler.categorical: negative weight";
-      total := !total +. w)
-    weights;
-  if !total <= 0. then invalid_arg "Sampler.categorical: zero total weight";
-  let target = Rng.float rng *. !total in
-  let rec scan k acc =
-    if k >= n - 1 then n - 1
-    else begin
-      let acc = acc +. weights.(k) in
-      if target < acc then k else scan (k + 1) acc
-    end
-  in
-  scan 0 0.
-
-let dirichlet_like rng ~concentration n =
-  if n <= 0 then invalid_arg "Sampler.dirichlet_like: n must be positive";
-  if concentration <= 0. then
-    invalid_arg "Sampler.dirichlet_like: concentration must be positive";
-  let sigma = 1. /. concentration in
-  let raw = Array.init n (fun _ -> lognormal rng ~mu:0. ~sigma) in
-  let total = Array.fold_left ( +. ) 0. raw in
-  Array.map (fun x -> x /. total) raw

@@ -23,14 +23,3 @@ val pareto : Rng.t -> alpha:float -> x_min:float -> float
 val poisson : Rng.t -> lambda:float -> int
 (** Knuth multiplication for small means, normal approximation (rounded,
     clamped at 0) beyond [lambda > 64] — adequate for workload counts. *)
-
-val zipf : Rng.t -> s:float -> n:int -> int
-(** Zipf-distributed rank in [[1, n]] with exponent [s], by inverse-CDF on
-    the precomputed normalizer. O(n) per call; use {!Alias} for hot loops. *)
-
-val categorical : Rng.t -> float array -> int
-(** Index drawn proportionally to the given non-negative weights. *)
-
-val dirichlet_like : Rng.t -> concentration:float -> int -> float array
-(** A random point on the simplex obtained by normalizing lognormal draws
-    with spread [1/concentration]: larger concentration, more uniform. *)

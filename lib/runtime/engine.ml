@@ -454,7 +454,6 @@ let estimate_bin t level ~effective ~ingress ~egress =
       ingress;
       egress;
       bin = t.bin;
-      rung = Degrade.rank level;
       weights = None;
       ipf = { iterations = 0; unconverged = 0 };
     }

@@ -25,11 +25,6 @@
 module Openloop : sig
   type cdf
 
-  val make_cdf : (float * float) list -> cdf
-  (** [(size_bytes, cumulative_prob)] points, sizes non-decreasing, probs
-      strictly increasing from exactly 0 to exactly 1. Raises
-      [Invalid_argument] otherwise. *)
-
   val dctcp : cdf
   (** The DCTCP empirical flow-size CDF (1M-sample production trace): 15%
       of flows under 10 kB, a heavy tail out to 30 MB. *)

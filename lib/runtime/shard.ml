@@ -100,8 +100,6 @@ let create ?(tracer = Trace.noop) ?supervise ?chaos ~pool specs =
   in
   { pool; tracer; supervise; chaos; shards = Array.of_list shards }
 
-let shard_count t = Array.length t.shards
-
 let names t = Array.to_list (Array.map (fun s -> s.name) t.shards)
 
 let engines t = Array.to_list (Array.map (fun s -> (s.name, s.engine)) t.shards)

@@ -75,8 +75,6 @@ val create :
     makes the step crash before touching the engine — how the crash paths
     are driven by tests and the chaos smoke without randomness. *)
 
-val shard_count : t -> int
-
 val names : t -> string list
 (** In spec order. *)
 

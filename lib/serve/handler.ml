@@ -7,7 +7,6 @@ module Tm = Ic_traffic.Tm
 type t = {
   sources : (string * Source.t) list;  (* tenant -> source, first is default *)
   registry : Metrics.t;
-  extra_registries : (string * Metrics.t) list;
   tracer : Trace.t;
   clock : unit -> float;
   duration : Metrics.histogram;
@@ -22,7 +21,7 @@ type t = {
 let query_kinds = [ "latest_tm"; "metrics"; "od_flow"; "ping"; "topology"; "whatif" ]
 
 let create ?(tracer = Trace.noop) ?(clock = Ic_obs.Clock.now) ?registry
-    ?(extra_registries = []) sources =
+    sources =
   if sources = [] then invalid_arg "Handler.create: no sources";
   let registry = match registry with Some r -> r | None -> Metrics.create () in
   (* Pre-register the full query taxonomy at 0 so GET /metrics exposes a
@@ -38,7 +37,6 @@ let create ?(tracer = Trace.noop) ?(clock = Ic_obs.Clock.now) ?registry
   {
     sources;
     registry;
-    extra_registries;
     tracer;
     clock;
     duration =
@@ -155,11 +153,4 @@ let handle t req =
 let metrics_body t =
   Metrics.inc t.requests;
   note_query t "metrics";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Metrics.expose t.registry);
-  List.iter
-    (fun (label, reg) ->
-      let prefix = if label = "" then "" else label ^ "_" in
-      Buffer.add_string buf (Metrics.expose ~prefix reg))
-    t.extra_registries;
-  Buffer.contents buf
+  Metrics.expose t.registry

@@ -13,15 +13,10 @@
 
 type t
 
-val query_kinds : string list
-(** The full query taxonomy, sorted: the [serve.query.<kind>] counters
-    pre-registered (at 0) by {!create}. *)
-
 val create :
   ?tracer:Ic_obs.Trace.t ->
   ?clock:(unit -> float) ->
   ?registry:Ic_obs.Metrics.t ->
-  ?extra_registries:(string * Ic_obs.Metrics.t) list ->
   (string * Source.t) list ->
   t
 (** [create sources] builds a handler for the given [(tenant, source)]
@@ -31,12 +26,9 @@ val create :
 
     [registry] (default: fresh) hosts the serve-plane instruments —
     passing the registry already shared with an engine's
-    {!Ic_runtime.Telemetry} puts both planes in one scrape body.
-    [extra_registries] are additional [(label, registry)] pairs appended
-    to {!metrics_body}, each prefixed with [label ^ "_"] (empty label:
-    no prefix) — the multi-tenant exposition path. [clock] (default
-    [Ic_obs.Clock.now], the monotonic wall clock) feeds the duration
-    histogram; injectable for deterministic tests. *)
+    {!Ic_runtime.Telemetry} puts both planes in one scrape body. [clock]
+    (default [Ic_obs.Clock.now], the monotonic wall clock) feeds the
+    duration histogram; injectable for deterministic tests. *)
 
 val registry : t -> Ic_obs.Metrics.t
 
@@ -46,8 +38,8 @@ val handle : t -> Wire.request -> Wire.response
     [Wire.Error] responses, never exceptions. *)
 
 val metrics_body : t -> string
-(** The [GET /metrics] body: this handler's registry exposed first, then
-    each extra registry under its prefix. Counted as a [metrics] query. *)
+(** The [GET /metrics] body: this handler's registry exposed. Counted as
+    a [metrics] query. *)
 
 (** {1 Transport-side accounting}
 
@@ -60,10 +52,6 @@ val note_shed : t -> Wire.shed_scope -> unit
 val note_malformed : t -> unit
 val note_timeout : t -> unit
 val note_connection : t -> unit
-
-val note_query : t -> string -> unit
-(** Increment [serve.query.<kind>] directly — for query kinds answered
-    outside {!handle} (the HTTP metrics path). *)
 
 val counters : t -> (string * int) list
 (** All counters in the handler's registry, sorted by name. *)

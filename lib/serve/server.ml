@@ -236,6 +236,13 @@ let start ?(on_drain = fun () -> ()) config handler =
   if config.queue_cap < 1 then invalid_arg "Server.start: queue_cap must be >= 1";
   if config.max_inflight < 0 then
     invalid_arg "Server.start: max_inflight must be >= 0";
+  (match config.listen with
+  | Tcp (_, port) when port < 0 || port > 65535 ->
+      invalid_arg "Server.start: TCP port must lie in 0..65535"
+  | Tcp _ | Unix_path _ -> ());
+  (match config.stop_after with
+  | Some n when n < 1 -> invalid_arg "Server.start: stop_after must be >= 1"
+  | Some _ | None -> ());
   (* A peer closing mid-write must surface as EPIPE, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (match config.listen with

@@ -53,9 +53,10 @@ type t
 val start : ?on_drain:(unit -> unit) -> config -> Handler.t -> t
 (** Bind, listen, and spawn the acceptor and worker domains. [on_drain]
     runs at the end of {!wait}, after every domain has joined — the hook
-    where the host flushes checkpoints. Raises [Invalid_argument] on a
-    non-positive worker or queue bound and [Unix.Unix_error] if the bind
-    fails. *)
+    where the host flushes checkpoints. Raises [Invalid_argument], before
+    anything is bound, on a non-positive worker or queue bound, a negative
+    [max_inflight], a TCP port outside 0..65535 or a [stop_after] below 1,
+    and [Unix.Unix_error] if the bind fails. *)
 
 val stop : t -> unit
 (** Initiate graceful drain (idempotent, callable from any domain — or a
@@ -72,8 +73,6 @@ val address : t -> Unix.sockaddr
 (** The bound address — how a test learns an ephemeral port. *)
 
 (** {1 Client-side helpers} *)
-
-val sockaddr_of_listen : listen -> Unix.sockaddr
 
 val connect : listen -> Unix.file_descr
 (** A connected blocking-mode client socket. *)

@@ -42,9 +42,6 @@ type error_code =
   | Frame_too_large  (** declared length above the server's cap *)
   | Draining  (** server is shutting down; queued work is refused *)
 
-val error_code_name : error_code -> string
-(** Stable kebab-case name, used in JSON responses and logs. *)
-
 type shed_scope =
   | Connection  (** accept queue full: the whole connection was refused *)
   | Request  (** per-connection inflight cap hit: retry this request *)
@@ -99,10 +96,6 @@ val json_of_request : request -> string
 (** One-line JSON object (no trailing newline). *)
 
 val json_of_response : response -> string
-
-val response_kind_of_json : string -> (string, string) result
-(** The ["t"] field of a JSON response line — enough for the load
-    generator to tally response taxonomy without a full decoder. *)
 
 (** {1 HTTP} *)
 

@@ -1,19 +1,20 @@
 type interval = { estimate : float; lo : float; hi : float }
 
-let ci_of ?(replicates = 1000) ?(confidence = 0.95) rng statistic xs =
+let replicates = 1000
+
+let confidence = 0.95
+
+let mean_ci rng xs =
   let n = Array.length xs in
-  if n = 0 then invalid_arg "Bootstrap.ci_of: empty sample";
-  if confidence <= 0. || confidence >= 1. then
-    invalid_arg "Bootstrap.ci_of: confidence must lie in (0,1)";
-  if replicates < 10 then invalid_arg "Bootstrap.ci_of: too few replicates";
-  let estimate = statistic xs in
+  if n = 0 then invalid_arg "Bootstrap.mean_ci: empty sample";
+  let estimate = Descriptive.mean xs in
   let resample = Array.make n 0. in
   let stats =
     Array.init replicates (fun _ ->
         for k = 0 to n - 1 do
           resample.(k) <- xs.(Ic_prng.Rng.int rng n)
         done;
-        statistic resample)
+        Descriptive.mean resample)
   in
   let alpha = (1. -. confidence) /. 2. in
   {
@@ -21,9 +22,3 @@ let ci_of ?(replicates = 1000) ?(confidence = 0.95) rng statistic xs =
     lo = Descriptive.quantile stats alpha;
     hi = Descriptive.quantile stats (1. -. alpha);
   }
-
-let mean_ci ?replicates ?confidence rng xs =
-  ci_of ?replicates ?confidence rng Descriptive.mean xs
-
-let quantile_ci ?replicates ?confidence rng ~q xs =
-  ci_of ?replicates ?confidence rng (fun s -> Descriptive.quantile s q) xs

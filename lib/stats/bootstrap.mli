@@ -3,30 +3,6 @@
 
 type interval = { estimate : float; lo : float; hi : float }
 
-val mean_ci :
-  ?replicates:int ->
-  ?confidence:float ->
-  Ic_prng.Rng.t ->
-  float array ->
-  interval
-(** Percentile bootstrap CI for the mean (default 1000 replicates, 95%
-    confidence). Raises [Invalid_argument] on empty input or confidence
-    outside (0, 1). *)
-
-val quantile_ci :
-  ?replicates:int ->
-  ?confidence:float ->
-  Ic_prng.Rng.t ->
-  q:float ->
-  float array ->
-  interval
-(** Same for an arbitrary quantile. *)
-
-val ci_of :
-  ?replicates:int ->
-  ?confidence:float ->
-  Ic_prng.Rng.t ->
-  (float array -> float) ->
-  float array ->
-  interval
-(** Generic percentile bootstrap for any statistic. *)
+val mean_ci : Ic_prng.Rng.t -> float array -> interval
+(** Percentile bootstrap CI for the mean: 1000 replicates, 95%
+    confidence. Raises [Invalid_argument] on empty input. *)

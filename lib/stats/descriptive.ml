@@ -70,8 +70,3 @@ let histogram ?(bins = 20) xs =
       counts.(k) <- counts.(k) + 1)
     xs;
   { edges; counts }
-
-let coefficient_of_variation xs =
-  let m = mean xs in
-  if m = 0. then invalid_arg "Descriptive.coefficient_of_variation: zero mean";
-  stddev xs /. m

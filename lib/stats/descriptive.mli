@@ -27,6 +27,3 @@ type histogram = { edges : float array; counts : int array }
 
 val histogram : ?bins:int -> float array -> histogram
 (** Equal-width histogram (default 20 bins). *)
-
-val coefficient_of_variation : float array -> float
-(** [stddev / mean]; raises if the mean is zero. *)

@@ -27,17 +27,6 @@ let lognormal_mle xs =
   let sigma = sqrt (!acc /. n) in
   { mu; sigma = Float.max sigma 1e-12 }
 
-let exponential_log_likelihood { rate } xs =
-  Array.fold_left (fun acc x -> acc +. log rate -. (rate *. x)) 0. xs
-
-let lognormal_log_likelihood { mu; sigma } xs =
-  let c = -.log (sigma *. sqrt (2. *. Float.pi)) in
-  Array.fold_left
-    (fun acc x ->
-      let z = (log x -. mu) /. sigma in
-      acc +. c -. log x -. (0.5 *. z *. z))
-    0. xs
-
 type comparison = {
   exp_fit : exponential;
   logn_fit : lognormal;

@@ -14,10 +14,6 @@ val lognormal_mle : float array -> lognormal
 (** [mu, sigma] are the mean and (population) standard deviation of the log
     data. Raises [Invalid_argument] if any sample is non-positive. *)
 
-val exponential_log_likelihood : exponential -> float array -> float
-
-val lognormal_log_likelihood : lognormal -> float array -> float
-
 type comparison = {
   exp_fit : exponential;
   logn_fit : lognormal;

@@ -12,25 +12,3 @@ let distance sample cdf =
     d := Float.max !d (Float.max (Float.abs (f -. lo)) (Float.abs (f -. hi)))
   done;
   !d
-
-let two_sample a b =
-  if Array.length a = 0 || Array.length b = 0 then
-    invalid_arg "Ks.two_sample: empty sample";
-  let xa = Array.copy a and xb = Array.copy b in
-  Array.sort compare xa;
-  Array.sort compare xb;
-  let na = Array.length xa and nb = Array.length xb in
-  let fa i = float_of_int i /. float_of_int na in
-  let fb j = float_of_int j /. float_of_int nb in
-  let rec walk i j d =
-    if i >= na || j >= nb then d
-    else begin
-      let i', j' =
-        if xa.(i) < xb.(j) then (i + 1, j)
-        else if xa.(i) > xb.(j) then (i, j + 1)
-        else (i + 1, j + 1)
-      in
-      walk i' j' (Float.max d (Float.abs (fa i' -. fb j')))
-    end
-  in
-  walk 0 0 0.

@@ -14,38 +14,4 @@ let autocorrelation xs lag =
   done;
   !num /. !denom
 
-let acf xs ~max_lag = Array.init (max_lag + 1) (autocorrelation xs)
-
-(* For smooth series the autocorrelation decays from ~1 at tiny lags, so the
-   raw argmax is always lag 1. The period of interest is the first peak
-   after the initial decay: skip to the first local minimum, then take the
-   argmax beyond it. *)
-let dominant_period xs ~max_lag =
-  if max_lag < 1 then invalid_arg "Acf.dominant_period: max_lag must be >= 1";
-  let values = acf xs ~max_lag in
-  let first_trough = ref max_lag in
-  (try
-     for lag = 1 to max_lag - 1 do
-       if values.(lag + 1) > values.(lag) then begin
-         first_trough := lag;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !first_trough >= max_lag then begin
-    (* monotone decay: no periodic structure; report the raw argmax *)
-    let best = ref 1 in
-    for lag = 2 to max_lag do
-      if values.(lag) > values.(!best) then best := lag
-    done;
-    !best
-  end
-  else begin
-    let best = ref (!first_trough + 1) in
-    for lag = !first_trough + 1 to max_lag do
-      if values.(lag) > values.(!best) then best := lag
-    done;
-    !best
-  end
-
 let periodicity_strength xs ~period = autocorrelation xs period

@@ -6,15 +6,6 @@ val autocorrelation : float array -> int -> float
     (biased estimator, denominator n). Raises [Invalid_argument] if the lag
     is out of range or the series is constant. *)
 
-val acf : float array -> max_lag:int -> float array
-(** Autocorrelations for lags [0 .. max_lag]. *)
-
-val dominant_period : float array -> max_lag:int -> int
-(** The first autocorrelation peak after the initial decay (the raw argmax
-    is always lag 1 for smooth series) — for a diurnal series binned at 5
-    minutes this should be ~288. Falls back to the raw argmax when the
-    autocorrelation decays monotonically (no periodic structure). *)
-
 val periodicity_strength : float array -> period:int -> float
 (** Autocorrelation at exactly the claimed period; near 1 means strongly
     periodic. *)

@@ -113,9 +113,3 @@ let generate t binning rng ~bins =
         (t.residual_phi *. !log_noise)
         +. Ic_prng.Sampler.normal rng ~mu:0. ~sigma:innov;
       value)
-
-let reconstruction_error t binning xs =
-  let fitted = Array.mapi (fun k _ -> envelope t binning k) xs in
-  let denom = Ic_linalg.Vec.nrm2 xs in
-  if denom <= 0. then invalid_arg "Cyclo_fit.reconstruction_error: zero series";
-  Ic_linalg.Vec.nrm2_diff xs fitted /. denom

@@ -29,7 +29,3 @@ val envelope : t -> Timebin.t -> int -> float
 val generate : t -> Timebin.t -> Ic_prng.Rng.t -> bins:int -> float array
 (** Sample a synthetic continuation with the fitted envelope and AR(1)
     lognormal residuals. *)
-
-val reconstruction_error : t -> Timebin.t -> float array -> float
-(** Relative l2 distance between the envelope and the data — how much of
-    the series the deterministic part explains. *)

@@ -28,8 +28,6 @@ let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 
 let fmod a b = a - (b * fdiv a b)
 
-let bin_of_seconds t s = fdiv s t.width_s
-
 let hour_of_day t k =
   let s = fmod (seconds_of_bin t k) seconds_per_day in
   float_of_int s /. 3600.
@@ -39,7 +37,3 @@ let day_of_week t k = fmod (fdiv (seconds_of_bin t k) seconds_per_day) 7
 let is_weekend t k =
   let d = day_of_week t k in
   d = 5 || d = 6
-
-let week_of_bin t k = fdiv k (bins_per_week t)
-
-let bin_in_week t k = fmod k (bins_per_week t)

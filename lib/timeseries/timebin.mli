@@ -21,11 +21,6 @@ val bins_per_week : t -> int
 val seconds_of_bin : t -> int -> int
 (** Start time in seconds since the epoch of bin [k]. *)
 
-val bin_of_seconds : t -> int -> int
-(** Floor semantics: negative times (before the epoch) map to negative bin
-    indices, so [bin_of_seconds t (-1) = -1], not 0. Sliding windows that
-    reach past the epoch rely on this. *)
-
 val hour_of_day : t -> int -> float
 (** Fractional hour of day in [[0, 24)] at the bin's start. Well-defined for
     negative bin indices (calendar semantics: bin [-1] ends at midnight). *)
@@ -35,11 +30,3 @@ val day_of_week : t -> int -> int
     just before the epoch is a Sunday. *)
 
 val is_weekend : t -> int -> bool
-
-val week_of_bin : t -> int -> int
-(** Week index containing bin [k] (floor semantics, so bin [-1] is in week
-    [-1]). *)
-
-val bin_in_week : t -> int -> int
-(** Offset of bin [k] within its week, in [[0, bins_per_week)] for any [k] —
-    the index streaming windows use when they span a weekend rollover. *)

@@ -144,8 +144,6 @@ let row_count t = Ic_linalg.Sparse.rows t.matrix
 
 let od_count t = Ic_linalg.Sparse.cols t.matrix
 
-let edge_row _t id = id
-
 let require_marginals t name =
   if not t.with_marginals then
     invalid_arg (Printf.sprintf "Routing.%s: built without marginal rows" name)

@@ -47,9 +47,6 @@ val row_count : t -> int
 
 val od_count : t -> int
 
-val edge_row : t -> int -> int
-(** Row index of a physical edge id (identity; for clarity at call sites). *)
-
 val ingress_row : t -> int -> int
 (** Row index of node [i]'s ingress count. Raises if built without
     marginals. *)

@@ -58,29 +58,6 @@ let abilene_like () =
   let g = Graph.create ~names:abilene_names in
   link_all g abilene_links abilene_names
 
-let random_mesh rng ~n ~avg_degree =
-  if n < 2 then invalid_arg "Topologies.random_mesh: need at least 2 nodes";
-  if avg_degree < 1. then
-    invalid_arg "Topologies.random_mesh: average degree must be >= 1";
-  let names = Array.init n (fun i -> Printf.sprintf "pop%d" i) in
-  let g = ref (Graph.create ~names) in
-  (* random spanning tree: attach each node to a uniformly chosen earlier one *)
-  for v = 1 to n - 1 do
-    let u = Ic_prng.Rng.int rng v in
-    g := Graph.add_link !g u v
-  done;
-  let target_links =
-    int_of_float (Float.round (avg_degree *. float_of_int n /. 2.))
-  in
-  let attempts = ref 0 in
-  while Graph.edge_count !g / 2 < target_links && !attempts < 50 * n do
-    incr attempts;
-    let u = Ic_prng.Rng.int rng n and v = Ic_prng.Rng.int rng n in
-    if u <> v && Option.is_none (Graph.find_edge !g ~src:u ~dst:v) then
-      g := Graph.add_link !g u v
-  done;
-  !g
-
 let star ~n =
   if n < 2 then invalid_arg "Topologies.star: need at least 2 nodes";
   let names = Array.init n (fun i -> if i = 0 then "hub" else Printf.sprintf "spoke%d" i) in

@@ -17,10 +17,6 @@ val abilene_like : unit -> Graph.t
 (** 12 PoPs including IPLS, CLEV and KSCY with the instrumented link pair of
     dataset D3. *)
 
-val random_mesh : Ic_prng.Rng.t -> n:int -> avg_degree:float -> Graph.t
-(** Random connected backbone: a spanning tree plus random extra links until
-    the average (undirected) degree is reached. Node names are [pop0] ... *)
-
 val star : n:int -> Graph.t
 (** A hub-and-spoke topology with node 0 as hub; minimal useful topology for
     tests. *)

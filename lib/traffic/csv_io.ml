@@ -6,23 +6,6 @@ let with_in path f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
 
-let write_table ~path ~header rows =
-  let width = List.length header in
-  List.iter
-    (fun row ->
-      if List.length row <> width then
-        invalid_arg "Csv_io.write_table: ragged row")
-    rows;
-  with_out path (fun oc ->
-      output_string oc (String.concat "," header);
-      output_char oc '\n';
-      List.iter
-        (fun row ->
-          output_string oc
-            (String.concat "," (List.map (Printf.sprintf "%.17g") row));
-          output_char oc '\n')
-        rows)
-
 let split_line line = String.split_on_char ',' (String.trim line)
 
 let read_table ~path =

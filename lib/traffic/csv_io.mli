@@ -2,12 +2,9 @@
     enough to export experiment outputs and round-trip datasets without any
     external dependency. *)
 
-val write_table : path:string -> header:string list -> float list list -> unit
-(** Write rows of numbers under a header line. Raises [Sys_error] on I/O
-    failure and [Invalid_argument] on ragged rows. *)
-
 val read_table : path:string -> string list * float list list
-(** Read back a table written by {!write_table}. Raises [Failure] on
+(** Read a header line and rows of numbers, as
+    {!Ic_report.Series_out.to_csv} writes them. Raises [Failure] on
     malformed numeric cells. *)
 
 val write_series : path:string -> Series.t -> unit

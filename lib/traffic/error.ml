@@ -12,12 +12,6 @@ let rel_l2_series truth estimate =
   Array.init (Series.length truth) (fun k ->
       rel_l2_temporal (Series.tm truth k) (Series.tm estimate k))
 
-let rel_l2_spatial truth estimate i j =
-  let xt = Series.od_series truth i j and xe = Series.od_series estimate i j in
-  let denom = Ic_linalg.Vec.nrm2 xt in
-  if denom <= 0. then invalid_arg "Error.rel_l2_spatial: all-zero OD series";
-  Ic_linalg.Vec.nrm2_diff xt xe /. denom
-
 let improvement_pct ~baseline ~candidate =
   if baseline <= 0. then invalid_arg "Error.improvement_pct: bad baseline";
   100. *. (baseline -. candidate) /. baseline

@@ -9,10 +9,6 @@ val rel_l2_temporal : Tm.t -> Tm.t -> float
 val rel_l2_series : Series.t -> Series.t -> float array
 (** Per-bin temporal errors across a series. *)
 
-val rel_l2_spatial : Series.t -> Series.t -> int -> int -> float
-(** Relative l2 error of one OD pair across time (the complementary spatial
-    metric of Soule et al.): [||x_ij(.) - xhat_ij(.)|| / ||x_ij(.)||]. *)
-
 val improvement_pct : baseline:float -> candidate:float -> float
 (** [100 * (baseline - candidate) / baseline]: positive when the candidate
     has smaller error. Raises on non-positive baseline. *)

@@ -24,41 +24,8 @@ let weeks t =
   let n_weeks = length t / per_week in
   List.init n_weeks (fun w -> sub t ~pos:(w * per_week) ~len:per_week)
 
-let ingress_series t i =
-  Array.map (fun tm -> (Marginals.ingress tm).(i)) t.tms
-
-let egress_series t j =
-  Array.map (fun tm -> (Marginals.egress tm).(j)) t.tms
-
 let od_series t i j = Array.map (fun tm -> Tm.get tm i j) t.tms
 
 let total_series t = Array.map Tm.total t.tms
-
-let coarsen ~factor t =
-  if factor < 1 then invalid_arg "Series.coarsen: factor must be >= 1";
-  if factor = 1 then t
-  else begin
-    let binning =
-      Ic_timeseries.Timebin.make
-        ~width_s:(t.binning.Ic_timeseries.Timebin.width_s * factor)
-    in
-    let groups = length t / factor in
-    if groups = 0 then invalid_arg "Series.coarsen: series shorter than factor";
-    let n = size t in
-    let tms =
-      Array.init groups (fun g ->
-          let acc = Tm.create n in
-          for k = 0 to factor - 1 do
-            let src = t.tms.((g * factor) + k) in
-            for i = 0 to n - 1 do
-              for j = 0 to n - 1 do
-                Tm.add_to acc i j (Tm.get src i j)
-              done
-            done
-          done;
-          acc)
-    in
-    make binning tms
-  end
 
 let map f t = { t with tms = Array.map f t.tms }

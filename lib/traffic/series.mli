@@ -22,19 +22,8 @@ val sub : t -> pos:int -> len:int -> t
 val weeks : t -> t list
 (** Split into whole weeks (trailing partial week dropped). *)
 
-val ingress_series : t -> int -> float array
-(** Time series of one node's ingress count. *)
-
-val egress_series : t -> int -> float array
-
 val od_series : t -> int -> int -> float array
 
 val total_series : t -> float array
-
-val coarsen : factor:int -> t -> t
-(** Aggregate consecutive bins: [coarsen ~factor:3] turns 5-minute bins
-    into 15-minute bins by summing volumes (trailing partial group
-    dropped). Raises [Invalid_argument] if the factor does not divide into
-    a valid bin width or is < 1. *)
 
 val map : (Tm.t -> Tm.t) -> t -> t

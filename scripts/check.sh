@@ -15,20 +15,57 @@ if [ -n "$(git ls-files _build 2>/dev/null)" ]; then
   exit 1
 fi
 
+# Values and modules under lib/ that only tests and benches call, kept
+# because tests use them to check other code. One entry a line: a module
+# (`Mod`) or a value (`Mod.value`), then why the tests keep it. The caller
+# steps below skip these, and fail on an entry that production now uses or
+# that nothing under test/ or bench/ names, so the list holds only live
+# oracles, fixtures and observers.
+exempt_list() {
+  cat <<'EOF'
+Flow                       oracle: the flow table Trace.measure_f's matching is checked against
+Nnls.kkt_violation         oracle: KKT residual the NNLS solutions are checked with
+Estimator.state_equal      oracle: compares estimator states across checkpoint round trips
+Model.predicted_ingress    oracle: closed-form ingress marginals of the IC model
+Model.predicted_egress     oracle: closed-form egress marginals of the IC model
+Sparse.of_dense            oracle: dense reference for the CSR kernels
+Sparse.to_dense            oracle: dense reference for the CSR kernels
+Error.rel_l2_series        oracle: per-bin errors of a whole series
+Csv_io.read_table          oracle: reads back the CSV Series_out writes
+Topologies.star            fixture: the smallest routed topology
+Mat.of_arrays              fixture: literal matrices for the linalg tests
+Snmp.ideal                 fixture: the noiseless SNMP poller
+Shard.default_supervise    fixture: supervision settings for the fleet tests
+Degrade.transition_count   observer: ladder transitions recorded so far
+Feed.breaker_state         observer: the feed's circuit-breaker state
+Shard.merged_counters      observer: fleet-wide counters after a run
+EOF
+}
+exempt_modules=$(exempt_list | awk '$1 !~ /\./ { print $1 }')
+
 echo "== every lib/ module has a caller =="
 # A module under lib/ counts as called when a .ml file under lib/, bin/,
 # examples/ or perfbench/, other than its own, names it as `Module.`.
 # Tests and benches do not count: a module only they reach is a kernel
 # production never turns on, and belongs deleted. The match is by name, so
 # a module sharing its name with another (Trace, Synth) passes on either.
-# Ic_netflow.Flow is exempt: it is the tests' oracle for Trace.measure_f's
-# matching.
+called() {  # called <module> <own file>: does production name <module>.?
+  grep -rlE --include='*.ml' "(^|[^A-Za-z0-9_'])$1\\." \
+    lib bin examples perfbench | grep -qvxF "$2"
+}
 uncalled=""
 for mli in lib/*/*.mli; do
-  [ "$mli" = lib/netflow/flow.mli ] && continue
   mod=$(basename "$mli" .mli | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
-  if ! grep -rlE --include='*.ml' "(^|[^A-Za-z0-9_'])$mod\\." \
-      lib bin examples perfbench | grep -qvxF "${mli%.mli}.ml"; then
+  if printf '%s\n' "$exempt_modules" | grep -qxF "$mod"; then
+    if called "$mod" "${mli%.mli}.ml"; then
+      echo "check.sh: exempt module $mod is called by production; drop it from the exempt list" >&2
+      exit 1
+    fi
+    if ! grep -rqE --include='*.ml' "(^|[^A-Za-z0-9_'])$mod\\." test bench; then
+      echo "check.sh: exempt module $mod is named by nothing under test/ or bench/; delete it" >&2
+      exit 1
+    fi
+  elif ! called "$mod" "${mli%.mli}.ml"; then
     uncalled="$uncalled $mod"
   fi
 done
@@ -37,6 +74,85 @@ if [ -n "$uncalled" ]; then
   exit 1
 fi
 echo "every lib/ module has a caller"
+
+echo "== every lib/ value has a caller =="
+# A `val` in a lib/*/*.mli counts as called when its name occurs as a word
+# more than once in the .ml files under lib/, bin/, examples/ and
+# perfbench/, string and character literals stripped: somewhere besides its
+# own `let`. Its own module counts, since dune's dev profile already fails
+# the build on an unexported value nothing uses (warning 32). A name shared
+# by two values keeps both, so the rule can miss a dead value but never
+# flags a live one. Like the module step, it is a scan and needs no build.
+words() {  # words <tag> <dir>...: "<tag> <word>" for every word of the .ml files
+  tag=$1
+  shift
+  find "$@" -name '*.ml' -exec awk -v tag="$tag" '
+    FNR == 1 { instr = 0; inquoted = 0 }
+    {
+      s = $0; out = ""; n = length(s)
+      for (i = 1; i <= n; i++) {
+        c = substr(s, i, 1)
+        if (inquoted) {
+          if (c == "|" && substr(s, i + 1, 1) == "}") { inquoted = 0; i++ }
+          continue
+        }
+        if (instr) {
+          if (c == "\\") i++
+          else if (c == "\"") instr = 0
+          continue
+        }
+        if (c == "\"") { instr = 1; out = out " "; continue }
+        if (c == "{" && substr(s, i + 1, 1) == "|") { inquoted = 1; i++; continue }
+        if (c == "\047") {  # a character literal: skip it, quotes included
+          if (substr(s, i + 1, 1) == "\\") {
+            j = index(substr(s, i + 3), "\047")
+            if (j > 0) { i += 2 + j; out = out " "; continue }
+          } else if (substr(s, i + 2, 1) == "\047") { i += 2; out = out " "; continue }
+        }
+        out = out c
+      }
+      gsub(/[^A-Za-z0-9_\047]+/, " ", out)
+      m = split(out, w, " ")
+      for (k = 1; k <= m; k++) print tag, w[k]
+    }' {} +
+}
+value_errors=$(
+  {
+    words P lib bin examples perfbench
+    words T test bench
+    exempt_list | awk '{ print "E", $1 }'
+    for mli in lib/*/*.mli; do
+      mod=$(basename "$mli" .mli | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+      awk -v mod="$mod" '/^[ \t]*val[ \t]+[a-z_]/ {
+        name = $2; sub(/:.*/, "", name); print "V", mod, name }' "$mli"
+    done
+  } | awk '
+    $1 == "P" { prod[$2]++; next }
+    $1 == "T" { tested[$2]++; next }
+    $1 == "E" { exempt[$2] = 1; next }
+    $1 == "V" {
+      if ($2 in exempt) next
+      v = $2 "." $3
+      if (v in exempt) {
+        seen[v] = 1
+        if (prod[$3] > 1)
+          print "exempt value " v " is now used by production; drop it from the exempt list"
+        if (!($3 in tested))
+          print "exempt value " v " is named by nothing under test/ or bench/; delete it"
+      } else if (prod[$3] < 2) uncalled = uncalled " " v
+    }
+    END {
+      for (v in exempt)
+        if (v ~ /\./ && !(v in seen))
+          print "exempt value " v " is declared in no lib/ .mli; drop it from the exempt list"
+      if (uncalled != "")
+        print "nothing in production calls these lib/ values:" uncalled
+    }')
+if [ -n "$value_errors" ]; then
+  printf '%s\n' "$value_errors" | sed 's/^/check.sh: /' >&2
+  exit 1
+fi
+echo "every lib/ value has a caller"
 
 echo "== dune build =="
 dune build

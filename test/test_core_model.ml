@@ -150,40 +150,6 @@ let test_dof () =
   Alcotest.(check int) "stable f" 89 (Params.dof_stable_f ~n:22 ~t:2);
   Alcotest.(check int) "stable fP" 67 (Params.dof_stable_fp ~n:22 ~t:2)
 
-let test_validate_stable_fp () =
-  let good : Params.stable_fp =
-    { f = 0.2; preference = [| 2.; 2. |]; activity = [| [| 1.; 2. |] |] }
-  in
-  (match Params.validate_stable_fp good with
-  | Ok p -> feq "renormalized" 0.5 p.preference.(0)
-  | Error e -> Alcotest.fail e);
-  let bad_f = { good with f = 1.5 } in
-  (match Params.validate_stable_fp bad_f with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error for f out of range");
-  let bad_act = { good with activity = [| [| -1.; 2. |] |] } in
-  match Params.validate_stable_fp bad_act with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error for negative activity"
-
-let test_validate_general () =
-  let good : Params.general =
-    {
-      f_matrix = Ic_linalg.Mat.init 2 2 (fun _ _ -> 0.3);
-      preference = [| 1.; 1. |];
-      activity = [| 1.; 2. |];
-    }
-  in
-  (match Params.validate_general good with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let bad =
-    { good with f_matrix = Ic_linalg.Mat.init 2 2 (fun _ _ -> 1.2) }
-  in
-  match Params.validate_general bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error for f_ij out of range"
-
 let () =
   Alcotest.run "ic_core_model"
     [
@@ -211,8 +177,5 @@ let () =
       ( "params",
         [
           Alcotest.test_case "degrees of freedom" `Quick test_dof;
-          Alcotest.test_case "validate stable-fP" `Quick
-            test_validate_stable_fp;
-          Alcotest.test_case "validate general" `Quick test_validate_general;
         ] );
     ]

@@ -36,7 +36,6 @@ let test_vec_nrm2 () =
 
 let test_vec_misc () =
   feq "sum" 6. (Vec.sum [| 1.; 2.; 3. |]);
-  feq "asum" 6. (Vec.asum [| -1.; 2.; -3. |]);
   feq "mean" 2. (Vec.mean [| 1.; 2.; 3. |]);
   feq "amax" 3. (Vec.amax [| -3.; 2. |]);
   Alcotest.(check int) "max_index" 1 (Vec.max_index [| 1.; 5.; 3. |]);
@@ -107,12 +106,6 @@ let test_chol_ridge () =
   let ch = Ic_linalg.Chol.factorize_ridge ~ridge:1e-8 a in
   let x = Ic_linalg.Chol.solve ch [| 2.; 2. |] in
   feq_tol 1e-3 "consistent solve" 2. (x.(0) +. x.(1))
-
-let test_chol_log_det () =
-  let a = Mat.diag [| 2.; 3. |] in
-  match Ic_linalg.Chol.factorize a with
-  | Ok ch -> feq_tol 1e-9 "log det" (log 6.) (Ic_linalg.Chol.log_det ch)
-  | Error _ -> Alcotest.fail "diag is SPD"
 
 (* --- Nnls --- *)
 
@@ -249,19 +242,13 @@ let test_sparse_triplets () =
     (Invalid_argument "Sparse.of_triplets: entry (2,0) out of 2x2") (fun () ->
       ignore (Ic_linalg.Sparse.of_triplets ~rows:2 ~cols:2 [ (2, 0, 1.) ]))
 
-let test_sparse_transpose_scale () =
+let test_sparse_transpose () =
   let d = random_mat 4 6 in
   let s = Ic_linalg.Sparse.of_dense d in
   Alcotest.(check bool)
     "transpose" true
     (Mat.approx_equal (Mat.transpose d)
-       (Ic_linalg.Sparse.to_dense (Ic_linalg.Sparse.transpose s)));
-  let diag = Array.init 6 (fun i -> float_of_int (i + 1)) in
-  let scaled = Ic_linalg.Sparse.scale_cols s diag in
-  let expected = Mat.mul d (Mat.diag diag) in
-  Alcotest.(check bool)
-    "scale_cols" true
-    (Mat.approx_equal ~tol:1e-10 expected (Ic_linalg.Sparse.to_dense scaled))
+       (Ic_linalg.Sparse.to_dense (Ic_linalg.Sparse.transpose s)))
 
 (* --- Eig --- *)
 
@@ -356,7 +343,6 @@ let () =
           Alcotest.test_case "solve" `Quick test_chol_solve;
           Alcotest.test_case "not PD" `Quick test_chol_not_pd;
           Alcotest.test_case "ridge" `Quick test_chol_ridge;
-          Alcotest.test_case "log det" `Quick test_chol_log_det;
         ] );
       ( "nnls",
         [
@@ -378,8 +364,7 @@ let () =
           Alcotest.test_case "dense roundtrip" `Quick test_sparse_roundtrip;
           Alcotest.test_case "mulv" `Quick test_sparse_mulv;
           Alcotest.test_case "triplets" `Quick test_sparse_triplets;
-          Alcotest.test_case "transpose/scale" `Quick
-            test_sparse_transpose_scale;
+          Alcotest.test_case "transpose" `Quick test_sparse_transpose;
         ] );
       ( "eig",
         [

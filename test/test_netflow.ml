@@ -214,25 +214,6 @@ let test_sampling_zero () =
   let rng = Ic_prng.Rng.create 17 in
   feq "zero" 0. (Nf.Sampling.estimate_volume rng ~rate:1000 ~pkt_bytes:700. 0.)
 
-let test_sample_packets () =
-  let rng = Ic_prng.Rng.create 19 in
-  let pkts =
-    List.concat_map Nf.Packet.of_connection
-      (List.init 50 (fun k -> { (sample_connection ()) with id = k }))
-  in
-  let sampled = Nf.Sampling.sample_packets rng ~rate:10 pkts in
-  let ratio = float_of_int (List.length sampled) /. float_of_int (List.length pkts) in
-  feq_tol 0.05 "about 1/10 kept" 0.1 ratio
-
-let test_noisy_tm () =
-  let rng = Ic_prng.Rng.create 23 in
-  let tm = Ic_traffic.Tm.init 3 (fun _ _ -> 1e9) in
-  let noisy = Nf.Sampling.noisy_tm rng ~rate:1000 ~pkt_bytes:700. tm in
-  Alcotest.(check bool)
-    "close but not equal" true
-    (Float.abs (Ic_traffic.Tm.total noisy -. 9e9) < 2e8
-    && not (Ic_traffic.Tm.approx_equal tm noisy))
-
 (* --- Aggregate --- *)
 
 let test_aggregate_to_series () =
@@ -295,9 +276,8 @@ let test_aggregate_matches_model () =
     done
   done;
   let expected =
-    Nf.Aggregate.expected_tm
-      ~f:(Nf.App_mix.aggregate_f mix)
-      ~activity ~preference
+    Ic_core.Model.simplified ~f:(Nf.App_mix.aggregate_f mix) ~activity
+      ~preference
   in
   let err = Ic_traffic.Error.rel_l2_temporal expected mean_tm in
   Alcotest.(check bool) "within 15% of Equation 2" true (err < 0.15)
@@ -342,8 +322,6 @@ let () =
         [
           Alcotest.test_case "unbiased" `Quick test_sampling_unbiased;
           Alcotest.test_case "zero" `Quick test_sampling_zero;
-          Alcotest.test_case "packet sampling" `Quick test_sample_packets;
-          Alcotest.test_case "noisy tm" `Quick test_noisy_tm;
         ] );
       ( "aggregate",
         [

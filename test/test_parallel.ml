@@ -58,12 +58,7 @@ let test_empty_work () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let out = Pool.map pool ~n:0 (fun ~slot:_ _ -> assert false) in
       Alcotest.(check int) "empty map" 0 (Array.length out);
-      Pool.run_chunks pool ~chunks:0 (fun ~slot:_ ~chunk:_ -> assert false);
-      let sum =
-        Pool.map_reduce pool ~n:0 ~reduce:( + ) ~init:42 (fun ~slot:_ _ ->
-            assert false)
-      in
-      Alcotest.(check int) "empty reduce is init" 42 sum)
+      Pool.run_chunks pool ~chunks:0 (fun ~slot:_ ~chunk:_ -> assert false))
 
 let test_fewer_chunks_than_domains () =
   (* 2 chunks on a 4-worker pool: the surplus domains must find the queue
@@ -101,15 +96,6 @@ let test_exception_propagates_after_drain () =
       Alcotest.(check bool) "some tasks ran" true (Atomic.get ran >= 1);
       let out = Pool.map pool ~n:5 (fun ~slot:_ i -> 2 * i) in
       Alcotest.(check (array int)) "pool survives" [| 0; 2; 4; 6; 8 |] out)
-
-let test_map_reduce_ordered () =
-  (* A non-commutative reduction: order sensitivity would show instantly. *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let s =
-        Pool.map_reduce pool ~chunk:1 ~n:9 ~reduce:( ^ ) ~init:""
-          (fun ~slot:_ i -> string_of_int i)
-      in
-      Alcotest.(check string) "index order fold" "012345678" s)
 
 let test_per_slot_scratch_distinct () =
   Pool.with_pool ~jobs:3 ~seed:7 (fun pool ->
@@ -299,8 +285,6 @@ let () =
             test_fewer_chunks_than_domains;
           Alcotest.test_case "exception after drain" `Quick
             test_exception_propagates_after_drain;
-          Alcotest.test_case "ordered map_reduce" `Quick
-            test_map_reduce_ordered;
           Alcotest.test_case "per-slot scratch distinct" `Quick
             test_per_slot_scratch_distinct;
           Alcotest.test_case "shutdown rejects" `Quick test_shutdown_rejects;

@@ -156,34 +156,6 @@ let test_poisson () =
   feq_tol 2. "large mean (normal approx)" 300. mean_large;
   Alcotest.(check int) "zero mean" 0 (Sampler.poisson rng ~lambda:0.)
 
-let test_categorical () =
-  let rng = Rng.create 37 in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 10_000 do
-    let k = Sampler.categorical rng [| 1.; 2.; 7. |] in
-    counts.(k) <- counts.(k) + 1
-  done;
-  feq_tol 0.02 "p0" 0.1 (float_of_int counts.(0) /. 10_000.);
-  feq_tol 0.03 "p1" 0.2 (float_of_int counts.(1) /. 10_000.);
-  feq_tol 0.03 "p2" 0.7 (float_of_int counts.(2) /. 10_000.)
-
-let test_zipf () =
-  let rng = Rng.create 41 in
-  let counts = Array.make 5 0 in
-  for _ = 1 to 20_000 do
-    let k = Sampler.zipf rng ~s:1.2 ~n:5 in
-    Alcotest.(check bool) "in [1,5]" true (k >= 1 && k <= 5);
-    counts.(k - 1) <- counts.(k - 1) + 1
-  done;
-  Alcotest.(check bool) "rank 1 most frequent" true
-    (counts.(0) > counts.(1) && counts.(1) > counts.(2))
-
-let test_dirichlet_like () =
-  let rng = Rng.create 43 in
-  let p = Sampler.dirichlet_like rng ~concentration:5. 6 in
-  feq_tol 1e-12 "sums to one" 1. (Array.fold_left ( +. ) 0. p);
-  Alcotest.(check bool) "positive" true (Array.for_all (fun x -> x > 0.) p)
-
 let test_alias () =
   let rng = Rng.create 47 in
   let alias = Ic_prng.Alias.create [| 3.; 1.; 6. |] in
@@ -246,9 +218,6 @@ let () =
           Alcotest.test_case "lognormal" `Quick test_lognormal;
           Alcotest.test_case "pareto" `Quick test_pareto;
           Alcotest.test_case "poisson" `Quick test_poisson;
-          Alcotest.test_case "categorical" `Quick test_categorical;
-          Alcotest.test_case "zipf" `Quick test_zipf;
-          Alcotest.test_case "dirichlet-like" `Quick test_dirichlet_like;
         ] );
       ( "alias",
         [

@@ -154,14 +154,6 @@ let test_families_deterministic () =
       done)
     Tm_family.all
 
-let test_family_names_roundtrip () =
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "roundtrip" true
-        (Tm_family.of_name (Tm_family.name f) = Some f))
-    Tm_family.all;
-  Alcotest.(check bool) "unknown" true (Tm_family.of_name "zipf" = None)
-
 (* --- Schedule / Timeline ------------------------------------------------- *)
 
 let test_schedule_validation () =
@@ -548,7 +540,6 @@ let () =
         [
           Alcotest.test_case "well-formed" `Quick test_families_well_formed;
           Alcotest.test_case "deterministic" `Quick test_families_deterministic;
-          Alcotest.test_case "names" `Quick test_family_names_roundtrip;
         ] );
       ( "timeline",
         [

@@ -544,6 +544,32 @@ let test_on_drain_hook () =
   Server.wait server;
   Alcotest.(check bool) "on_drain ran" true !flushed
 
+(* A TCP port outside 0..65535 or a [stop_after] below 1 is refused before
+   anything is bound: the port would otherwise wrap onto another one, and
+   [stop_after = Some 0] would drain after the first answer. *)
+let test_start_rejects_bad_config () =
+  let handler = Handler.create [ ("geant", make_source ()) ] in
+  let refused config =
+    match Server.start config handler with
+    | exception Invalid_argument _ -> true
+    | server ->
+        Server.stop server;
+        Server.wait server;
+        false
+  in
+  List.iter
+    (fun port ->
+      Alcotest.(check bool)
+        (Printf.sprintf "port %d refused" port)
+        true
+        (refused (Server.default_config (Server.Tcp ("127.0.0.1", port)))))
+    [ -1; 65536; 70000 ];
+  let path = temp_sock () in
+  Alcotest.(check bool) "stop_after 0 refused" true
+    (refused
+       { (Server.default_config (Server.Unix_path path)) with stop_after = Some 0 });
+  Alcotest.(check bool) "nothing bound" false (Sys.file_exists path)
+
 let test_http_metrics () =
   let server, listen, _ = start_server () in
   let fd = Server.connect listen in
@@ -653,6 +679,8 @@ let () =
           Alcotest.test_case "graceful drain via stop_after" `Quick
             test_graceful_drain;
           Alcotest.test_case "on_drain hook" `Quick test_on_drain_hook;
+          Alcotest.test_case "start rejects bad port or stop_after" `Quick
+            test_start_rejects_bad_config;
           Alcotest.test_case "http metrics endpoint" `Quick test_http_metrics;
           Alcotest.test_case "malformed over socket" `Quick
             test_malformed_over_socket;

@@ -72,8 +72,6 @@ let test_series () =
   let sub = Series.sub s ~pos:2 ~len:3 in
   Alcotest.(check int) "sub length" 3 (Series.length sub);
   feq "sub content" (3. *. 5.) (Tm.get (Series.tm sub 0) 1 1);
-  let ing = Series.ingress_series s 0 in
-  feq "ingress series" 12. ing.(1);
   let od = Series.od_series s 1 2 in
   feq "od series" 18. od.(2);
   let tot = Series.total_series s in
@@ -87,20 +85,6 @@ let test_series_weeks () =
       (Array.init (2 * per_week) (fun _ -> Tm.init 2 (fun _ _ -> 1.)))
   in
   Alcotest.(check int) "two weeks" 2 (List.length (Series.weeks s))
-
-let test_series_coarsen () =
-  let s = make_series 7 in
-  let c = Series.coarsen ~factor:3 s in
-  Alcotest.(check int) "groups" 2 (Series.length c);
-  Alcotest.(check int) "bin width" 900
-    c.Series.binning.Ic_timeseries.Timebin.width_s;
-  (* first group sums bins 0,1,2 whose scales are 1,2,3 *)
-  feq "summed entries" (6. *. 5.) (Tm.get (Series.tm c 0) 1 1);
-  (* trailing partial group (bin 6) dropped *)
-  feq "second group" (15. *. 5.) (Tm.get (Series.tm c 1) 1 1);
-  Alcotest.check_raises "bad factor"
-    (Invalid_argument "Series.coarsen: factor must be >= 1") (fun () ->
-      ignore (Series.coarsen ~factor:0 s))
 
 let test_error_metrics () =
   let truth = sample_tm () in
@@ -116,23 +100,12 @@ let test_error_metrics () =
 let test_error_series () =
   let s = make_series 4 in
   let errs = Ic_traffic.Error.rel_l2_series s s in
-  Alcotest.(check bool) "all zero" true (Array.for_all (fun e -> e = 0.) errs);
-  feq "spatial identical" 0. (Ic_traffic.Error.rel_l2_spatial s s 1 2)
+  Alcotest.(check bool) "all zero" true (Array.for_all (fun e -> e = 0.) errs)
 
 let with_tmp f =
   let path = Filename.temp_file "ic_test" ".csv" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
-
-let test_csv_table_roundtrip () =
-  with_tmp (fun path ->
-      let header = [ "a"; "b" ] in
-      let rows = [ [ 1.5; 2.25 ]; [ -3.; 4e9 ] ] in
-      Ic_traffic.Csv_io.write_table ~path ~header rows;
-      let header', rows' = Ic_traffic.Csv_io.read_table ~path in
-      Alcotest.(check (list string)) "header" header header';
-      Alcotest.(check int) "rows" 2 (List.length rows');
-      feq "cell" 4e9 (List.nth (List.nth rows' 1) 1))
 
 let test_csv_series_roundtrip () =
   with_tmp (fun path ->
@@ -164,7 +137,6 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_series;
           Alcotest.test_case "weeks" `Quick test_series_weeks;
-          Alcotest.test_case "coarsen" `Quick test_series_coarsen;
         ] );
       ( "error",
         [
@@ -173,7 +145,6 @@ let () =
         ] );
       ( "csv",
         [
-          Alcotest.test_case "table roundtrip" `Quick test_csv_table_roundtrip;
           Alcotest.test_case "series roundtrip" `Quick
             test_csv_series_roundtrip;
         ] );
