@@ -24,5 +24,14 @@ val fit :
     (default 200 iterations, relative tolerance 1e-9). The column targets
     are rescaled to the row-target total (measurements are never exactly
     consistent). Rows or columns with a positive target but no mass are
-    seeded uniformly so IPF can converge. Raises [Invalid_argument] on
-    dimension mismatch or negative targets. *)
+    seeded uniformly so IPF can converge.
+
+    An iteration reads the matrix twice. The row pass scales each row by
+    its target over its sum and adds the scaled entries into the column
+    sums. The column pass scales each column the same way and adds up the
+    row and column sums, which the convergence check and the next row pass
+    read. Every sum is added from 0 in index order, as a pass per sum
+    would add it.
+
+    Raises [Invalid_argument] on dimension mismatch, on negative targets
+    and on non-finite targets (NaN or infinite). *)

@@ -294,21 +294,32 @@ let estimate_with_plan ?(solver = Cholesky) ?weights plan ~link_loads ~prior =
               let u, _stats = Ic_linalg.Cg.solve apply (Vec.copy rhs) in
               u)
     in
+    (* x = max(0, x0 + w∘(Rᵀu)), one OD pair at a time. Its entry of Rᵀu
+       is gathered down the pair's column of the plan's CSC view, rows
+       ascending and zero entries of u skipped: the terms and order of
+       [Sparse.mulv_t_into]'s scatter. The CSC view is the plan's own, [u]
+       has rhs's length m, and the checks above cover the rest, so the
+       gather reads unchecked. *)
     Trace.with_span tracer "tomogravity.clamp" (fun () ->
-        let corr = Workspace.vec ws "corr" n_od in
-        Sparse.mulv_t_into r u ~into:corr;
-        let out = Workspace.vec ws "out" n_od in
+        let out = Ic_traffic.Tm.create n in
+        let od = Ic_traffic.Tm.unsafe_data out in
+        let col_ptr = plan.col_ptr
+        and col_rows = plan.col_rows
+        and col_vals = plan.col_vals in
         let clamped = ref 0 in
         for s = 0 to n_od - 1 do
-          let v =
-            Array.unsafe_get x0 s
-            +. (Array.unsafe_get w s *. Array.unsafe_get corr s)
-          in
-          if v < 0. then incr clamped;
-          Array.unsafe_set out s v
+          let acc = ref 0. in
+          let hi = Array.unsafe_get col_ptr (s + 1) - 1 in
+          for k = Array.unsafe_get col_ptr s to hi do
+            let ui = Array.unsafe_get u (Array.unsafe_get col_rows k) in
+            if ui <> 0. then acc := !acc +. (Array.unsafe_get col_vals k *. ui)
+          done;
+          let v = Array.unsafe_get x0 s +. (Array.unsafe_get w s *. !acc) in
+          if v < 0. then incr clamped
+          else Array.unsafe_set od s v
         done;
         plan.last_clamp_count <- !clamped;
-        Ic_traffic.Tm.of_vector_clamped n out)
+        out)
   end
 
 let residual routing ~link_loads tm =

@@ -127,8 +127,47 @@ let transpose_into { l } ~lt =
     done
   done
 
+(* L y = b in place. Row i subtracts l[i, j] y[j] for j = 0 .. i - 1 in
+   order, then divides by l[i, i]. A block of four rows runs its four sums
+   side by side over the prefix j < i0 they share, then finishes the
+   triangle row by row; leftover rows go one at a time. Callers check that
+   [ld] is n x n and [b] has length n. *)
 let forward_sub ld n b =
-  for i = 0 to n - 1 do
+  let i0 = ref 0 in
+  while !i0 + 3 < n do
+    let r0 = !i0 * n in
+    let r1 = r0 + n in
+    let r2 = r1 + n in
+    let r3 = r2 + n in
+    let a0 = ref (Array.unsafe_get b !i0)
+    and a1 = ref (Array.unsafe_get b (!i0 + 1))
+    and a2 = ref (Array.unsafe_get b (!i0 + 2))
+    and a3 = ref (Array.unsafe_get b (!i0 + 3)) in
+    for j = 0 to !i0 - 1 do
+      let bj = Array.unsafe_get b j in
+      a0 := !a0 -. (Array.unsafe_get ld (r0 + j) *. bj);
+      a1 := !a1 -. (Array.unsafe_get ld (r1 + j) *. bj);
+      a2 := !a2 -. (Array.unsafe_get ld (r2 + j) *. bj);
+      a3 := !a3 -. (Array.unsafe_get ld (r3 + j) *. bj)
+    done;
+    let j = !i0 in
+    let y0 = !a0 /. Array.unsafe_get ld (r0 + j) in
+    let a1 = !a1 -. (Array.unsafe_get ld (r1 + j) *. y0) in
+    let y1 = a1 /. Array.unsafe_get ld (r1 + j + 1) in
+    let a2 = !a2 -. (Array.unsafe_get ld (r2 + j) *. y0) in
+    let a2 = a2 -. (Array.unsafe_get ld (r2 + j + 1) *. y1) in
+    let y2 = a2 /. Array.unsafe_get ld (r2 + j + 2) in
+    let a3 = !a3 -. (Array.unsafe_get ld (r3 + j) *. y0) in
+    let a3 = a3 -. (Array.unsafe_get ld (r3 + j + 1) *. y1) in
+    let a3 = a3 -. (Array.unsafe_get ld (r3 + j + 2) *. y2) in
+    let y3 = a3 /. Array.unsafe_get ld (r3 + j + 3) in
+    Array.unsafe_set b j y0;
+    Array.unsafe_set b (j + 1) y1;
+    Array.unsafe_set b (j + 2) y2;
+    Array.unsafe_set b (j + 3) y3;
+    i0 := !i0 + 4
+  done;
+  for i = !i0 to n - 1 do
     let ibase = i * n in
     let acc = ref (Array.unsafe_get b i) in
     for j = 0 to i - 1 do
@@ -170,23 +209,8 @@ let solve_into_t { l } ~lt b =
     Array.unsafe_set b i (!acc /. Array.unsafe_get td (ibase + i))
   done
 
-let solve { l } b =
-  let n, _ = Mat.dims l in
-  if Array.length b <> n then invalid_arg "Chol.solve: bad right-hand side";
+let solve ch b =
   let y = Array.copy b in
-  for i = 0 to n - 1 do
-    let acc = ref y.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (Mat.get l i j *. y.(j))
-    done;
-    y.(i) <- !acc /. Mat.get l i i
-  done;
-  for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get l j i *. y.(j))
-    done;
-    y.(i) <- !acc /. Mat.get l i i
-  done;
+  solve_into ch y;
   y
 

@@ -41,11 +41,15 @@ val factorize_ridge_into : ?ridge:float -> l:Mat.t -> Mat.t -> t
     {!factorize_into} for the aliasing rules). *)
 
 val solve : t -> Vec.t -> Vec.t
-(** [solve ch b] solves [A x = b]. *)
+(** [solve ch b] solves [A x = b]: {!solve_into} on a copy of [b]. *)
 
 val solve_into : t -> Vec.t -> unit
 (** [solve_into ch b] solves [A x = b] in place, overwriting [b] with the
-    solution — no allocation. *)
+    solution — no allocation. Forward substitution solves four rows per
+    block: their sums run side by side over the prefix they share, each
+    still subtracting its terms in column order. Backward substitution
+    goes one row at a time, since each row's first term needs the row
+    solved just before it. *)
 
 val transpose_into : t -> lt:Mat.t -> unit
 (** [transpose_into ch ~lt] writes [Lᵀ] into the caller-owned [n x n]

@@ -43,10 +43,6 @@ let update m i j f =
 
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
 
-let diag v =
-  let n = Array.length v in
-  init n n (fun i j -> if i = j then v.(i) else 0.)
-
 let copy m = { m with data = Array.copy m.data }
 
 let dims m = (m.rows, m.cols)

@@ -17,9 +17,6 @@ val of_arrays : float array array -> t
 
 val identity : int -> t
 
-val diag : Vec.t -> t
-(** Square matrix with the given diagonal. *)
-
 val copy : t -> t
 
 val dims : t -> int * int

@@ -87,15 +87,40 @@ let get t i j =
   done;
   !found
 
+(* Each row's sum runs in column order from 0. Two rows per step run their
+   sums side by side over the shorter row's length, then the longer row
+   finishes alone. [of_triplets] validated every stored index, and the
+   dimension checks cover [x] and [y], so the loops read unchecked. *)
 let mulv_into t x ~into:y =
   if Array.length x <> t.cols then invalid_arg "Sparse.mulv_into: bad vector";
   if Array.length y <> t.rows then invalid_arg "Sparse.mulv_into: bad output";
-  for i = 0 to t.rows - 1 do
-    let acc = ref 0. in
-    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+  let rp = t.row_ptr and ci = t.col_idx and vs = t.values in
+  let i = ref 0 in
+  while !i < t.rows do
+    let lo0 = Array.unsafe_get rp !i in
+    let lo1 = Array.unsafe_get rp (!i + 1) in
+    (* a lone last row pairs with an empty one *)
+    let hi1 = if !i + 1 < t.rows then Array.unsafe_get rp (!i + 2) else lo1 in
+    let len = min (lo1 - lo0) (hi1 - lo1) in
+    let a0 = ref 0. and a1 = ref 0. in
+    for k = 0 to len - 1 do
+      let k0 = lo0 + k and k1 = lo1 + k in
+      let x0 = Array.unsafe_get x (Array.unsafe_get ci k0) in
+      let x1 = Array.unsafe_get x (Array.unsafe_get ci k1) in
+      a0 := !a0 +. (Array.unsafe_get vs k0 *. x0);
+      a1 := !a1 +. (Array.unsafe_get vs k1 *. x1)
     done;
-    y.(i) <- !acc
+    for k = lo0 + len to lo1 - 1 do
+      let xk = Array.unsafe_get x (Array.unsafe_get ci k) in
+      a0 := !a0 +. (Array.unsafe_get vs k *. xk)
+    done;
+    for k = lo1 + len to hi1 - 1 do
+      let xk = Array.unsafe_get x (Array.unsafe_get ci k) in
+      a1 := !a1 +. (Array.unsafe_get vs k *. xk)
+    done;
+    Array.unsafe_set y !i !a0;
+    if !i + 1 < t.rows then Array.unsafe_set y (!i + 1) !a1;
+    i := !i + 2
   done
 
 let mulv t x =

@@ -31,7 +31,9 @@ val mulv_t : t -> Vec.t -> Vec.t
 
 val mulv_into : t -> Vec.t -> into:Vec.t -> unit
 (** [mulv_into a x ~into] writes [a x] into the caller-owned buffer [into]
-    (length [rows a]) without allocating. Bit-identical to {!mulv}. *)
+    (length [rows a]) without allocating. Each row's sum adds its stored
+    entries in column order; two rows per step run their sums side by
+    side. Bit-identical to {!mulv}. *)
 
 val mulv_t_into : t -> Vec.t -> into:Vec.t -> unit
 (** [mulv_t_into a x ~into] writes [aᵀ x] into [into] (length [cols a],

@@ -46,28 +46,50 @@ let zero_mat t name rows cols =
 
 (* u <- X z and v <- Xᵀ z for the row-major n x n array x, in one pass
    over x: u in the operation order of [Mat.mulv], v in that of
-   [Mat.mulv_t], which skips the rows where z is zero. *)
+   [Mat.mulv_t], which skips the rows where z is zero. Two rows with nonzero
+   z go in one step: their two sums of u run side by side, and v[j] adds
+   row i before row i + 1. Any other row goes alone. *)
 let mulv_pair x z u v =
   let n = Array.length z in
   if Array.length x <> n * n then invalid_arg "Workspace.mulv_pair: bad x";
   if Array.length u <> n || Array.length v <> n then
     invalid_arg "Workspace.mulv_pair: bad u or v";
   Array.fill v 0 n 0.;
-  for i = 0 to n - 1 do
-    let base = i * n in
-    let zi = Array.unsafe_get z i in
-    let acc = ref 0. in
-    if zi <> 0. then
+  let i = ref 0 in
+  while !i < n do
+    let b0 = !i * n in
+    let z0 = Array.unsafe_get z !i in
+    if !i + 1 < n && z0 <> 0. && Array.unsafe_get z (!i + 1) <> 0. then begin
+      let b1 = b0 + n in
+      let z1 = Array.unsafe_get z (!i + 1) in
+      let a0 = ref 0. and a1 = ref 0. in
       for j = 0 to n - 1 do
-        let xij = Array.unsafe_get x (base + j) in
-        acc := !acc +. (xij *. Array.unsafe_get z j);
-        Array.unsafe_set v j (Array.unsafe_get v j +. (xij *. zi))
-      done
-    else
-      for j = 0 to n - 1 do
-        acc := !acc +. (Array.unsafe_get x (base + j) *. Array.unsafe_get z j)
+        let x0 = Array.unsafe_get x (b0 + j) in
+        let x1 = Array.unsafe_get x (b1 + j) in
+        let zj = Array.unsafe_get z j in
+        a0 := !a0 +. (x0 *. zj);
+        a1 := !a1 +. (x1 *. zj);
+        Array.unsafe_set v j (Array.unsafe_get v j +. (x0 *. z0) +. (x1 *. z1))
       done;
-    Array.unsafe_set u i !acc
+      Array.unsafe_set u !i !a0;
+      Array.unsafe_set u (!i + 1) !a1;
+      i := !i + 2
+    end
+    else begin
+      let acc = ref 0. in
+      if z0 <> 0. then
+        for j = 0 to n - 1 do
+          let xij = Array.unsafe_get x (b0 + j) in
+          acc := !acc +. (xij *. Array.unsafe_get z j);
+          Array.unsafe_set v j (Array.unsafe_get v j +. (xij *. z0))
+        done
+      else
+        for j = 0 to n - 1 do
+          acc := !acc +. (Array.unsafe_get x (b0 + j) *. Array.unsafe_get z j)
+        done;
+      Array.unsafe_set u !i !acc;
+      incr i
+    end
   done
 
 (* a <- a + alpha x xᵀ, both triangles (a stays symmetric). *)

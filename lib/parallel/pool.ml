@@ -30,7 +30,6 @@ type t = {
   mutable epoch : int;  (* bumped per region so late wakers skip stale work *)
   mutable stopping : bool;
   mutable workers : unit Domain.t array;  (* length jobs - 1 *)
-  workspaces : Ic_linalg.Workspace.t array;
   rngs : Ic_prng.Rng.t array;
   tracer : Trace.t;
   instrumented : bool;  (* = Trace.enabled tracer, hoisted for the hot path *)
@@ -88,7 +87,6 @@ let create ?jobs ?(seed = 0) ?(tracer = Trace.noop) () =
       epoch = 0;
       stopping = false;
       workers = [||];
-      workspaces = Array.init jobs (fun _ -> Ic_linalg.Workspace.create ());
       rngs = Array.init jobs (fun k -> Ic_prng.Rng.split base k);
       tracer;
       instrumented = Trace.enabled tracer;
@@ -104,10 +102,6 @@ let size t = t.jobs
 
 let check_slot t slot =
   if slot < 0 || slot >= t.jobs then invalid_arg "Pool: slot out of range"
-
-let workspace t ~slot =
-  check_slot t slot;
-  t.workspaces.(slot)
 
 let rng t ~slot =
   check_slot t slot;

@@ -14,11 +14,11 @@
     + {b Deterministic results.} [map] writes each result into its input's
       slot, so the outcome is a pure function of the inputs — never of the
       scheduling. Any run order gives results bit-identical to [jobs = 1].
-    + {b Per-domain scratch, never shared.} Each worker slot owns one
-      {!Ic_linalg.Workspace.t} and one jump-ahead split of the pool's PRNG
-      stream ({!Ic_prng.Rng.split}). Tasks address them by the [slot]
-      index they are called with; no workspace or generator is ever
-      visible to two domains in the same parallel region.
+    + {b Per-domain randomness, never shared.} Each worker slot owns one
+      jump-ahead split of the pool's PRNG stream ({!Ic_prng.Rng.split}).
+      Tasks address it by the [slot] index they are called with; no
+      generator is ever visible to two domains in the same parallel
+      region.
     + {b Exceptions propagate after the drain.} If a task raises, the
       remaining chunks are skipped (each task sees a poisoned flag), every
       domain quiesces, and the first exception is re-raised on the caller
@@ -45,14 +45,10 @@ val create : ?jobs:int -> ?seed:int -> ?tracer:Ic_obs.Trace.t -> unit -> t
 val size : t -> int
 (** Number of worker slots, including the caller. *)
 
-val workspace : t -> slot:int -> Ic_linalg.Workspace.t
-(** The scratch workspace owned by [slot]. Only the task currently running
-    on [slot] may touch it. *)
-
 val rng : t -> slot:int -> Ic_prng.Rng.t
 (** The PRNG stream owned by [slot] — substream [slot] of the pool seed,
-    derived by jump-ahead so streams never overlap. Same ownership rule as
-    {!workspace}. Note that consuming draws from pool streams makes results
+    derived by jump-ahead so streams never overlap. Only the task currently
+    running on [slot] may draw from it. Note that consuming draws from pool streams makes results
     depend on how work was chunked; deterministic callers draw from
     per-{e task} splits instead, or avoid pool randomness entirely. *)
 

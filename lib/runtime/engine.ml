@@ -64,6 +64,12 @@ type t = {
   n : int;  (* nodes *)
   m : int;  (* routing rows: links + 2n marginal pseudo-links *)
   tel : Telemetry.t;
+  (* The per-bin stage histograms, resolved once so a bin skips the
+     sink's lookup by name. *)
+  h_ingest : Ic_obs.Metrics.histogram;
+  h_prior : Ic_obs.Metrics.histogram;
+  h_estimate : Ic_obs.Metrics.histogram;
+  h_ipf : Ic_obs.Metrics.histogram;
   tracer : Trace.t;
   degrade : Degrade.t;
   ingress_rows : int array;
@@ -151,6 +157,7 @@ let create ?telemetry ?(tracer = Trace.noop) config =
   let initial_level =
     if plugin <> None then Degrade.Measured_ic else initial_level
   in
+  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   {
     config;
     plugin;
@@ -159,7 +166,11 @@ let create ?telemetry ?(tracer = Trace.noop) config =
     topo_pending = false;
     n;
     m;
-    tel = (match telemetry with Some t -> t | None -> Telemetry.create ());
+    tel;
+    h_ingest = Telemetry.stage tel "ingest";
+    h_prior = Telemetry.stage tel "prior";
+    h_estimate = Telemetry.stage tel "estimate";
+    h_ipf = Telemetry.stage tel "ipf";
     tracer;
     degrade =
       Degrade.create ~initial:initial_level
@@ -461,7 +472,7 @@ let estimate_bin t level ~effective ~ingress ~egress =
   let prior =
     Trace.stage t.tracer "engine.prior"
       ~attrs:[ ("level", Degrade.level_name level) ]
-      ~clock:(Telemetry.clock t.tel) (Telemetry.stage t.tel "prior")
+      ~clock:(Telemetry.clock t.tel) t.h_prior
       (fun () ->
         match t.plugin with
         | Some ((module E), state) -> E.prior state ctx
@@ -470,14 +481,14 @@ let estimate_bin t level ~effective ~ingress ~egress =
   let ctx = { ctx with weights = freeze_weights t level prior } in
   let refined, clamped =
     Trace.stage t.tracer "engine.estimate" ~clock:(Telemetry.clock t.tel)
-      (Telemetry.stage t.tel "estimate") (fun () ->
+      t.h_estimate (fun () ->
         match t.plugin with
         | Some ((module E), state) -> E.refine state ctx ~prior
         | None -> Estimator.tomogravity_refine ctx ~prior)
   in
   let estimate =
     Trace.stage t.tracer "engine.ipf" ~clock:(Telemetry.clock t.tel)
-      (Telemetry.stage t.tel "ipf") (fun () ->
+      t.h_ipf (fun () ->
         match t.plugin with
         | Some ((module E), state) -> E.project state ctx refined
         | None -> Estimator.ipf_project ctx refined)
@@ -505,7 +516,7 @@ let step t ~loads ~missing =
   let effective = t.effective_buf in
   let n_missing = ref 0 in
   Trace.stage t.tracer "engine.ingest" ~clock:(Telemetry.clock t.tel)
-    (Telemetry.stage t.tel "ingest") (fun () ->
+    t.h_ingest (fun () ->
       for e = 0 to t.m - 1 do
         let v = loads.(e) in
         let dropped = missing.(e) in

@@ -28,9 +28,13 @@ let add_to t i j v =
 
 let init n f =
   let t = create n in
+  let d = t.data in
   for i = 0 to n - 1 do
+    let base = i * n in
     for j = 0 to n - 1 do
-      set t i j (f i j)
+      let v = f i j in
+      if v < 0. then invalid_arg "Tm.init: negative traffic volume";
+      Array.unsafe_set d (base + j) v
     done
   done;
   t
@@ -40,15 +44,6 @@ let copy t = { t with data = Array.copy t.data }
 let total t = Ic_linalg.Vec.sum t.data
 
 let to_vector t = Array.copy t.data
-
-let of_vector n v =
-  if Array.length v <> n * n then
-    invalid_arg "Tm.of_vector: length does not match size";
-  Array.iter
-    (fun x ->
-      if x < 0. then invalid_arg "Tm.of_vector: negative traffic volume")
-    v;
-  { n; data = Array.copy v }
 
 let of_vector_clamped n v =
   if Array.length v <> n * n then

@@ -8,7 +8,8 @@ val create : int -> t
 (** [create n] is the all-zero [n] x [n] TM. *)
 
 val init : int -> (int -> int -> float) -> t
-(** Entries must be non-negative; raises [Invalid_argument] otherwise. *)
+(** [init n f] has entry [f i j] at [(i, j)], called in row-major order.
+    Entries must be non-negative; raises [Invalid_argument] otherwise. *)
 
 val size : t -> int
 (** Number of PoPs. *)
@@ -30,14 +31,11 @@ val to_vector : t -> Ic_linalg.Vec.t
 (** Row-major vectorization; entry [(i,j)] lands at [i*n + j], matching
     {!Ic_topology.Routing.od_index}. *)
 
-val of_vector : int -> Ic_linalg.Vec.t -> t
-(** Raises [Invalid_argument] on negative entries — a TM holds byte counts.
-    Estimator outputs that may carry tiny negative values from floating-point
-    cancellation should go through {!of_vector_clamped} instead, making the
-    clamp explicit at the call site. *)
-
 val of_vector_clamped : int -> Ic_linalg.Vec.t -> t
-(** {!of_vector} with negative entries clamped to zero. *)
+(** The inverse of {!to_vector}, a copy with negative entries clamped to
+    zero: a TM holds byte counts, and estimator outputs can carry tiny
+    negative values from floating-point cancellation. Raises
+    [Invalid_argument] when the length is not [n * n]. *)
 
 val unsafe_get : t -> int -> int -> float
 (** [get] without bounds checks, for inner loops that have validated their

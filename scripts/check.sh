@@ -31,6 +31,8 @@ Model.predicted_egress     oracle: closed-form egress marginals of the IC model
 Sparse.of_dense            oracle: dense reference for the CSR kernels
 Sparse.to_dense            oracle: dense reference for the CSR kernels
 Error.rel_l2_series        oracle: per-bin errors of a whole series
+Eig.reconstruct            oracle: rebuilds the matrix an eigendecomposition came from
+Pca.reconstruct            oracle: rebuilds an observation from the fitted mean and components
 Csv_io.read_table          oracle: reads back the CSV Series_out writes
 Topologies.star            fixture: the smallest routed topology
 Mat.of_arrays              fixture: literal matrices for the linalg tests
@@ -39,6 +41,9 @@ Shard.default_supervise    fixture: supervision settings for the fleet tests
 Degrade.transition_count   observer: ladder transitions recorded so far
 Feed.breaker_state         observer: the feed's circuit-breaker state
 Shard.merged_counters      observer: fleet-wide counters after a run
+Shard.health               observer: the fleet's health verdict after a run
+Metrics.gauges             observer: gauge values, such as the engine's refit gauges
+Metrics.histograms         observer: histogram snapshots, such as the engine's stage timings
 EOF
 }
 exempt_modules=$(exempt_list | awk '$1 !~ /\./ { print $1 }')
@@ -77,17 +82,19 @@ echo "every lib/ module has a caller"
 
 echo "== every lib/ value has a caller =="
 # A `val` in a lib/*/*.mli counts as called when its name occurs as a word
-# more than once in the .ml files under lib/, bin/, examples/ and
-# perfbench/, string and character literals stripped: somewhere besides its
-# own `let`. Its own module counts, since dune's dev profile already fails
-# the build on an unexported value nothing uses (warning 32). A name shared
-# by two values keeps both, so the rule can miss a dead value but never
-# flags a live one. Like the module step, it is a scan and needs no build.
+# in the .ml files under lib/, bin/, examples/ and perfbench/ more often
+# than lib/ .mli files declare it, with comments (nested ones included) and
+# string and character literals stripped: somewhere besides the `let` of
+# each value of that name. Its own module counts, since dune's dev profile
+# already fails the build on an unexported value nothing uses (warning 32).
+# Values that share a name pass or fail together, so two dead values whose
+# `let`s name each other fail, and a live value is never flagged. Like the
+# module step, it is a scan and needs no build.
 words() {  # words <tag> <dir>...: "<tag> <word>" for every word of the .ml files
   tag=$1
   shift
   find "$@" -name '*.ml' -exec awk -v tag="$tag" '
-    FNR == 1 { instr = 0; inquoted = 0 }
+    FNR == 1 { instr = 0; inquoted = 0; depth = 0 }
     {
       s = $0; out = ""; n = length(s)
       for (i = 1; i <= n; i++) {
@@ -101,13 +108,20 @@ words() {  # words <tag> <dir>...: "<tag> <word>" for every word of the .ml file
           else if (c == "\"") instr = 0
           continue
         }
-        if (c == "\"") { instr = 1; out = out " "; continue }
-        if (c == "{" && substr(s, i + 1, 1) == "|") { inquoted = 1; i++; continue }
+        # Literals are skipped in comments too, as the OCaml lexer does, so
+        # a "*)" inside one does not close the comment.
         if (c == "\047") {  # a character literal: skip it, quotes included
           if (substr(s, i + 1, 1) == "\\") {
             j = index(substr(s, i + 3), "\047")
             if (j > 0) { i += 2 + j; out = out " "; continue }
           } else if (substr(s, i + 2, 1) == "\047") { i += 2; out = out " "; continue }
+        }
+        if (c == "\"") { instr = 1; out = out " "; continue }
+        if (c == "{" && substr(s, i + 1, 1) == "|") { inquoted = 1; i++; continue }
+        if (c == "(" && substr(s, i + 1, 1) == "*") { depth++; i++; out = out " "; continue }
+        if (depth > 0) {
+          if (c == "*" && substr(s, i + 1, 1) == ")") { depth--; i++ }
+          continue
         }
         out = out c
       }
@@ -130,18 +144,21 @@ value_errors=$(
     $1 == "P" { prod[$2]++; next }
     $1 == "T" { tested[$2]++; next }
     $1 == "E" { exempt[$2] = 1; next }
-    $1 == "V" {
-      if ($2 in exempt) next
-      v = $2 "." $3
-      if (v in exempt) {
-        seen[v] = 1
-        if (prod[$3] > 1)
-          print "exempt value " v " is now used by production; drop it from the exempt list"
-        if (!($3 in tested))
-          print "exempt value " v " is named by nothing under test/ or bench/; delete it"
-      } else if (prod[$3] < 2) uncalled = uncalled " " v
-    }
+    $1 == "V" { nv++; vmod[nv] = $2; vname[nv] = $3; decl[$3]++ }
     END {
+      for (k = 1; k <= nv; k++) {
+        if (vmod[k] in exempt) continue
+        name = vname[k]
+        v = vmod[k] "." name
+        called = prod[name] > decl[name]
+        if (v in exempt) {
+          seen[v] = 1
+          if (called)
+            print "exempt value " v " is now used by production; drop it from the exempt list"
+          if (!(name in tested))
+            print "exempt value " v " is named by nothing under test/ or bench/; delete it"
+        } else if (!called) uncalled = uncalled " " v
+      }
       for (v in exempt)
         if (v ~ /\./ && !(v in seen))
           print "exempt value " v " is declared in no lib/ .mli; drop it from the exempt list"

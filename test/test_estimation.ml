@@ -95,7 +95,17 @@ let test_ipf_validation () =
     (Invalid_argument "Ipf.fit: negative targets") (fun () ->
       ignore
         (Ic_estimation.Ipf.fit tm ~row_targets:[| -1.; 1. |]
-           ~col_targets:[| 0.; 0. |]))
+           ~col_targets:[| 0.; 0. |]));
+  Alcotest.check_raises "NaN row target"
+    (Invalid_argument "Ipf.fit: non-finite targets") (fun () ->
+      ignore
+        (Ic_estimation.Ipf.fit tm ~row_targets:[| nan; 1. |]
+           ~col_targets:[| 1.; 1. |]));
+  Alcotest.check_raises "infinite column target"
+    (Invalid_argument "Ipf.fit: non-finite targets") (fun () ->
+      ignore
+        (Ic_estimation.Ipf.fit tm ~row_targets:[| 1.; 1. |]
+           ~col_targets:[| 1.; infinity |]))
 
 (* --- Tomogravity --- *)
 

