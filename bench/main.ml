@@ -515,8 +515,20 @@ let shootout_tests =
               k := (!k + 1) mod Array.length series_link_loads)))
     (Estimator.names ())
 
+(* The latest-tm answer for [one_bin] and its frame, as the serve plane
+   sends them; the wire rows time the codec apart from the socket. *)
+let tm_answer =
+  Ic_serve.Wire.Tm
+    { bin = 30; level = 0; n = Ic_traffic.Tm.size one_bin; values = one_bin_vec }
+
+let tm_frame = Ic_serve.Wire.encode_response tm_answer
+
 let substrate_tests =
   [
+    Test.make ~name:"wire/encode-tm-22"
+      (Staged.stage (fun () -> Ic_serve.Wire.encode_response tm_answer));
+    Test.make ~name:"wire/decode-tm-22"
+      (Staged.stage (fun () -> Ic_serve.Wire.decode_response tm_frame));
     Test.make ~name:"linalg/cholesky-122"
       (Staged.stage (fun () -> Ic_linalg.Chol.factorize spd_122));
     Test.make ~name:"linalg/cholesky-into-122"

@@ -16,9 +16,14 @@ type t = {
   connections : Metrics.counter;
   shed_connection : Metrics.counter;
   shed_request : Metrics.counter;
+  (* serve.query.<kind>, resolved once *)
+  q_latest_tm : Metrics.counter;
+  q_metrics : Metrics.counter;
+  q_od_flow : Metrics.counter;
+  q_ping : Metrics.counter;
+  q_topology : Metrics.counter;
+  q_whatif : Metrics.counter;
 }
-
-let query_kinds = [ "latest_tm"; "metrics"; "od_flow"; "ping"; "topology"; "whatif" ]
 
 let create ?(tracer = Trace.noop) ?(clock = Ic_obs.Clock.now) ?registry
     sources =
@@ -27,13 +32,17 @@ let create ?(tracer = Trace.noop) ?(clock = Ic_obs.Clock.now) ?registry
   (* Pre-register the full query taxonomy at 0 so GET /metrics exposes a
      stable set of series from the first scrape, not one that grows as
      query kinds happen to arrive. *)
-  List.iter
-    (fun kind ->
-      ignore
-        (Metrics.counter registry
-           ~help:(Printf.sprintf "%s queries answered" kind)
-           ("serve.query." ^ kind)))
-    query_kinds;
+  let query kind =
+    Metrics.counter registry
+      ~help:(Printf.sprintf "%s queries answered" kind)
+      ("serve.query." ^ kind)
+  in
+  let q_latest_tm = query "latest_tm" in
+  let q_metrics = query "metrics" in
+  let q_od_flow = query "od_flow" in
+  let q_ping = query "ping" in
+  let q_topology = query "topology" in
+  let q_whatif = query "whatif" in
   {
     sources;
     registry;
@@ -62,6 +71,12 @@ let create ?(tracer = Trace.noop) ?(clock = Ic_obs.Clock.now) ?registry
       Metrics.counter registry
         ~help:"requests shed at the per-connection inflight cap"
         "serve.shed.request";
+    q_latest_tm;
+    q_metrics;
+    q_od_flow;
+    q_ping;
+    q_topology;
+    q_whatif;
   }
 
 let registry t = t.registry
@@ -75,8 +90,6 @@ let note_shed t scope =
 let note_malformed t = Metrics.inc t.malformed
 let note_timeout t = Metrics.inc t.timeouts
 let note_connection t = Metrics.inc t.connections
-
-let note_query t kind = Metrics.inc (Metrics.counter t.registry ("serve.query." ^ kind))
 
 let counters t = Metrics.counters t.registry
 
@@ -96,7 +109,9 @@ let answer t req =
           match Source.latest src with
           | None -> err Wire.No_estimate "no bin published yet"
           | Some { bin; level; tm } ->
-              Wire.Tm { bin; level; n = Tm.size tm; values = Tm.to_vector tm }
+              (* The published TM is shared, never mutated: answer with
+                 its array rather than a copy. *)
+              Wire.Tm { bin; level; n = Tm.size tm; values = Tm.unsafe_data tm }
         end
     end
   | Wire.Od_flow { tenant; src = i; dst = j } -> begin
@@ -143,14 +158,29 @@ let answer t req =
           end
     end
 
+let query_counter t = function
+  | Wire.Ping _ -> t.q_ping
+  | Wire.Latest_tm _ -> t.q_latest_tm
+  | Wire.Od_flow _ -> t.q_od_flow
+  | Wire.Topology _ -> t.q_topology
+  | Wire.Whatif _ -> t.q_whatif
+
+(* Constant lists, so a request allocates no attributes. Each [type] is
+   the kind's [Wire.request_kind]. *)
+let query_attrs = function
+  | Wire.Ping _ -> [ ("type", "ping") ]
+  | Wire.Latest_tm _ -> [ ("type", "latest_tm") ]
+  | Wire.Od_flow _ -> [ ("type", "od_flow") ]
+  | Wire.Topology _ -> [ ("type", "topology") ]
+  | Wire.Whatif _ -> [ ("type", "whatif") ]
+
 let handle t req =
-  let kind = Wire.request_kind req in
   Metrics.inc t.requests;
-  note_query t kind;
-  Trace.stage t.tracer ~attrs:[ ("type", kind) ] "serve.request" ~clock:t.clock
+  Metrics.inc (query_counter t req);
+  Trace.stage t.tracer ~attrs:(query_attrs req) "serve.request" ~clock:t.clock
     t.duration (fun () -> answer t req)
 
 let metrics_body t =
   Metrics.inc t.requests;
-  note_query t "metrics";
+  Metrics.inc t.q_metrics;
   Metrics.expose t.registry

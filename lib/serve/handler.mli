@@ -7,9 +7,12 @@
     [serve_request_duration_ns] power-of-two histogram (the same bucket
     family as engine stage durations), and each answered request runs
     inside a [serve.request] span with a [type] attribute when a tracer is
-    supplied — one [Ic_obs.Trace.stage] call feeds both. The server layer reports its transport-side events
-    ({!note_shed}, {!note_timeout}, ...) into the same registry, so one
-    scrape shows the whole serving plane. *)
+    supplied — one [Ic_obs.Trace.stage] call feeds both. The counters are
+    resolved once, at {!create}, and the attributes are constants, so a
+    request neither searches the registry nor allocates them. The server
+    layer reports its transport-side events ({!note_shed},
+    {!note_timeout}, ...) into the same registry, so one scrape shows the
+    whole serving plane. *)
 
 type t
 
@@ -35,7 +38,11 @@ val registry : t -> Ic_obs.Metrics.t
 val handle : t -> Wire.request -> Wire.response
 (** Answer one request. Total: malformed semantics (unknown tenant, OD out
     of range, non-finite scale, no published bin) come back as
-    [Wire.Error] responses, never exceptions. *)
+    [Wire.Error] responses, never exceptions.
+
+    A latest-tm answer's [values] is the published TM's own array
+    ({!Source.publish} shares it by reference), not a copy: it is
+    read-only. *)
 
 val metrics_body : t -> string
 (** The [GET /metrics] body: this handler's registry exposed. Counted as

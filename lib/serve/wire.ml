@@ -75,146 +75,204 @@ let response_kind = function
 
 (* --- binary encoding --------------------------------------------------- *)
 
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+(* A frame is sized first, with every range check in field order, and then
+   written once into a [Bytes] of exactly that size, header included. *)
 
-let add_u16 buf v =
-  if v < 0 || v > 0xffff then invalid_arg "Wire: u16 field out of range";
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+let check_u16 v =
+  if v < 0 || v > 0xffff then invalid_arg "Wire: u16 field out of range"
 
-let add_u32 buf v =
-  if v < 0 || v > 0xffffffff then invalid_arg "Wire: u32 field out of range";
-  add_u16 buf ((v lsr 16) land 0xffff);
-  add_u16 buf (v land 0xffff)
+let check_u32 v =
+  if v < 0 || v > 0xffffffff then invalid_arg "Wire: u32 field out of range"
 
-let add_i64 buf (v : int64) =
-  for shift = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (shift * 8)) land 0xff))
-  done
-
-let add_f64 buf v = add_i64 buf (Int64.bits_of_float v)
-
-let add_str buf s =
+(* The bytes a u16-length-prefixed string takes. *)
+let str_size s =
   if String.length s > 0xffff then invalid_arg "Wire: string field too long";
-  add_u16 buf (String.length s);
-  Buffer.add_string buf s
+  2 + String.length s
 
-(* Frames are framed [magic | tag u8 | payload length u32 | payload]; the
-   header is written after the payload is sized. *)
-let frame tag payload =
-  let buf = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string buf magic;
-  add_u8 buf tag;
-  add_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+(* Unchecked big-endian 64-bit accesses, for float arrays: the encoder
+   sized the frame for the whole array, and the decoder checked the
+   array's length once. *)
+external unsafe_get_int64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set_int64 : Bytes.t -> int -> int64 -> unit
+  = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let unsafe_get_int64_be b i =
+  let v = unsafe_get_int64 b i in
+  if Sys.big_endian then v else swap64 v
+
+let unsafe_set_int64_be b i v =
+  unsafe_set_int64 b i (if Sys.big_endian then v else swap64 v)
+
+type writer = { b : Bytes.t; mutable off : int }
+
+(* Frames are [magic | tag u8 | payload length u32 | payload]. *)
+let start tag len =
+  check_u32 len;
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_uint8 b 4 tag;
+  Bytes.set_int32_be b 5 (Int32.of_int len);
+  { b; off = header_len }
+
+let contents w = Bytes.unsafe_to_string w.b
+
+(* [put_u8] keeps the low byte of its argument. *)
+let put_u8 w v =
+  Bytes.set_uint8 w.b w.off v;
+  w.off <- w.off + 1
+
+let put_u16 w v =
+  Bytes.set_uint16_be w.b w.off v;
+  w.off <- w.off + 2
+
+let put_u32 w v =
+  Bytes.set_int32_be w.b w.off (Int32.of_int v);
+  w.off <- w.off + 4
+
+let put_i64 w v =
+  Bytes.set_int64_be w.b w.off v;
+  w.off <- w.off + 8
+
+let put_f64 w v = put_i64 w (Int64.bits_of_float v)
+
+let put_str w s =
+  put_u16 w (String.length s);
+  Bytes.blit_string s 0 w.b w.off (String.length s);
+  w.off <- w.off + String.length s
+
+let put_floats w a =
+  let b = w.b and off = w.off in
+  for i = 0 to Array.length a - 1 do
+    unsafe_set_int64_be b
+      (off + (8 * i))
+      (Int64.bits_of_float (Array.unsafe_get a i))
+  done;
+  w.off <- off + (8 * Array.length a)
 
 let encode_request r =
-  let buf = Buffer.create 32 in
-  let tag =
-    match r with
-    | Ping token ->
-        add_i64 buf token;
-        0x01
-    | Latest_tm { tenant } ->
-        add_str buf tenant;
-        0x02
-    | Od_flow { tenant; src; dst } ->
-        add_str buf tenant;
-        add_u16 buf src;
-        add_u16 buf dst;
-        0x03
-    | Topology { tenant } ->
-        add_str buf tenant;
-        0x04
-    | Whatif { tenant; scale } ->
-        add_str buf tenant;
-        add_f64 buf scale;
-        0x05
-  in
-  frame tag (Buffer.contents buf)
+  match r with
+  | Ping token ->
+      let w = start 0x01 8 in
+      put_i64 w token;
+      contents w
+  | Latest_tm { tenant } ->
+      let w = start 0x02 (str_size tenant) in
+      put_str w tenant;
+      contents w
+  | Od_flow { tenant; src; dst } ->
+      let len = str_size tenant + 4 in
+      check_u16 src;
+      check_u16 dst;
+      let w = start 0x03 len in
+      put_str w tenant;
+      put_u16 w src;
+      put_u16 w dst;
+      contents w
+  | Topology { tenant } ->
+      let w = start 0x04 (str_size tenant) in
+      put_str w tenant;
+      contents w
+  | Whatif { tenant; scale } ->
+      let w = start 0x05 (str_size tenant + 8) in
+      put_str w tenant;
+      put_f64 w scale;
+      contents w
 
 let encode_response r =
-  let buf = Buffer.create 64 in
-  let tag =
-    match r with
-    | Pong token ->
-        add_i64 buf token;
-        0x81
-    | Tm { bin; level; n; values } ->
-        if Array.length values <> n * n then
-          invalid_arg "Wire: Tm frame needs n*n values";
-        add_u32 buf bin;
-        add_u8 buf level;
-        add_u16 buf n;
-        Array.iter (add_f64 buf) values;
-        0x82
-    | Flow { bin; level; value } ->
-        add_u32 buf bin;
-        add_u8 buf level;
-        add_f64 buf value;
-        0x83
-    | Topology_info { nodes; links } ->
-        add_u16 buf (Array.length nodes);
-        add_u32 buf links;
-        Array.iter (add_str buf) nodes;
-        0x84
-    | Whatif_load { bin; scale; loads } ->
-        add_u32 buf bin;
-        add_f64 buf scale;
-        add_u32 buf (Array.length loads);
-        Array.iter (add_f64 buf) loads;
-        0x85
-    | Shed scope ->
-        add_u8 buf (match scope with Connection -> 0 | Request -> 1);
-        0x90
-    | Error { code; message } ->
-        add_u8 buf (error_code_tag code);
-        add_str buf message;
-        0x91
-  in
-  frame tag (Buffer.contents buf)
+  match r with
+  | Pong token ->
+      let w = start 0x81 8 in
+      put_i64 w token;
+      contents w
+  | Tm { bin; level; n; values } ->
+      if Array.length values <> n * n then
+        invalid_arg "Wire: Tm frame needs n*n values";
+      check_u32 bin;
+      check_u16 n;
+      let w = start 0x82 (7 + (8 * n * n)) in
+      put_u32 w bin;
+      put_u8 w level;
+      put_u16 w n;
+      put_floats w values;
+      contents w
+  | Flow { bin; level; value } ->
+      check_u32 bin;
+      let w = start 0x83 13 in
+      put_u32 w bin;
+      put_u8 w level;
+      put_f64 w value;
+      contents w
+  | Topology_info { nodes; links } ->
+      check_u16 (Array.length nodes);
+      check_u32 links;
+      let len = Array.fold_left (fun n s -> n + str_size s) 6 nodes in
+      let w = start 0x84 len in
+      put_u16 w (Array.length nodes);
+      put_u32 w links;
+      Array.iter (put_str w) nodes;
+      contents w
+  | Whatif_load { bin; scale; loads } ->
+      check_u32 bin;
+      check_u32 (Array.length loads);
+      let w = start 0x85 (16 + (8 * Array.length loads)) in
+      put_u32 w bin;
+      put_f64 w scale;
+      put_u32 w (Array.length loads);
+      put_floats w loads;
+      contents w
+  | Shed scope ->
+      let w = start 0x90 1 in
+      put_u8 w (match scope with Connection -> 0 | Request -> 1);
+      contents w
+  | Error { code; message } ->
+      let w = start 0x91 (1 + str_size message) in
+      put_u8 w (error_code_tag code);
+      put_str w message;
+      contents w
 
 (* --- binary decoding --------------------------------------------------- *)
 
 exception Bad of string
 
-type cursor = { s : string; mutable pos : int; limit : int }
+(* A cursor reads a payload where it lies: in a decoded string, or in a
+   connection reader's buffer. [need] checks each field's or array's
+   length once. *)
+type cursor = { s : Bytes.t; mutable pos : int; limit : int }
 
 let need c n =
   if c.pos + n > c.limit then raise (Bad "truncated payload")
 
 let get_u8 c =
   need c 1;
-  let v = Char.code c.s.[c.pos] in
+  let v = Bytes.get_uint8 c.s c.pos in
   c.pos <- c.pos + 1;
   v
 
 let get_u16 c =
-  let hi = get_u8 c in
-  let lo = get_u8 c in
-  (hi lsl 8) lor lo
+  need c 2;
+  let v = Bytes.get_uint16_be c.s c.pos in
+  c.pos <- c.pos + 2;
+  v
 
 let get_u32 c =
-  let hi = get_u16 c in
-  let lo = get_u16 c in
-  (hi lsl 16) lor lo
+  need c 4;
+  let v = Int32.to_int (Bytes.get_int32_be c.s c.pos) land 0xffffffff in
+  c.pos <- c.pos + 4;
+  v
 
 let get_i64 c =
   need c 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
-  done;
-  !v
+  let v = Bytes.get_int64_be c.s c.pos in
+  c.pos <- c.pos + 8;
+  v
 
 let get_f64 c = Int64.float_of_bits (get_i64 c)
 
 let get_str c =
   let len = get_u16 c in
   need c len;
-  let s = String.sub c.s c.pos len in
+  let s = Bytes.sub_string c.s c.pos len in
   c.pos <- c.pos + len;
   s
 
@@ -222,94 +280,109 @@ let get_floats c count =
   (* The count was validated against the payload length by the caller, so
      this allocation is bounded by the frame size limit. *)
   need c (8 * count);
-  Array.init count (fun _ -> get_f64 c)
+  let a = Array.create_float count in
+  let s = c.s and pos = c.pos in
+  for i = 0 to count - 1 do
+    Array.unsafe_set a i
+      (Int64.float_of_bits (unsafe_get_int64_be s (pos + (8 * i))))
+  done;
+  c.pos <- pos + (8 * count);
+  a
+
+let magic_bits = String.get_int32_be magic 0
+
+let magic_ok b off = Bytes.get_int32_be b off = magic_bits
+
+(* The payload length a header at [off] declares. *)
+let header_length b off =
+  Int32.to_int (Bytes.get_int32_be b (off + 5)) land 0xffffffff
 
 let split_frame s =
-  if String.length s < header_len then Result.error "truncated header"
-  else if String.sub s 0 4 <> magic then Result.error "bad magic"
-  else begin
-    let c = { s; pos = 4; limit = String.length s } in
-    let tag = get_u8 c in
-    let len = get_u32 c in
-    if String.length s - header_len <> len then
-      Result.error "frame length mismatch"
-    else Result.ok (tag, { s; pos = header_len; limit = String.length s })
-  end
+  let b = Bytes.unsafe_of_string s in
+  if Bytes.length b < header_len then Result.error "truncated header"
+  else if not (magic_ok b 0) then Result.error "bad magic"
+  else if Bytes.length b - header_len <> header_length b 0 then
+    Result.error "frame length mismatch"
+  else
+    Result.ok
+      (Bytes.get_uint8 b 4, { s = b; pos = header_len; limit = Bytes.length b })
 
 let finish c v =
   if c.pos <> c.limit then Result.error "trailing bytes in payload"
   else Result.ok v
 
+let request_of_payload tag c =
+  try
+    match tag with
+    | 0x01 -> finish c (Ping (get_i64 c))
+    | 0x02 -> finish c (Latest_tm { tenant = get_str c })
+    | 0x03 ->
+        let tenant = get_str c in
+        let src = get_u16 c in
+        let dst = get_u16 c in
+        finish c (Od_flow { tenant; src; dst })
+    | 0x04 -> finish c (Topology { tenant = get_str c })
+    | 0x05 ->
+        let tenant = get_str c in
+        let scale = get_f64 c in
+        finish c (Whatif { tenant; scale })
+    | _ -> Result.error "unknown request tag"
+  with Bad e -> Result.error e
+
+let response_of_payload tag c =
+  try
+    match tag with
+    | 0x81 -> finish c (Pong (get_i64 c))
+    | 0x82 ->
+        let bin = get_u32 c in
+        let level = get_u8 c in
+        let n = get_u16 c in
+        if c.limit - c.pos <> 8 * n * n then
+          Result.error "tm frame size mismatch"
+        else finish c (Tm { bin; level; n; values = get_floats c (n * n) })
+    | 0x83 ->
+        let bin = get_u32 c in
+        let level = get_u8 c in
+        let value = get_f64 c in
+        finish c (Flow { bin; level; value })
+    | 0x84 ->
+        let count = get_u16 c in
+        let links = get_u32 c in
+        let nodes = Array.init count (fun _ -> get_str c) in
+        finish c (Topology_info { nodes; links })
+    | 0x85 ->
+        let bin = get_u32 c in
+        let scale = get_f64 c in
+        let count = get_u32 c in
+        if c.limit - c.pos <> 8 * count then
+          Result.error "whatif frame size mismatch"
+        else
+          finish c (Whatif_load { bin; scale; loads = get_floats c count })
+    | 0x90 -> begin
+        match get_u8 c with
+        | 0 -> finish c (Shed Connection)
+        | 1 -> finish c (Shed Request)
+        | _ -> Result.error "bad shed scope"
+      end
+    | 0x91 -> begin
+        let tag = get_u8 c in
+        let message = get_str c in
+        match error_code_of_tag tag with
+        | Some code -> finish c (Error { code; message })
+        | None -> Result.error "bad error code"
+      end
+    | _ -> Result.error "unknown response tag"
+  with Bad e -> Result.error e
+
 let decode_request s =
   match split_frame s with
   | Error e -> Result.error e
-  | Ok (tag, c) -> begin
-      try
-        match tag with
-        | 0x01 -> finish c (Ping (get_i64 c))
-        | 0x02 -> finish c (Latest_tm { tenant = get_str c })
-        | 0x03 ->
-            let tenant = get_str c in
-            let src = get_u16 c in
-            let dst = get_u16 c in
-            finish c (Od_flow { tenant; src; dst })
-        | 0x04 -> finish c (Topology { tenant = get_str c })
-        | 0x05 ->
-            let tenant = get_str c in
-            let scale = get_f64 c in
-            finish c (Whatif { tenant; scale })
-        | _ -> Result.error "unknown request tag"
-      with Bad e -> Result.error e
-    end
+  | Ok (tag, c) -> request_of_payload tag c
 
 let decode_response s =
   match split_frame s with
   | Error e -> Result.error e
-  | Ok (tag, c) -> begin
-      try
-        match tag with
-        | 0x81 -> finish c (Pong (get_i64 c))
-        | 0x82 ->
-            let bin = get_u32 c in
-            let level = get_u8 c in
-            let n = get_u16 c in
-            if c.limit - c.pos <> 8 * n * n then
-              Result.error "tm frame size mismatch"
-            else finish c (Tm { bin; level; n; values = get_floats c (n * n) })
-        | 0x83 ->
-            let bin = get_u32 c in
-            let level = get_u8 c in
-            let value = get_f64 c in
-            finish c (Flow { bin; level; value })
-        | 0x84 ->
-            let count = get_u16 c in
-            let links = get_u32 c in
-            let nodes = Array.init count (fun _ -> get_str c) in
-            finish c (Topology_info { nodes; links })
-        | 0x85 ->
-            let bin = get_u32 c in
-            let scale = get_f64 c in
-            let count = get_u32 c in
-            if c.limit - c.pos <> 8 * count then
-              Result.error "whatif frame size mismatch"
-            else
-              finish c (Whatif_load { bin; scale; loads = get_floats c count })
-        | 0x90 -> begin
-            match get_u8 c with
-            | 0 -> finish c (Shed Connection)
-            | 1 -> finish c (Shed Request)
-            | _ -> Result.error "bad shed scope"
-          end
-        | 0x91 -> begin
-            let tag = get_u8 c in
-            let message = get_str c in
-            match error_code_of_tag tag with
-            | Some code -> finish c (Error { code; message })
-            | None -> Result.error "bad error code"
-          end
-        | _ -> Result.error "unknown response tag"
-      with Bad e -> Result.error e
-    end
+  | Ok (tag, c) -> response_of_payload tag c
 
 (* --- JSON fallback ----------------------------------------------------- *)
 
@@ -670,14 +743,20 @@ let http_response ~status ~body =
 
 (* --- buffered connection reader ---------------------------------------- *)
 
+(* The buffer holds the bytes read but not yet consumed, at [start], [len]
+   of them. A message longer than the buffer grows it to the message's
+   size, bounded by a cap the caller has already checked; the buffer
+   returns to [buffer_size] once it is drained. *)
 type reader = {
   fd : Unix.file_descr;
-  buf : Bytes.t;
+  mutable buf : Bytes.t;
   mutable start : int;
   mutable len : int;
 }
 
-let reader fd = { fd; buf = Bytes.create 65536; start = 0; len = 0 }
+let buffer_size = 65536
+
+let reader fd = { fd; buf = Bytes.create buffer_size; start = 0; len = 0 }
 
 type incoming =
   | Bin_request of request
@@ -692,14 +771,21 @@ type incoming =
 exception Conn_closed
 exception Conn_timeout
 
-let refill r =
-  if r.start > 0 then begin
-    Bytes.blit r.buf r.start r.buf 0 r.len;
+(* Room for [n] bytes from [start]: slide the buffered bytes to the front,
+   into a buffer of [n] bytes if this one is shorter. *)
+let reserve r n =
+  if r.start + n > Bytes.length r.buf then begin
+    let buf = if n > Bytes.length r.buf then Bytes.create n else r.buf in
+    Bytes.blit r.buf r.start buf 0 r.len;
+    r.buf <- buf;
     r.start <- 0
-  end;
-  if r.len >= Bytes.length r.buf then raise (Bad "read buffer overflow");
+  end
+
+(* One read into the free space after the buffered bytes. *)
+let refill r =
+  let off = r.start + r.len in
   let n =
-    try Unix.read r.fd r.buf r.len (Bytes.length r.buf - r.len) with
+    try Unix.read r.fd r.buf off (Bytes.length r.buf - off) with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         raise Conn_timeout
     | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -708,20 +794,28 @@ let refill r =
   if n = 0 then raise Conn_closed;
   r.len <- r.len + n
 
-let peek_byte r =
-  if r.len = 0 then refill r;
-  Bytes.get r.buf r.start
+(* Buffer at least [n] bytes from [start]. *)
+let fill r n =
+  if r.len < n then begin
+    reserve r n;
+    while r.len < n do
+      refill r
+    done
+  end
 
-let read_exact r n =
-  while r.len < n do
-    refill r
-  done;
-  let s = Bytes.sub_string r.buf r.start n in
+let consume r n =
   r.start <- r.start + n;
   r.len <- r.len - n;
-  s
+  if r.len = 0 then begin
+    r.start <- 0;
+    if Bytes.length r.buf > buffer_size then r.buf <- Bytes.create buffer_size
+  end
 
-(* Read up to and including a '\n', bounded. *)
+let peek_byte r =
+  fill r 1;
+  Bytes.get r.buf r.start
+
+(* Read up to and including a '\n', at most [max] bytes before it. *)
 let read_line r ~max =
   let rec find_nl from =
     let rec scan i =
@@ -734,12 +828,37 @@ let read_line r ~max =
     | None ->
         if r.len > max then raise (Bad "line too long");
         let before = r.len in
+        (* Room for one more byte: slide to the front, or double the
+           buffer (up to a whole line and its newline) when it is full. *)
+        if r.start + r.len = Bytes.length r.buf then
+          reserve r
+            (if r.len < Bytes.length r.buf then r.len + 1
+             else Stdlib.min (max + 1) (2 * r.len));
         refill r;
         find_nl before
   in
   let off = find_nl 0 in
   if off > max then raise (Bad "line too long");
-  read_exact r (off + 1)
+  let line = Bytes.sub_string r.buf r.start (off + 1) in
+  consume r (off + 1);
+  line
+
+(* Read a frame header: its tag and declared payload length. *)
+let read_header r =
+  fill r header_len;
+  let ok = magic_ok r.buf r.start in
+  let tag = Bytes.get_uint8 r.buf (r.start + 4) in
+  let len = header_length r.buf r.start in
+  consume r header_len;
+  if not ok then raise (Bad "bad magic");
+  (tag, len)
+
+(* Decode a [len]-byte payload where it lies in the buffer. *)
+let read_payload r len decode =
+  fill r len;
+  let v = decode { s = r.buf; pos = r.start; limit = r.start + len } in
+  consume r len;
+  v
 
 let next ?(max_frame = default_max_frame) r =
   try
@@ -765,25 +884,15 @@ let next ?(max_frame = default_max_frame) r =
         | Error e -> Json_malformed ("bad json request: " ^ e)
       end
     | 'I' -> begin
-        let header = read_exact r header_len in
-        if String.sub header 0 4 <> magic then Malformed "bad magic"
-        else begin
-          let byte i = Char.code header.[i] in
-          let tag = byte 4 in
-          let len =
-            (byte 5 lsl 24) lor (byte 6 lsl 16) lor (byte 7 lsl 8) lor byte 8
-          in
-          (* The length is checked against the cap BEFORE any allocation
-             proportional to it: an adversarial 4 GB declaration costs the
-             server one header read, not a heap spike. *)
-          if len > max_frame then Too_large
-          else begin
-            let payload = read_exact r len in
-            match decode_request (frame tag payload) with
-            | Ok req -> Bin_request req
-            | Error e -> Malformed e
-          end
-        end
+        let tag, len = read_header r in
+        (* The length is checked against the cap BEFORE any allocation
+           proportional to it: an adversarial 4 GB declaration costs the
+           server one header read, not a heap spike. *)
+        if len > max_frame then Too_large
+        else
+          match read_payload r len (request_of_payload tag) with
+          | Ok req -> Bin_request req
+          | Error e -> Malformed e
       end
     | _ -> Malformed "bad magic"
   with
@@ -802,22 +911,12 @@ let read_response ?(max_frame = default_max_frame) r =
         | Error e -> `Malformed e
       end
     | 'I' -> begin
-        let header = read_exact r header_len in
-        if String.sub header 0 4 <> magic then `Malformed "bad magic"
-        else begin
-          let byte i = Char.code header.[i] in
-          let tag = byte 4 in
-          let len =
-            (byte 5 lsl 24) lor (byte 6 lsl 16) lor (byte 7 lsl 8) lor byte 8
-          in
-          if len > max_frame then `Malformed "oversized response"
-          else begin
-            let payload = read_exact r len in
-            match decode_response (frame tag payload) with
-            | Ok resp -> `Response resp
-            | Error e -> `Malformed e
-          end
-        end
+        let tag, len = read_header r in
+        if len > max_frame then `Malformed "oversized response"
+        else
+          match read_payload r len (response_of_payload tag) with
+          | Ok resp -> `Response resp
+          | Error e -> `Malformed e
       end
     | _ -> `Malformed "bad magic"
   with

@@ -17,11 +17,17 @@
       works from stock Prometheus scrapers and [curl]; the connection
       closes after one response.
 
+    Each frame is written once, into a string of its exact size, and read
+    with one length check per field or array; the connection reader
+    decodes a payload where it lies in its buffer.
+
     Robustness contract: a frame's declared length is validated against
     {!default_max_frame} (or the caller's cap) {e before} any allocation
     proportional to it, truncated or trailing payload bytes are rejected,
     and every malformed input surfaces as a value ([Malformed]/[Result]) —
-    never an exception escaping the decoder. *)
+    never an exception escaping the decoder. Within their caps, frames and
+    JSON lines of any length are read whole: the reader's 64 KiB buffer
+    grows for a longer message and shrinks back once it is consumed. *)
 
 val magic : string
 (** ["ICP1"]. *)
@@ -75,7 +81,9 @@ val response_kind : response -> string
 (** {1 Binary codec} *)
 
 val encode_request : request -> string
-(** A complete frame, header included. *)
+(** A complete frame, header included. Raises [Invalid_argument] when a
+    field is out of its range: a [u16] or [u32] outside it, a string
+    longer than 0xffff bytes, or a [Tm] whose [values] are not [n * n]. *)
 
 val encode_response : response -> string
 
@@ -126,7 +134,10 @@ type incoming =
           error reply must be JSON too *)
 
 val next : ?max_frame:int -> reader -> incoming
-(** Sniff and read one complete request. Never raises. *)
+(** Sniff and read one complete request: a frame of up to [max_frame]
+    payload bytes (default {!default_max_frame}), a JSON line of up to
+    64 KiB, or an HTTP request line and headers of up to 1 KiB each.
+    Never raises. *)
 
 val read_response :
   ?max_frame:int ->
@@ -136,7 +147,9 @@ val read_response :
   | `Closed
   | `Timed_out
   | `Malformed of string ]
-(** Client side: read one complete response. Never raises. *)
+(** Client side: read one complete response: a frame of up to
+    [max_frame] payload bytes, or a JSON line of up to [max_frame + 1024]
+    bytes. Never raises. *)
 
 val write_all : Unix.file_descr -> string -> unit
 (** Write the whole string, looping over short writes. Raises

@@ -64,7 +64,23 @@ let gen_string =
         string_size ~gen:char (int_range 0 64);
       ])
 
-let gen_request =
+(* Widened for the byte oracle: a rare string at the u16 limit. *)
+let gen_wide_string =
+  QCheck2.Gen.(
+    frequency [ (300, gen_string); (1, string_size ~gen:char (return 0xffff)) ])
+
+(* Widened for the byte oracle: the u32 limits as well as small values. *)
+let gen_wide_u32 =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 1_000_000;
+        int_range 0 0xffffffff;
+        oneofl [ 0x7fffffff; 0x80000000; 0xffffffff ];
+      ])
+
+let gen_request_with ~wide =
+  let gen_string = if wide then gen_wide_string else gen_string in
   QCheck2.Gen.(
     let* tag = int_range 0 4 in
     match tag with
@@ -81,28 +97,44 @@ let gen_request =
         let* scale = gen_float in
         return (Wire.Whatif { tenant; scale }))
 
-let gen_response =
+let gen_request = gen_request_with ~wide:false
+
+(* [~wide] draws TMs up to 30 PoPs and u32 fields up to their limit; at
+   most two node names of a topology come from the wide strings, which
+   keeps the every-prefix oracle's frames short enough to walk. *)
+let gen_response_with ~wide =
+  let gen_bin =
+    if wide then gen_wide_u32 else QCheck2.Gen.int_range 0 1_000_000
+  in
   QCheck2.Gen.(
     let* tag = int_range 0 6 in
     match tag with
     | 0 -> map (fun t -> Wire.Pong t) int64
     | 1 ->
-        let* bin = int_range 0 1_000_000 in
+        let* bin = gen_bin in
         let* level = int_range 0 255 in
-        let* n = int_range 0 6 in
+        let* n = int_range 0 (if wide then 30 else 6) in
         let* values = array_size (return (n * n)) gen_float in
         return (Wire.Tm { bin; level; n; values })
     | 2 ->
-        let* bin = int_range 0 1_000_000 in
+        let* bin = gen_bin in
         let* level = int_range 0 255 in
         let* value = gen_float in
         return (Wire.Flow { bin; level; value })
     | 3 ->
-        let* nodes = array_size (int_range 0 8) gen_string in
-        let* links = int_range 0 10_000 in
+        let* nodes =
+          if wide then
+            frequency
+              [
+                (4, array_size (int_range 0 8) gen_string);
+                (1, array_size (int_range 1 2) gen_wide_string);
+              ]
+          else array_size (int_range 0 8) gen_string
+        in
+        let* links = if wide then gen_wide_u32 else int_range 0 10_000 in
         return (Wire.Topology_info { nodes; links })
     | 4 ->
-        let* bin = int_range 0 1_000_000 in
+        let* bin = gen_bin in
         let* scale = gen_float in
         let* loads = array_size (int_range 0 32) gen_float in
         return (Wire.Whatif_load { bin; scale; loads })
@@ -119,8 +151,10 @@ let gen_response =
               Wire.Draining;
             ]
         in
-        let* message = gen_string in
+        let* message = if wide then gen_wide_string else gen_string in
         return (Wire.Error { code; message }))
+
+let gen_response = gen_response_with ~wide:false
 
 (* Bit-exact equality: floats compare by IEEE-754 pattern so NaN payloads
    count, and everything else structurally. *)
@@ -247,6 +281,457 @@ let test_json_manual () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nested object accepted"
 
+(* --- byte oracle ------------------------------------------------------------ *)
+
+(* The codec as first written: a [Buffer] encoder that writes one byte at a
+   time, and a decoder that reads one byte at a time. Its bytes pin the
+   format, so a change the encoder and decoder make together (little-endian
+   floats, say) fails here though every round trip still holds. *)
+module Ref = struct
+  type request = Wire.request =
+    | Ping of int64
+    | Latest_tm of { tenant : string }
+    | Od_flow of { tenant : string; src : int; dst : int }
+    | Topology of { tenant : string }
+    | Whatif of { tenant : string; scale : float }
+
+  type response = Wire.response =
+    | Pong of int64
+    | Tm of { bin : int; level : int; n : int; values : float array }
+    | Flow of { bin : int; level : int; value : float }
+    | Topology_info of { nodes : string array; links : int }
+    | Whatif_load of { bin : int; scale : float; loads : float array }
+    | Shed of Wire.shed_scope
+    | Error of { code : Wire.error_code; message : string }
+
+  let magic = "ICP1"
+  let header_len = 9
+
+  let error_code_tag : Wire.error_code -> int = function
+    | Bad_request -> 1
+    | Unknown_tenant -> 2
+    | No_estimate -> 3
+    | Bad_od -> 4
+    | Frame_too_large -> 5
+    | Draining -> 6
+
+  let error_code_of_tag : int -> Wire.error_code option = function
+    | 1 -> Some Bad_request
+    | 2 -> Some Unknown_tenant
+    | 3 -> Some No_estimate
+    | 4 -> Some Bad_od
+    | 5 -> Some Frame_too_large
+    | 6 -> Some Draining
+    | _ -> None
+
+  let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+
+  let add_u16 buf v =
+    if v < 0 || v > 0xffff then invalid_arg "Wire: u16 field out of range";
+    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
+    Buffer.add_char buf (Char.chr (v land 0xff))
+
+  let add_u32 buf v =
+    if v < 0 || v > 0xffffffff then invalid_arg "Wire: u32 field out of range";
+    add_u16 buf ((v lsr 16) land 0xffff);
+    add_u16 buf (v land 0xffff)
+
+  let add_i64 buf (v : int64) =
+    for shift = 7 downto 0 do
+      Buffer.add_char buf
+        (Char.chr
+           (Int64.to_int (Int64.shift_right_logical v (shift * 8)) land 0xff))
+    done
+
+  let add_f64 buf v = add_i64 buf (Int64.bits_of_float v)
+
+  let add_str buf s =
+    if String.length s > 0xffff then invalid_arg "Wire: string field too long";
+    add_u16 buf (String.length s);
+    Buffer.add_string buf s
+
+  let frame tag payload =
+    let buf = Buffer.create (header_len + String.length payload) in
+    Buffer.add_string buf magic;
+    add_u8 buf tag;
+    add_u32 buf (String.length payload);
+    Buffer.add_string buf payload;
+    Buffer.contents buf
+
+  let encode_request r =
+    let buf = Buffer.create 32 in
+    let tag =
+      match r with
+      | Ping token ->
+          add_i64 buf token;
+          0x01
+      | Latest_tm { tenant } ->
+          add_str buf tenant;
+          0x02
+      | Od_flow { tenant; src; dst } ->
+          add_str buf tenant;
+          add_u16 buf src;
+          add_u16 buf dst;
+          0x03
+      | Topology { tenant } ->
+          add_str buf tenant;
+          0x04
+      | Whatif { tenant; scale } ->
+          add_str buf tenant;
+          add_f64 buf scale;
+          0x05
+    in
+    frame tag (Buffer.contents buf)
+
+  let encode_response r =
+    let buf = Buffer.create 64 in
+    let tag =
+      match r with
+      | Pong token ->
+          add_i64 buf token;
+          0x81
+      | Tm { bin; level; n; values } ->
+          if Array.length values <> n * n then
+            invalid_arg "Wire: Tm frame needs n*n values";
+          add_u32 buf bin;
+          add_u8 buf level;
+          add_u16 buf n;
+          Array.iter (add_f64 buf) values;
+          0x82
+      | Flow { bin; level; value } ->
+          add_u32 buf bin;
+          add_u8 buf level;
+          add_f64 buf value;
+          0x83
+      | Topology_info { nodes; links } ->
+          add_u16 buf (Array.length nodes);
+          add_u32 buf links;
+          Array.iter (add_str buf) nodes;
+          0x84
+      | Whatif_load { bin; scale; loads } ->
+          add_u32 buf bin;
+          add_f64 buf scale;
+          add_u32 buf (Array.length loads);
+          Array.iter (add_f64 buf) loads;
+          0x85
+      | Shed scope ->
+          add_u8 buf (match scope with Connection -> 0 | Request -> 1);
+          0x90
+      | Error { code; message } ->
+          add_u8 buf (error_code_tag code);
+          add_str buf message;
+          0x91
+    in
+    frame tag (Buffer.contents buf)
+
+  exception Bad of string
+
+  type cursor = { s : string; mutable pos : int; limit : int }
+
+  let need c n = if c.pos + n > c.limit then raise (Bad "truncated payload")
+
+  let get_u8 c =
+    need c 1;
+    let v = Char.code c.s.[c.pos] in
+    c.pos <- c.pos + 1;
+    v
+
+  let get_u16 c =
+    let hi = get_u8 c in
+    let lo = get_u8 c in
+    (hi lsl 8) lor lo
+
+  let get_u32 c =
+    let hi = get_u16 c in
+    let lo = get_u16 c in
+    (hi lsl 16) lor lo
+
+  let get_i64 c =
+    need c 8;
+    let v = ref 0L in
+    for _ = 1 to 8 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
+    done;
+    !v
+
+  let get_f64 c = Int64.float_of_bits (get_i64 c)
+
+  let get_str c =
+    let len = get_u16 c in
+    need c len;
+    let s = String.sub c.s c.pos len in
+    c.pos <- c.pos + len;
+    s
+
+  let get_floats c count =
+    need c (8 * count);
+    Array.init count (fun _ -> get_f64 c)
+
+  let split_frame s =
+    if String.length s < header_len then Result.error "truncated header"
+    else if String.sub s 0 4 <> magic then Result.error "bad magic"
+    else begin
+      let c = { s; pos = 4; limit = String.length s } in
+      let tag = get_u8 c in
+      let len = get_u32 c in
+      if String.length s - header_len <> len then
+        Result.error "frame length mismatch"
+      else Result.ok (tag, { s; pos = header_len; limit = String.length s })
+    end
+
+  let finish c v =
+    if c.pos <> c.limit then Result.error "trailing bytes in payload"
+    else Result.ok v
+
+  let decode_request s =
+    match split_frame s with
+    | Error e -> Result.error e
+    | Ok (tag, c) -> begin
+        try
+          match tag with
+          | 0x01 -> finish c (Ping (get_i64 c))
+          | 0x02 -> finish c (Latest_tm { tenant = get_str c })
+          | 0x03 ->
+              let tenant = get_str c in
+              let src = get_u16 c in
+              let dst = get_u16 c in
+              finish c (Od_flow { tenant; src; dst })
+          | 0x04 -> finish c (Topology { tenant = get_str c })
+          | 0x05 ->
+              let tenant = get_str c in
+              let scale = get_f64 c in
+              finish c (Whatif { tenant; scale })
+          | _ -> Result.error "unknown request tag"
+        with Bad e -> Result.error e
+      end
+
+  let decode_response s =
+    match split_frame s with
+    | Error e -> Result.error e
+    | Ok (tag, c) -> begin
+        try
+          match tag with
+          | 0x81 -> finish c (Pong (get_i64 c))
+          | 0x82 ->
+              let bin = get_u32 c in
+              let level = get_u8 c in
+              let n = get_u16 c in
+              if c.limit - c.pos <> 8 * n * n then
+                Result.error "tm frame size mismatch"
+              else finish c (Tm { bin; level; n; values = get_floats c (n * n) })
+          | 0x83 ->
+              let bin = get_u32 c in
+              let level = get_u8 c in
+              let value = get_f64 c in
+              finish c (Flow { bin; level; value })
+          | 0x84 ->
+              let count = get_u16 c in
+              let links = get_u32 c in
+              let nodes = Array.init count (fun _ -> get_str c) in
+              finish c (Topology_info { nodes; links })
+          | 0x85 ->
+              let bin = get_u32 c in
+              let scale = get_f64 c in
+              let count = get_u32 c in
+              if c.limit - c.pos <> 8 * count then
+                Result.error "whatif frame size mismatch"
+              else
+                finish c (Whatif_load { bin; scale; loads = get_floats c count })
+          | 0x90 -> begin
+              match get_u8 c with
+              | 0 -> finish c (Shed Connection)
+              | 1 -> finish c (Shed Request)
+              | _ -> Result.error "bad shed scope"
+            end
+          | 0x91 -> begin
+              let tag = get_u8 c in
+              let message = get_str c in
+              match error_code_of_tag tag with
+              | Some code -> finish c (Error { code; message })
+              | None -> Result.error "bad error code"
+            end
+          | _ -> Result.error "unknown response tag"
+        with Bad e -> Result.error e
+      end
+end
+
+let describe kind = function
+  | Ok v -> "Ok " ^ kind v
+  | Error e -> "Error " ^ e
+
+let same eq a b =
+  match (a, b) with
+  | Ok x, Ok y -> eq x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+(* Both decoders of both codecs on one input, compared result for result,
+   error strings included. *)
+let decodes_as_reference s =
+  let req = Wire.decode_request s and req' = Ref.decode_request s in
+  let resp = Wire.decode_response s and resp' = Ref.decode_response s in
+  if not (same request_eq req req') then
+    QCheck2.Test.fail_reportf "decode_request of %d bytes: %s, reference %s"
+      (String.length s)
+      (describe Wire.request_kind req)
+      (describe Wire.request_kind req')
+  else if not (same response_eq resp resp') then
+    QCheck2.Test.fail_reportf "decode_response of %d bytes: %s, reference %s"
+      (String.length s)
+      (describe Wire.response_kind resp)
+      (describe Wire.response_kind resp')
+  else true
+
+(* The first [len] bytes of [payload] under a header that declares [len],
+   so the decoders read into them. *)
+let reframe tag payload len =
+  let b = Bytes.create (Wire.header_len + len) in
+  Bytes.blit_string Wire.magic 0 b 0 4;
+  Bytes.set_uint8 b 4 tag;
+  Bytes.set_int32_be b 5 (Int32.of_int len);
+  Bytes.blit_string payload 0 b Wire.header_len len;
+  Bytes.unsafe_to_string b
+
+let prop_same_bytes encode encode_ref v =
+  let frame = encode v and frame' = encode_ref v in
+  String.equal frame frame'
+  || QCheck2.Test.fail_reportf
+       "frame of %d bytes differs from the reference's %d"
+       (String.length frame) (String.length frame')
+
+(* Every prefix of the frame and the frame plus one byte; then every
+   prefix of the payload, and the payload plus one byte, under a header
+   that declares that length. *)
+let prop_prefixes_as_reference encode_ref v =
+  let frame = encode_ref v in
+  let tag = Char.code frame.[4] in
+  let payload =
+    String.sub frame Wire.header_len (String.length frame - Wire.header_len)
+  in
+  let ok = ref (decodes_as_reference (frame ^ "\x00")) in
+  for len = 0 to String.length frame do
+    ok := !ok && decodes_as_reference (String.sub frame 0 len)
+  done;
+  for len = 0 to String.length payload do
+    ok := !ok && decodes_as_reference (reframe tag payload len)
+  done;
+  !ok
+  && decodes_as_reference
+       (reframe tag (payload ^ "\x00") (String.length payload + 1))
+
+(* Inputs near the format: arbitrary bytes, valid frames with a few bytes
+   overwritten, and arbitrary payloads under a well-formed header. *)
+let gen_near_frames =
+  QCheck2.Gen.(
+    let overwrite frame =
+      let* edits = list_size (int_range 1 4) (pair nat char) in
+      let b = Bytes.of_string frame in
+      List.iter (fun (i, ch) -> Bytes.set b (i mod Bytes.length b) ch) edits;
+      return (Bytes.to_string b)
+    in
+    oneof
+      [
+        string_size ~gen:char (int_range 0 128);
+        gen_request >>= (fun r -> overwrite (Ref.encode_request r));
+        gen_response >>= (fun r -> overwrite (Ref.encode_response r));
+        (let* tag =
+           oneof
+             [
+               int_range 0x01 0x05;
+               int_range 0x81 0x85;
+               oneofl [ 0x90; 0x91 ];
+               int_range 0 255;
+             ]
+         in
+         map
+           (fun p -> reframe tag p (String.length p))
+           (string_size ~gen:char (int_range 0 64)));
+      ])
+
+(* Fields inside and outside their ranges, several at once, so the first
+   failing check must be the reference's. Levels outside 0..255 are not
+   checked: both write the low byte. *)
+let gen_u16_field =
+  QCheck2.Gen.(
+    oneof [ int_range 0 0xffff; oneofl [ -1; 0x10000; min_int; max_int ] ])
+
+let gen_u32_field =
+  QCheck2.Gen.(
+    oneof [ gen_wide_u32; oneofl [ -1; 0x1_0000_0000; min_int; max_int ] ])
+
+let gen_level_field =
+  QCheck2.Gen.(
+    oneof [ int_range 0 255; oneofl [ -1; 256; 0x1ff; min_int; max_int ] ])
+
+let gen_str_field =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_string;
+        map (fun k -> String.make k 'z') (oneofl [ 0xffff; 0x10000 ]);
+      ])
+
+let gen_any_request =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_request;
+        map (fun tenant -> Wire.Latest_tm { tenant }) gen_str_field;
+        map (fun tenant -> Wire.Topology { tenant }) gen_str_field;
+        map3
+          (fun tenant src dst -> Wire.Od_flow { tenant; src; dst })
+          gen_str_field gen_u16_field gen_u16_field;
+        map2
+          (fun tenant scale -> Wire.Whatif { tenant; scale })
+          gen_str_field gen_float;
+      ])
+
+let gen_any_response =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_response;
+        (let* n = oneof [ int_range 0 4; oneofl [ -1; 0x10000 ] ] in
+         let* count =
+           oneof
+             [ return (if n >= 0 && n <= 4 then n * n else 1); int_range 0 17 ]
+         in
+         let* values = array_size (return count) gen_float in
+         map2
+           (fun bin level -> Wire.Tm { bin; level; n; values })
+           gen_u32_field gen_level_field);
+        map3
+          (fun bin level value -> Wire.Flow { bin; level; value })
+          gen_u32_field gen_level_field gen_float;
+        (let* nodes =
+           oneof
+             [
+               array_size (int_range 0 3) gen_str_field;
+               return (Array.make 0x10000 "");
+             ]
+         in
+         map (fun links -> Wire.Topology_info { nodes; links }) gen_u32_field);
+        (let* loads = array_size (int_range 0 4) gen_float in
+         map2
+           (fun bin scale -> Wire.Whatif_load { bin; scale; loads })
+           gen_u32_field gen_float);
+        map
+          (fun message -> Wire.Error { code = Wire.Bad_od; message })
+          gen_str_field;
+      ])
+
+let prop_same_outcome encode encode_ref v =
+  let outcome enc =
+    match enc v with s -> Ok s | exception Invalid_argument m -> Error m
+  in
+  match (outcome encode, outcome encode_ref) with
+  | Ok s, Ok s' -> String.equal s s' || QCheck2.Test.fail_report "frame differs"
+  | Error m, Error m' ->
+      String.equal m m'
+      || QCheck2.Test.fail_reportf "raised %S, reference %S" m m'
+  | Ok _, Error m' -> QCheck2.Test.fail_reportf "encoded; reference raised %S" m'
+  | Error m, Ok _ -> QCheck2.Test.fail_reportf "raised %S; reference encoded" m
+
 (* --- reader against a real socket ---------------------------------------- *)
 
 let with_socketpair f =
@@ -298,6 +783,74 @@ let test_reader_malformed () =
       match Wire.next reader with
       | Wire.Malformed _ -> ()
       | _ -> Alcotest.fail "bad magic not rejected")
+
+(* Send [data] from a second domain, so a message longer than the socket's
+   buffer cannot block the reading side. Both directions time out rather
+   than hang if the other side stops early. *)
+let with_sender data f =
+  with_socketpair (fun client server ->
+      Unix.setsockopt_float client Unix.SO_SNDTIMEO 5.;
+      Unix.setsockopt_float server Unix.SO_RCVTIMEO 5.;
+      let sender =
+        Domain.spawn (fun () ->
+            try Wire.write_all client data with Unix.Unix_error _ -> ())
+      in
+      Fun.protect
+        ~finally:(fun () -> Domain.join sender)
+        (fun () -> f (Wire.reader server)))
+
+(* A 100-PoP TM answer is 80,016 bytes, longer than the reader's 64 KiB
+   buffer but far under the frame cap; the next frame must still read. *)
+let big_tm =
+  Wire.Tm
+    {
+      bin = 3;
+      level = 1;
+      n = 100;
+      values = Array.init 10_000 (fun i -> Float.of_int i /. 7.);
+    }
+
+let test_reader_long_tm_frame () =
+  let frame = Wire.encode_response big_tm in
+  Alcotest.(check int) "frame bytes" 80_016 (String.length frame);
+  with_sender (frame ^ Wire.encode_response (Wire.Pong 5L)) (fun reader ->
+      (match Wire.read_response reader with
+      | `Response resp ->
+          Alcotest.(check bool) "tm bits" true (response_eq big_tm resp)
+      | `Malformed e -> Alcotest.failf "long tm frame: malformed %s" e
+      | _ -> Alcotest.fail "long tm frame not read");
+      match Wire.read_response reader with
+      | `Response (Wire.Pong 5L) -> ()
+      | _ -> Alcotest.fail "frame after the long one")
+
+let test_reader_long_json_line () =
+  let line = Wire.json_of_response big_tm ^ "\n" in
+  Alcotest.(check bool)
+    "longer than the buffer" true
+    (String.length line > 65536);
+  with_sender (line ^ Wire.json_of_response (Wire.Pong 5L) ^ "\n") (fun reader ->
+      (match Wire.read_response reader with
+      | `Json "tm" -> ()
+      | `Malformed e -> Alcotest.failf "long json line: malformed %s" e
+      | _ -> Alcotest.fail "long json line not read");
+      match Wire.read_response reader with
+      | `Json "pong" -> ()
+      | _ -> Alcotest.fail "line after the long one")
+
+(* The largest tenant a u16 length allows: a 65,546-byte request. *)
+let test_reader_long_request_frame () =
+  let tenant = String.init 0xffff (fun i -> Char.chr (97 + (i mod 26))) in
+  let frame = Wire.encode_request (Wire.Latest_tm { tenant }) in
+  Alcotest.(check int) "frame bytes" 65_546 (String.length frame);
+  with_sender (frame ^ Wire.encode_request (Wire.Ping 9L)) (fun reader ->
+      (match Wire.next reader with
+      | Wire.Bin_request (Wire.Latest_tm { tenant = t }) ->
+          Alcotest.(check bool) "tenant" true (String.equal tenant t)
+      | Wire.Malformed e -> Alcotest.failf "long request: malformed %s" e
+      | _ -> Alcotest.fail "long request not read");
+      match Wire.next reader with
+      | Wire.Bin_request (Wire.Ping 9L) -> ()
+      | _ -> Alcotest.fail "request after the long one")
 
 (* --- shared fixture ------------------------------------------------------ *)
 
@@ -654,12 +1207,39 @@ let () =
             prop_json_request_roundtrip;
           Alcotest.test_case "json corner cases" `Quick test_json_manual;
         ] );
+      ( "byte oracle",
+        [
+          qcheck ~count:1000 "request frames equal the reference's"
+            (gen_request_with ~wide:true)
+            (prop_same_bytes Wire.encode_request Ref.encode_request);
+          qcheck ~count:1000 "response frames equal the reference's"
+            (gen_response_with ~wide:true)
+            (prop_same_bytes Wire.encode_response Ref.encode_response);
+          qcheck ~count:100 "request prefixes decode as the reference's"
+            (gen_request_with ~wide:true)
+            (prop_prefixes_as_reference Ref.encode_request);
+          qcheck ~count:200 "response prefixes decode as the reference's"
+            (gen_response_with ~wide:true)
+            (prop_prefixes_as_reference Ref.encode_response);
+          qcheck ~count:1000 "near-frames decode as the reference's"
+            gen_near_frames decodes_as_reference;
+          qcheck "request range errors are the reference's" gen_any_request
+            (prop_same_outcome Wire.encode_request Ref.encode_request);
+          qcheck "response range errors are the reference's" gen_any_response
+            (prop_same_outcome Wire.encode_response Ref.encode_response);
+        ] );
       ( "reader",
         [
           Alcotest.test_case "protocol sniffing" `Quick test_reader_sniffing;
           Alcotest.test_case "oversized frame rejected from header" `Quick
             test_reader_oversized;
           Alcotest.test_case "malformed frame" `Quick test_reader_malformed;
+          Alcotest.test_case "tm frame longer than the buffer" `Quick
+            test_reader_long_tm_frame;
+          Alcotest.test_case "json line longer than the buffer" `Quick
+            test_reader_long_json_line;
+          Alcotest.test_case "request frame longer than the buffer" `Quick
+            test_reader_long_request_frame;
         ] );
       ( "handler",
         [
