@@ -201,7 +201,8 @@ let batch_tests =
 
 (* Streaming engine: per-bin serving cost (prior + tomogravity + IPF over a
    reused plan, refits disabled so the sliding-window refit is measured
-   separately below) and the cost of one warm 64-bin refit. *)
+   separately below), the cost of one warm 64-bin refit, and one warm
+   refit at the engine's production size. *)
 let stream_observations =
   let feed =
     Ic_runtime.Feed.create ~noise_sigma:0.01 ~drop_rate:0.02 routing fit_series
@@ -219,16 +220,36 @@ let stream_config =
     initial_params = Some (fitted.params.f, Array.copy fitted.params.preference);
   }
 
+let engine_per_bin =
+  Test.make ~name:"stream/engine-per-bin"
+    (Staged.stage
+       (let engine = Ic_runtime.Engine.create stream_config in
+        let k = ref 0 in
+        fun () ->
+          let loads, missing = stream_observations.(!k) in
+          ignore (Ic_runtime.Engine.step engine ~loads ~missing);
+          k := (!k + 1) mod Array.length stream_observations))
+
+(* The second day of the Geant week, refit warm as the engine refits it:
+   from the cold fit of the first day, with the engine's 6 sweeps and that
+   fit's mean error as the incumbent (the guard stays quiet). Built on
+   first use, so other groups do not pay for the week. *)
+let refit_day =
+  lazy
+    (let week = (Ic_datasets.Geant.generate ~weeks:1 ()).series in
+     let day = 288 in
+     let options = { Ic_core.Fit.default_options with max_sweeps = 6 } in
+     let cold =
+       Ic_core.Fit.fit_stable_fp ~options
+         (Ic_traffic.Series.sub week ~pos:0 ~len:day)
+     in
+     ( { options with f_init = cold.params.f },
+       cold.mean_error,
+       Ic_traffic.Series.sub week ~pos:day ~len:day ))
+
 let stream_tests =
   [
-    Test.make ~name:"stream/engine-per-bin"
-      (Staged.stage
-         (let engine = Ic_runtime.Engine.create stream_config in
-          let k = ref 0 in
-          fun () ->
-            let loads, missing = stream_observations.(!k) in
-            ignore (Ic_runtime.Engine.step engine ~loads ~missing);
-            k := (!k + 1) mod Array.length stream_observations));
+    engine_per_bin;
     Test.make ~name:"stream/refit-window"
       (Staged.stage
          (let engine = Ic_runtime.Engine.create stream_config in
@@ -237,6 +258,10 @@ let stream_tests =
               ignore (Ic_runtime.Engine.step engine ~loads ~missing))
             stream_observations;
           fun () -> ignore (Ic_runtime.Engine.refit engine)));
+    Test.make ~name:"stream/refit-day-288"
+      (Staged.stage (fun () ->
+           let options, incumbent, series = Lazy.force refit_day in
+           ignore (Ic_core.Fit.fit_stable_fp ~options ~incumbent series)));
   ]
 
 (* Parallel execution layer. The work is FIXED across [--jobs] settings —
@@ -289,6 +314,22 @@ let parallel_tests ~pool =
    (two default-clock reads and a histogram observation) that every bin
    pays four times. The engine resolves its stage histograms once, so the
    bench does too. *)
+let noop_span =
+  let module Trace = Ic_obs.Trace in
+  Test.make ~name:"obs/noop-span"
+    (Staged.stage (fun () -> Trace.with_span Trace.noop "bench" Fun.id))
+
+let stage_traced_off =
+  let module Trace = Ic_obs.Trace in
+  Test.make ~name:"obs/stage-traced-off"
+    (Staged.stage
+       (let tel = Ic_runtime.Telemetry.create () in
+        let hist = Ic_runtime.Telemetry.stage tel "bench" in
+        fun () ->
+          Trace.stage Trace.noop "bench"
+            ~clock:(Ic_runtime.Telemetry.clock tel)
+            hist Fun.id))
+
 let obs_tests =
   let module Trace = Ic_obs.Trace in
   let traced_engine tracer =
@@ -304,16 +345,8 @@ let obs_tests =
       (Staged.stage (traced_engine None));
     Test.make ~name:"obs/engine-per-bin-traced-on"
       (Staged.stage (traced_engine (Some (Trace.create ~capacity:4096 ()))));
-    Test.make ~name:"obs/noop-span"
-      (Staged.stage (fun () -> Trace.with_span Trace.noop "bench" Fun.id));
-    Test.make ~name:"obs/stage-traced-off"
-      (Staged.stage
-         (let tel = Ic_runtime.Telemetry.create () in
-          let hist = Ic_runtime.Telemetry.stage tel "bench" in
-          fun () ->
-            Trace.stage Trace.noop "bench"
-              ~clock:(Ic_runtime.Telemetry.clock tel)
-              hist Fun.id));
+    noop_span;
+    stage_traced_off;
     Test.make ~name:"obs/enabled-span"
       (Staged.stage
          (let tracer = Trace.create ~capacity:1024 () in
@@ -703,30 +736,56 @@ let serve_results ~repeat () =
 (* Harness                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_group ~repeat label tests =
+let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:None ()
+
+let warmup_cfg = Benchmark.cfg ~limit:250 ~quota:(Time.second 0.1) ~kde:None ()
+
+(* One pass over [test]: (name, ns per run) for each of its tests. *)
+let measure cfg test =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:None ()
-  in
-  let warmup_cfg =
-    Benchmark.cfg ~limit:250 ~quota:(Time.second 0.1) ~kde:None ()
-  in
-  let measure cfg test =
-    let raw = Benchmark.all cfg instances test in
-    let analyzed = Analyze.all ols Instance.monotonic_clock raw in
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) -> t
-          | _ -> Float.nan
-        in
-        (name, ns) :: acc)
-      analyzed []
-  in
+  let raw = Benchmark.all cfg instances test in
+  let analyzed = Analyze.all ols Instance.monotonic_clock raw in
+  Hashtbl.fold
+    (fun name ols_result acc ->
+      let ns =
+        match Analyze.OLS.estimates ols_result with
+        | Some (t :: _) -> t
+        | _ -> Float.nan
+      in
+      (name, ns) :: acc)
+    analyzed []
+
+(* The traced-off budget's three terms (DESIGN.md "Observability
+   architecture"), timed in [repeat] alternating rounds in one process
+   after one discarded warmup pass of each: a round measures each term
+   once, starting one term later than the round before, so every round's
+   ratio sees one moment's machine and no term always runs first.
+   scripts/check.sh computes each round's ratio from the printed lines and
+   gates on their median. *)
+let budget_results ~repeat () =
+  Printf.printf "== traced-off budget ==\n%!";
+  let terms = [| engine_per_bin; stage_traced_off; noop_span |] in
+  Array.iter (fun t -> ignore (measure warmup_cfg t)) terms;
+  for round = 1 to max 1 repeat do
+    let ns = Array.make 3 Float.nan in
+    for k = 0 to 2 do
+      let i = (round + k) mod 3 in
+      match measure cfg terms.(i) with
+      | [ (_, v) ] -> ns.(i) <- v
+      | _ -> ()
+    done;
+    Printf.printf
+      "  round %d: stream/engine-per-bin %.1f ns, obs/stage-traced-off %.1f \
+       ns, obs/noop-span %.1f ns\n\
+       %!"
+      round ns.(0) ns.(1) ns.(2)
+  done;
+  []
+
+let run_group ~repeat label tests =
   Printf.printf "== %s ==\n%!" label;
   let results =
     List.concat_map
@@ -847,9 +906,9 @@ let () =
           ("substrates", substrate_tests);
         ]
       in
-      (* "serve plane" is a custom-harness group (live server + load
-         generator), selected by the same prefix filter as the bechamel
-         groups. *)
+      (* "serve plane" (live server + load generator) and "traced-off
+         budget" (alternating rounds) are custom-harness groups, selected
+         by the same prefix filter as the bechamel groups. *)
       let matches label =
         match !group_filter with
         | None -> true
@@ -860,7 +919,8 @@ let () =
       in
       let selected = List.filter (fun (label, _) -> matches label) groups in
       let serve_selected = matches "serve plane" in
-      if selected = [] && not serve_selected then begin
+      let budget_selected = matches "traced-off budget" in
+      if selected = [] && (not serve_selected) && not budget_selected then begin
         Printf.eprintf "no benchmark group matches %S\n"
           (Option.value ~default:"" !group_filter);
         exit 2
@@ -872,6 +932,10 @@ let () =
       in
       let all =
         if serve_selected then all @ serve_results ~repeat:!repeat () else all
+      in
+      let all =
+        if budget_selected then all @ budget_results ~repeat:!repeat ()
+        else all
       in
       Option.iter (fun out -> write_json out all) !json_out);
   print_endline "done."

@@ -17,8 +17,18 @@ let simplified ~f ~activity ~preference =
   if f < 0. || f > 1. then invalid_arg "Model.simplified: f out of [0,1]";
   let n = check_inputs "simplified" ~activity ~preference in
   let p = normalized "simplified" preference in
-  Ic_traffic.Tm.init n (fun i j ->
-      (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i)))
+  (* Written in place rather than through [Tm.init]'s closure, which boxes
+     every entry; each entry keeps the expression below. Non-negative
+     inputs and f in [0, 1] give non-negative entries. *)
+  let tm = Ic_traffic.Tm.create n in
+  let x = Ic_traffic.Tm.unsafe_data tm in
+  for i = 0 to n - 1 do
+    let fa = f *. activity.(i) and pi = p.(i) in
+    for j = 0 to n - 1 do
+      x.((i * n) + j) <- (fa *. p.(j)) +. ((1. -. f) *. activity.(j) *. pi)
+    done
+  done;
+  tm
 
 let general ~f_matrix ~activity ~preference =
   let n = check_inputs "general" ~activity ~preference in

@@ -9,7 +9,17 @@ let from_marginals ~ingress ~egress =
   if tin <= 0. || tout <= 0. then
     invalid_arg "Gravity.from_marginals: non-positive totals";
   let total = sqrt (tin *. tout) in
-  Tm.init n (fun i j -> Float.max 0. (ingress.(i) *. egress.(j) /. total))
+  (* Written in place rather than through [Tm.init]'s closure, which boxes
+     every entry. *)
+  let tm = Tm.create n in
+  let x = Tm.unsafe_data tm in
+  for i = 0 to n - 1 do
+    let gi = ingress.(i) in
+    for j = 0 to n - 1 do
+      x.((i * n) + j) <- Float.max 0. (gi *. egress.(j) /. total)
+    done
+  done;
+  tm
 
 let of_tm tm =
   from_marginals

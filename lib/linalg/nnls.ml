@@ -150,6 +150,74 @@ let solve_system ?max_iter ?(tol = 1e-10) sys c =
 
 let solve_gram ?max_iter ?tol g c = solve_system ?max_iter ?tol (system g) c
 
+(* G = d I + b p pᵀ. With τ = p·x, the KKT conditions read
+   x_k = max(0, c_k - b τ p_k) / d, so τ is the root of
+   h(τ) = τ - Σ_k p_k max(0, c_k - b τ p_k) / d. For b, p >= 0, h is
+   increasing and concave, piecewise linear, with one piece per set
+   S(τ) = {k : c_k - b τ p_k > 0}; the root of the piece of S is
+   Σ_S p_k c_k / (d + b Σ_S p_k²). The unconstrained solution
+   (Sherman–Morrison) is the root of the piece of every coordinate, which
+   lies below h, so it starts at or below the root. From there, Newton
+   steps on h rise monotonically: each step jumps to the root of the
+   current piece, and S only shrinks, so a step that keeps S's size keeps
+   S and ends at the root, within n + 1 steps. The max keeps τ from
+   falling by a rounding, which keeps S nested. *)
+let solve_rank_one ~d ~b p c =
+  let n = Array.length c in
+  if Array.length p <> n then invalid_arg "Nnls.solve_rank_one: dimension mismatch";
+  if not (d >= 0. && b >= 0.) then
+    invalid_arg "Nnls.solve_rank_one: d and b must be non-negative";
+  let x = Array.make n 0. in
+  if d > 0. then begin
+    let pc = ref 0. and pp = ref 0. in
+    for k = 0 to n - 1 do
+      let pk = p.(k) in
+      if pk < 0. then invalid_arg "Nnls.solve_rank_one: negative p";
+      pc := !pc +. (pk *. c.(k));
+      pp := !pp +. (pk *. pk)
+    done;
+    let tau0 = !pc /. (d +. (b *. !pp)) in
+    let bt = b *. tau0 in
+    let feasible = ref true in
+    for k = 0 to n - 1 do
+      let v = (c.(k) -. (bt *. p.(k))) /. d in
+      x.(k) <- v;
+      if v < -1e-9 *. (1. +. Float.abs v) then feasible := false
+    done;
+    if !feasible then
+      for k = 0 to n - 1 do
+        if x.(k) < 0. then x.(k) <- 0.
+      done
+    else begin
+      let tau = ref tau0 in
+      let size = ref n and steps = ref 0 in
+      let stop = ref false in
+      while not !stop do
+        let bt = b *. !tau in
+        let pc = ref 0. and pp = ref 0. and m = ref 0 in
+        for k = 0 to n - 1 do
+          let pk = p.(k) in
+          if c.(k) -. (bt *. pk) > 0. then begin
+            pc := !pc +. (pk *. c.(k));
+            pp := !pp +. (pk *. pk);
+            incr m
+          end
+        done;
+        incr steps;
+        if !m = !size || !steps > n + 1 then stop := true
+        else begin
+          size := !m;
+          tau := Float.max !tau (!pc /. (d +. (b *. !pp)))
+        end
+      done;
+      let bt = b *. !tau in
+      for k = 0 to n - 1 do
+        x.(k) <- Float.max 0. ((c.(k) -. (bt *. p.(k))) /. d)
+      done
+    end
+  end;
+  x
+
 let solve ?max_iter ?tol a b =
   let g = Mat.gram a in
   let c = Mat.mulv_t a b in

@@ -123,6 +123,41 @@ let mulv_into t x ~into:y =
     i := !i + 2
   done
 
+(* [mulv_into]'s loops over the first [rows] rows, each term scaling its
+   entry of [x] as it is read. *)
+let mulv_scaled t ~rows ~scale x =
+  if Array.length x <> t.cols then invalid_arg "Sparse.mulv_scaled: bad vector";
+  if rows < 0 || rows > t.rows then invalid_arg "Sparse.mulv_scaled: bad rows";
+  let y = Array.make rows 0. in
+  let rp = t.row_ptr and ci = t.col_idx and vs = t.values in
+  let i = ref 0 in
+  while !i < rows do
+    let lo0 = Array.unsafe_get rp !i in
+    let lo1 = Array.unsafe_get rp (!i + 1) in
+    let hi1 = if !i + 1 < rows then Array.unsafe_get rp (!i + 2) else lo1 in
+    let len = min (lo1 - lo0) (hi1 - lo1) in
+    let a0 = ref 0. and a1 = ref 0. in
+    for k = 0 to len - 1 do
+      let k0 = lo0 + k and k1 = lo1 + k in
+      let x0 = Array.unsafe_get x (Array.unsafe_get ci k0) *. scale in
+      let x1 = Array.unsafe_get x (Array.unsafe_get ci k1) *. scale in
+      a0 := !a0 +. (Array.unsafe_get vs k0 *. x0);
+      a1 := !a1 +. (Array.unsafe_get vs k1 *. x1)
+    done;
+    for k = lo0 + len to lo1 - 1 do
+      let xk = Array.unsafe_get x (Array.unsafe_get ci k) *. scale in
+      a0 := !a0 +. (Array.unsafe_get vs k *. xk)
+    done;
+    for k = lo1 + len to hi1 - 1 do
+      let xk = Array.unsafe_get x (Array.unsafe_get ci k) *. scale in
+      a1 := !a1 +. (Array.unsafe_get vs k *. xk)
+    done;
+    Array.unsafe_set y !i !a0;
+    if !i + 1 < rows then Array.unsafe_set y (!i + 1) !a1;
+    i := !i + 2
+  done;
+  y
+
 let mulv t x =
   if Array.length x <> t.cols then invalid_arg "Sparse.mulv: bad vector";
   let y = Array.make t.rows 0. in

@@ -35,6 +35,14 @@ val mulv_into : t -> Vec.t -> into:Vec.t -> unit
     entries in column order; two rows per step run their sums side by
     side. Bit-identical to {!mulv}. *)
 
+val mulv_scaled : t -> rows:int -> scale:float -> Vec.t -> Vec.t
+(** [mulv_scaled a ~rows ~scale x] is the first [rows] entries of
+    [a (scale x)], with [scale x] never formed: each row's sum runs from 0
+    in column order over the terms [v *. (x_j *. scale)], so it is bit for
+    bit the first [rows] entries of {!mulv} on the scaled copy. Raises
+    [Invalid_argument] unless [0 <= rows <= rows a] and [x] has [cols a]
+    entries. *)
+
 val mulv_t_into : t -> Vec.t -> into:Vec.t -> unit
 (** [mulv_t_into a x ~into] writes [aᵀ x] into [into] (length [cols a],
     zeroed first) without allocating. Bit-identical to {!mulv_t}. *)

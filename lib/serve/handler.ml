@@ -147,14 +147,14 @@ let answer t req =
             match Source.latest src with
             | None -> err Wire.No_estimate "no bin published yet"
             | Some { bin; level = _; tm } ->
-                let routing = Source.routing src in
-                let x = Tm.to_vector tm in
-                for k = 0 to Array.length x - 1 do
-                  x.(k) <- x.(k) *. scale
-                done;
-                let all = Routing.link_loads routing x in
-                let links = Graph.edge_count (Source.graph src) in
-                Wire.Whatif_load { bin; scale; loads = Array.sub all 0 links }
+                (* The physical-link rows of R (scale x), read straight
+                   from the published TM. *)
+                let loads =
+                  Ic_linalg.Sparse.mulv_scaled (Source.routing src).Routing.matrix
+                    ~rows:(Graph.edge_count (Source.graph src))
+                    ~scale (Tm.unsafe_data tm)
+                in
+                Wire.Whatif_load { bin; scale; loads }
           end
     end
 

@@ -1,20 +1,27 @@
+(* Each sum runs from 0 in index order over the backing row-major array. *)
 let ingress tm =
-  let n = Tm.size tm in
-  Array.init n (fun i ->
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        acc := !acc +. Tm.get tm i j
-      done;
-      !acc)
+  let n = Tm.size tm and x = Tm.unsafe_data tm in
+  let r = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let acc = ref 0. in
+    for j = 0 to n - 1 do
+      acc := !acc +. Array.unsafe_get x ((i * n) + j)
+    done;
+    r.(i) <- !acc
+  done;
+  r
 
+(* Every column's sum at once, a row at a time: column j still adds rows
+   0 .. n - 1 in order. *)
 let egress tm =
-  let n = Tm.size tm in
-  Array.init n (fun j ->
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. Tm.get tm i j
-      done;
-      !acc)
+  let n = Tm.size tm and x = Tm.unsafe_data tm in
+  let r = Array.make n 0. in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Array.unsafe_set r j (Array.unsafe_get r j +. Array.unsafe_get x ((i * n) + j))
+    done
+  done;
+  r
 
 let total = Tm.total
 

@@ -228,8 +228,10 @@ pin_counts stream-tomogravity 1 'bins 6048, refit.count 0, fastpath hit/update/r
 perfbench stream-ic 7
 # clamped read 128625 before the refit moved to per-bin matrix-vector
 # products; their rounding-level drift in the fitted preferences moves one
-# clamp decision at this seed.
-pin_counts stream-ic 7 'bins 6048, refit.count 21, fastpath hit/update/refactorize 5950/0/98, ipf.iterations 42857, clamped 128624, degrade.transitions 78, rel_l2_mean 0.291260'
+# clamp decision at this seed. The closed-form activity solve
+# (Nnls.solve_rank_one) moves the preferences at rounding level again,
+# and that decision back: 128624 -> 128625, nothing else.
+pin_counts stream-ic 7 'bins 6048, refit.count 21, fastpath hit/update/refactorize 5950/0/98, ipf.iterations 42857, clamped 128625, degrade.transitions 78, rel_l2_mean 0.291260'
 perfbench stream-tomogravity 7
 pin_counts stream-tomogravity 7 'bins 6048, refit.count 0, fastpath hit/update/refactorize 5967/0/81, ipf.iterations 33262, clamped 116430, degrade.transitions 80, rel_l2_mean 0.325074'
 
@@ -240,18 +242,18 @@ echo "== bench smoke (--jobs 4, parallel group) =="
 dune exec bench/main.exe -- --jobs 4 --repeat 1 --group parallel --json /dev/null
 
 echo "== per-bin fast-path gates =="
-# Measure the streaming and observability groups in ONE bench process
-# (min-of-3 per test) so every ratio sees the same heap and machine
-# conditions, then gate:
+# Gate:
 #   1. the traced-off observability budget: a cached bin makes 4 stage
 #      calls (ingest, prior, estimate, ipf: a noop span plus the stage
 #      timer) and 3 bare noop spans (engine.step, tomogravity.solve,
 #      tomogravity.clamp), so 4 x obs/stage-traced-off + 3 x obs/noop-span
 #      is the per-bin cost the observability layer adds when tracing is
 #      off. It must stay under 3% of stream/engine-per-bin (DESIGN.md
-#      "Observability architecture"). The engine-vs-engine pair
-#      (traced-off vs stream/engine-per-bin) is the same code path twice
-#      and its gap is scheduler noise, so it is printed but not gated.
+#      "Observability architecture"). The bench's "traced-off budget"
+#      group times the three terms in alternating rounds in one process,
+#      so each round's ratio compares readings of one moment; the gate
+#      takes the median of the rounds' ratios. (Min-of-3 readings of each
+#      term taken at different moments spread 1.65-3.28% on one host.)
 #   2. no regression beyond 25% against the committed per-PR snapshot
 #      results/BENCH_pr6_after.json (generous: absorbs machine-to-machine
 #      variance while still catching a lost fast path, which is >5x).
@@ -260,24 +262,41 @@ echo "== per-bin fast-path gates =="
 #      exceeds any threshold that would still mean something, and they
 #      are already gated by the in-run relative check above, which is
 #      immune to host-speed drift because both sides move together.
+#      The streaming and observability groups run in ONE bench process
+#      (min-of-3 per test), so they see the same heap and machine. The
+#      engine-vs-engine pair (traced-off vs stream/engine-per-bin) is the
+#      same code path twice and its gap is scheduler noise, so it is
+#      printed but not gated.
+budget_out=$(dune exec bench/main.exe -- --group traced-off --repeat 9)
+printf '%s\n' "$budget_out"
+ratios=$(printf '%s\n' "$budget_out" | awk '
+  /^  round [0-9]+:/ {
+    bin = 0; stage = 0; span = 0
+    for (i = 1; i <= NF; i++) {
+      v = $(i + 1)
+      if ($i == "stream/engine-per-bin") bin = v
+      if ($i == "obs/stage-traced-off") stage = v
+      if ($i == "obs/noop-span") span = v
+    }
+    if (bin > 0) print (4 * stage + 3 * span) / bin
+  }')
+if [ -z "$ratios" ]; then
+  echo "check.sh: traced-off budget rounds missing from bench output" >&2
+  exit 1
+fi
+printf '%s\n' "$ratios" | awk '{ printf "  round %d: traced-off instrumentation %.2f%% of a bin\n", NR, 100 * $1 }'
+median=$(printf '%s\n' "$ratios" | sort -g | awk '{ r[NR] = $1 }
+  END { print (NR % 2 ? r[(NR + 1) / 2] : (r[NR / 2] + r[NR / 2 + 1]) / 2) }')
+if ! awk -v m="$median" 'BEGIN { exit !(m <= 0.03) }'; then
+  echo "check.sh: traced-off instrumentation (4 x obs/stage-traced-off +" >&2
+  echo "  3 x obs/noop-span) exceeds 3% of stream/engine-per-bin in the" >&2
+  echo "  median round ($(awk -v m="$median" 'BEGIN { printf "%.2f%%", 100 * m }'))" >&2
+  exit 1
+fi
+echo "traced-off overhead OK: median round $(awk -v m="$median" 'BEGIN { printf "%.2f%%", 100 * m }') of a bin (bound 3%)"
 fastpath_json=$(mktemp)
 trap 'rm -f "$fastpath_json"' EXIT
 dune exec bench/main.exe -- --group stream,obs --json "$fastpath_json"
-perbin=$(awk -F': ' '/"stream\/engine-per-bin"/ { gsub(/[ ,]/, "", $2); print $2; exit }' "$fastpath_json")
-noop_span=$(awk -F': ' '/"obs\/noop-span"/ { gsub(/[ ,]/, "", $2); print $2; exit }' "$fastpath_json")
-stage=$(awk -F': ' '/"obs\/stage-traced-off"/ { gsub(/[ ,]/, "", $2); print $2; exit }' "$fastpath_json")
-if [ -z "$perbin" ] || [ -z "$noop_span" ] || [ -z "$stage" ]; then
-  echo "check.sh: per-bin benchmarks missing from bench output" >&2
-  exit 1
-fi
-if ! awk -v span="$noop_span" -v stage="$stage" -v bin="$perbin" \
-    'BEGIN { exit !(4 * stage + 3 * span <= bin * 0.03) }'; then
-  echo "check.sh: traced-off instrumentation (4 x ${stage} ns stages +" >&2
-  echo "  3 x ${noop_span} ns spans) exceeds 3% of stream/engine-per-bin" >&2
-  echo "  (${perbin} ns)" >&2
-  exit 1
-fi
-echo "traced-off overhead OK: 4 x ${stage} ns stages + 3 x ${noop_span} ns spans vs ${perbin} ns per bin"
 scripts/bench_diff.sh results/BENCH_pr6_after.json "$fastpath_json" \
   --only stream/ --threshold 25
 

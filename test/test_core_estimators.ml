@@ -243,6 +243,109 @@ let test_shared_system () =
             Mat.mulv_t a
               (Array.init 10 (fun _ -> Ic_prng.Rng.float_range rng (-1.) 2.)))))
 
+(* --- Nnls.solve_rank_one against Lawson–Hanson --- *)
+
+(* One draw: G = d I + b p pᵀ and c. [p] has zero entries a fifth of the
+   time each; [b] is 0 a fifth of the time, else up to 10 d / ‖p‖², so the
+   Gram's condition number stays below 11; [c] is of mixed signs, all
+   negative, or one large positive entry against small mixed ones under a
+   large [b], which leaves that coordinate alone active. *)
+let rank_one_draw seed =
+  let module Rng = Ic_prng.Rng in
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 12 in
+  let p =
+    Array.init n (fun _ ->
+        if Rng.float rng < 0.2 then 0. else Rng.float_range rng 0.01 1.)
+  in
+  let pp = Vec.dot p p in
+  let d = Rng.float_range rng 0.1 10. in
+  let mode = Rng.int rng 3 in
+  let b =
+    if Rng.float rng < 0.2 || pp = 0. then 0.
+    else
+      let kappa = if mode = 2 then 10. else Rng.float_range rng 0.1 10. in
+      kappa *. d /. pp
+  in
+  let c =
+    match mode with
+    | 0 -> Array.init n (fun _ -> Rng.float_range rng (-1.) 1.)
+    | 1 -> Array.init n (fun _ -> Rng.float_range rng (-1.) (-0.01))
+    | _ ->
+        let top = Rng.int rng n in
+        Array.init n (fun k ->
+            if k = top then Rng.float_range rng 20. 100.
+            else Rng.float_range rng (-1.) 1.)
+  in
+  (n, d, b, p, c)
+
+let test_rank_one_matches_lawson_hanson () =
+  let tally = Hashtbl.create 8 in
+  let seen what = Hashtbl.replace tally what () in
+  let seeds = QCheck.int_bound 1_000_000_000 in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"solve_rank_one = solve_gram" seeds
+       (fun seed ->
+         let n, d, b, p, c = rank_one_draw seed in
+         let g = Mat.init n n (fun i j -> (if i = j then d else 0.) +. (b *. p.(i) *. p.(j))) in
+         let x = Nnls.solve_rank_one ~d ~b p c in
+         let y = Nnls.solve_gram g c in
+         let scale = Float.max (Vec.amax x) (Vec.amax y) in
+         let diff = Vec.amax (Vec.sub x y) in
+         if diff > 1e-9 *. scale then
+           QCheck.Test.fail_reportf "n %d: max |x - lh| %.3g against %.3g" n
+             diff scale;
+         if not (Array.for_all (fun v -> v >= 0.) x) then
+           QCheck.Test.fail_report "negative entry";
+         (* A = [√d I; √b pᵀ] and [c / √d; 0] have the normal equations
+            G x = c. *)
+         let a =
+           Mat.init (n + 1) n (fun i j ->
+               if i = n then Float.sqrt b *. p.(j)
+               else if i = j then Float.sqrt d
+               else 0.)
+         in
+         let rhs =
+           Array.init (n + 1) (fun i -> if i = n then 0. else c.(i) /. Float.sqrt d)
+         in
+         let kkt = Nnls.kkt_violation a rhs x in
+         if kkt > 1e-8 then QCheck.Test.fail_reportf "KKT violation %.3g" kkt;
+         let positive = Array.fold_left (fun k v -> if v > 0. then k + 1 else k) 0 x in
+         if Array.exists (( = ) 0.) p then seen "p with zero entries";
+         if Array.exists (fun v -> v > 0.) c && Array.exists (fun v -> v < 0.) c
+         then seen "c of mixed signs";
+         if Array.for_all (fun v -> v < 0.) c then seen "c all negative";
+         if b = 0. then seen "b = 0";
+         if n = 1 then seen "n = 1";
+         if n >= 2 && positive = 1 then seen "one coordinate left active";
+         if positive = n then seen "every coordinate positive";
+         if positive > 1 && positive < n then seen "some coordinates clamped";
+         true));
+  List.iter
+    (fun what ->
+      if not (Hashtbl.mem tally what) then
+        Alcotest.failf "no draw with %s" what)
+    [
+      "p with zero entries";
+      "c of mixed signs";
+      "c all negative";
+      "b = 0";
+      "n = 1";
+      "one coordinate left active";
+      "every coordinate positive";
+      "some coordinates clamped";
+    ];
+  (* d = 0 returns zeros; a negative p entry, b or d is refused. *)
+  Alcotest.(check (array (float 0.)))
+    "d = 0" [| 0.; 0. |]
+    (Nnls.solve_rank_one ~d:0. ~b:1. [| 1.; 2. |] [| 3.; 4. |]);
+  Alcotest.check_raises "negative p"
+    (Invalid_argument "Nnls.solve_rank_one: negative p") (fun () ->
+      ignore (Nnls.solve_rank_one ~d:1. ~b:1. [| 1.; -2. |] [| 3.; 4. |]));
+  Alcotest.check_raises "negative b"
+    (Invalid_argument "Nnls.solve_rank_one: d and b must be non-negative")
+    (fun () -> ignore (Nnls.solve_rank_one ~d:1. ~b:(-1.) [| 1. |] [| 3. |]))
+
 (* --- Closed_form --- *)
 
 let test_closed_form_inverts_model () =
@@ -343,6 +446,8 @@ let () =
             test_solve_gram_engine_size;
           Alcotest.test_case "one system, many right-hand sides" `Quick
             test_shared_system;
+          Alcotest.test_case "closed form on d I + b p pT" `Quick
+            test_rank_one_matches_lawson_hanson;
         ] );
       ( "closed_form",
         [

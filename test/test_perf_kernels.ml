@@ -327,7 +327,11 @@ let test_fit_matches_pgd () =
    arithmetic in the same order, so these strings must not move; a change
    that moves them on purpose re-pins them and says why. They record the
    sweeps on per-bin matrix-vector products, whose rounding the tolerance
-   oracle below holds to the earlier scatter kernels'. *)
+   oracle below holds to the earlier scatter kernels'. Re-pinned once
+   since, when the activity block moved from a Cholesky solve with a
+   Lawson–Hanson fallback to the closed form [Nnls.solve_rank_one]: every
+   fit's bits moved at rounding level, and its sweeps and basin flags did
+   not. *)
 let fit_pin ~f ~preference ~activity (r : _ Ic_core.Fit.fitted) =
   let b = Buffer.create 4096 in
   let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
@@ -366,25 +370,25 @@ let test_fit_bit_pins () =
     (fun (name, expected, got) -> Alcotest.(check string) name expected got)
     [
       ( "stable_fp cold",
-        "44f83c9bbbf69e4487ff158498bf6457 mean 0x1.c1498b015401p-6 sweeps 8 \
+        "d70a9c9a59d72bdb9d1227b889f0f844 mean 0x1.c1498b015434ep-6 sweeps 8 \
          both true",
         stable_fp_pin cold );
       ( "stable_fp warm, guard quiet",
-        "84f63288fc4f50c58709e085bf630ac2 mean 0x1.4e4e13e50aea9p-5 sweeps 7 \
+        "018c035fcd612a9e1ff3b8077b08fde3 mean 0x1.4e4e13e50af34p-5 sweeps 7 \
          both false",
         stable_fp_pin quiet );
       ( "stable_fp warm, guard fires",
-        "84f63288fc4f50c58709e085bf630ac2 mean 0x1.4e4e13e50aea9p-5 sweeps 7 \
+        "018c035fcd612a9e1ff3b8077b08fde3 mean 0x1.4e4e13e50af34p-5 sweeps 7 \
          both true",
         stable_fp_pin firing );
       ( "stable_f",
-        "f01bf13de25edb92f6ff3d5dc31980ff mean 0x1.447b63942d0ep-5 sweeps 14 \
+        "5206a62426443efa5ce646f08505520c mean 0x1.447b63942d01ap-5 sweeps 14 \
          both true",
         fit_pin ~f:[| stable_f.params.f |]
           ~preference:stable_f.params.preference
           ~activity:stable_f.params.activity stable_f );
       ( "time_varying",
-        "8aa879a2a804c3e9fc497efdfa8661b5 mean 0x1.1ff8be9b4c4f6p-5 sweeps 27 \
+        "fd6b87f3420488ecc4cb802ef741887f mean 0x1.1ff8be9b4c60ap-5 sweeps 27 \
          both true",
         fit_pin ~f:time_varying.params.f
           ~preference:time_varying.params.preference
@@ -962,6 +966,82 @@ let test_tomogravity_gather_oracle () =
       ("derives the weights from the prior", own_weights);
     ]
 
+(* The per-bin priors and the marginals as they were written: each TM
+   through [Tm.init]'s closure, each marginal through [Tm.get]. *)
+let simplified_by_init ~f ~activity ~preference =
+  let p = Vec.scale (1. /. Vec.sum preference) preference in
+  Tm.init (Array.length p) (fun i j ->
+      (f *. activity.(i) *. p.(j)) +. ((1. -. f) *. activity.(j) *. p.(i)))
+
+let gravity_by_init ~ingress ~egress =
+  let total = sqrt (Vec.sum ingress *. Vec.sum egress) in
+  Tm.init (Array.length ingress) (fun i j ->
+      Float.max 0. (ingress.(i) *. egress.(j) /. total))
+
+let marginals_by_get tm =
+  let n = Tm.size tm in
+  let sum get =
+    Array.init n (fun a ->
+        let acc = ref 0. in
+        for b = 0 to n - 1 do
+          acc := !acc +. get a b
+        done;
+        !acc)
+  in
+  (sum (Tm.get tm), sum (fun j i -> Tm.get tm i j))
+
+(* Sizes 1..9, with zero activities, preferences and marginals drawn a
+   fifth of the time each, and f at both ends of [0, 1] as well as inside
+   it. *)
+let test_prior_oracle () =
+  let sizes = Array.make 9 0 in
+  let zero_activity = ref 0 and zero_preference = ref 0 and zero_marginal = ref 0 in
+  let f_ends = ref 0 in
+  oracle ~count:2000 "per-bin priors and marginals = their Tm.init forms"
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 9 in
+      sizes.(n - 1) <- sizes.(n - 1) + 1;
+      let draw count =
+        Array.init n (fun _ ->
+            if Rng.float rng < 0.2 then begin
+              incr count;
+              0.
+            end
+            else exp (Rng.float_range rng (-5.) 15.))
+      in
+      let activity = draw zero_activity in
+      let preference = draw zero_preference in
+      (* a preference must not sum to zero *)
+      let k = Rng.int rng n in
+      if preference.(k) = 0. then preference.(k) <- 1.;
+      let f =
+        match Rng.int rng 4 with
+        | 0 -> incr f_ends; 0.
+        | 1 -> incr f_ends; 1.
+        | _ -> Rng.float rng
+      in
+      let ingress = draw zero_marginal and egress = draw zero_marginal in
+      if ingress.(k) = 0. then ingress.(k) <- 1.;
+      if egress.(k) = 0. then egress.(k) <- 2.;
+      let ic = Ic_core.Model.simplified ~f ~activity ~preference in
+      let gravity = Ic_gravity.Gravity.from_marginals ~ingress ~egress in
+      let row_sums, col_sums = marginals_by_get ic in
+      same_bits (Tm.unsafe_data ic)
+        (Tm.unsafe_data (simplified_by_init ~f ~activity ~preference))
+      && same_bits (Tm.unsafe_data gravity)
+           (Tm.unsafe_data (gravity_by_init ~ingress ~egress))
+      && same_bits (Ic_traffic.Marginals.ingress ic) row_sums
+      && same_bits (Ic_traffic.Marginals.egress ic) col_sums);
+  tally_sizes "prior oracle" sizes;
+  tally "prior oracle"
+    [
+      ("has a zero activity", zero_activity);
+      ("has a zero preference", zero_preference);
+      ("has a zero marginal", zero_marginal);
+      ("puts f at 0 or 1", f_ends);
+    ]
+
 let () =
   Alcotest.run "ic_perf_kernels"
     [
@@ -1017,5 +1097,7 @@ let () =
             test_sparse_mulv_oracle;
           Alcotest.test_case "Rᵀu gathered from the plan" `Quick
             test_tomogravity_gather_oracle;
+          Alcotest.test_case "priors and marginals written in place" `Quick
+            test_prior_oracle;
         ] );
     ]

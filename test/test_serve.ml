@@ -950,6 +950,68 @@ let test_handler_counters () =
     in
     has "serve_query_ping 2" && has "serve_request_duration_ns_count 3")
 
+(* A what-if answer is bit for bit the physical-link rows of
+   [Routing.link_loads] on a scaled copy of the TM, the way it was first
+   computed. The draws cover scales from 0 up to ones that overflow
+   entries to infinity, TMs with zero entries, and a routing with a link
+   down, whose row is empty. *)
+let down_routing, down_link =
+  let rec first id =
+    match Routing.rebuild ~down:[ id ] routing with
+    | r -> (r, id)
+    | exception Invalid_argument _ -> first (id + 1)
+  in
+  first 0
+
+let gen_whatif =
+  QCheck2.Gen.(
+    let* down = bool in
+    let* zero_p = oneofl [ 0.; 0.3; 1. ] in
+    let* entries =
+      array_size (return (n * n)) (pair (float_range 0. 1.) (float_range 0. 1e9))
+    in
+    let* scale =
+      frequency
+        [
+          (1, oneofl [ 0.; 4.9e-324; 1.; Float.max_float ]);
+          (3, float_range 0. 10.);
+          (1, float_range 1e290 1e300);
+        ]
+    in
+    return
+      ( down,
+        Array.map (fun (u, v) -> if u < zero_p then 0. else v) entries,
+        scale ))
+
+let prop_whatif_bits (down, values, scale) =
+  let r = if down then down_routing else routing in
+  let tm = Tm.of_vector_clamped n values in
+  let src = Source.create r in
+  Source.publish src ~bin:3 ~level:0 tm;
+  let handler = Handler.create [ ("geant", src) ] in
+  let links = Graph.edge_count graph in
+  let expected =
+    Array.sub
+      (Routing.link_loads r (Array.map (fun v -> v *. scale) values))
+      0 links
+  in
+  match Handler.handle handler (Wire.Whatif { tenant = ""; scale }) with
+  | Wire.Whatif_load { bin = 3; scale = s; loads } ->
+      bits s = bits scale
+      && Array.length loads = links
+      && Array.for_all2 (fun a b -> bits a = bits b) loads expected
+      && ((not down) || bits loads.(down_link) = bits 0.)
+  | _ -> false
+
+let test_whatif_covers () =
+  (* The overflowing scales reach infinity on this fixture. *)
+  match Handler.handle (Handler.create [ ("geant", make_source ()) ])
+          (Wire.Whatif { tenant = ""; scale = Float.max_float }) with
+  | Wire.Whatif_load { loads; _ } ->
+      Alcotest.(check bool) "some load overflows" true
+        (Array.exists (fun v -> v = Float.infinity) loads)
+  | _ -> Alcotest.fail "whatif"
+
 (* --- live server --------------------------------------------------------- *)
 
 let start_server ?(workers = 2) ?(queue_cap = 16) ?(max_inflight = 16)
@@ -1247,6 +1309,10 @@ let () =
           Alcotest.test_case "error taxonomy" `Quick test_handler_errors;
           Alcotest.test_case "counters and exposition" `Quick
             test_handler_counters;
+          qcheck ~count:300 "whatif = R (scale x) bit for bit" gen_whatif
+            prop_whatif_bits;
+          Alcotest.test_case "whatif scales overflow to infinity" `Quick
+            test_whatif_covers;
         ] );
       ( "server",
         [
