@@ -126,44 +126,56 @@ let normalize ~lo ~hi p activities (xa, xta) =
   end
 
 (* The f solve and bin t's error see its model only through ‖A‖²‖p‖²,
-   (A·p)², Aᵀ X p = p·(Xᵀ A) and pᵀ X A = p·(X A), which [bin_terms]
-   writes to [d] in one pass. *)
-let bin_terms d (xa, xta) t a p =
-  let n = Array.length p in
-  let aa = ref 0. and pp = ref 0. and ap = ref 0. in
-  let axp = ref 0. and pxa = ref 0. in
-  for k = 0 to n - 1 do
-    let ak = a.(k) and pk = p.(k) in
-    aa := !aa +. (ak *. ak);
-    pp := !pp +. (pk *. pk);
-    ap := !ap +. (ak *. pk);
-    axp := !axp +. (pk *. xta.Mat.data.((t * n) + k));
-    pxa := !pxa +. (pk *. xa.Mat.data.((t * n) + k))
-  done;
-  d.(0) <- !aa *. !pp;
-  d.(1) <- !ap *. !ap;
-  d.(2) <- !axp;
-  d.(3) <- !pxa
+   (A·p)², Aᵀ X p = p·(Xᵀ A) and pᵀ X A = p·(X A), none of which depends on
+   f: [terms_into] writes them to row t of [terms] in one pass per bin, once
+   a sweep, for every bin with a positive norm (the bins both read). *)
+let terms_into terms norms (xa, xta) ~activities ~preferences =
+  for t = 0 to Array.length norms - 1 do
+    if norms.(t) > 0. then begin
+      let a = activities.(t) and p = preferences t in
+      let n = Array.length p in
+      let aa = ref 0. and pp = ref 0. and ap = ref 0. in
+      let axp = ref 0. and pxa = ref 0. in
+      for k = 0 to n - 1 do
+        let ak = a.(k) and pk = p.(k) in
+        aa := !aa +. (ak *. ak);
+        pp := !pp +. (pk *. pk);
+        ap := !ap +. (ak *. pk);
+        axp := !axp +. (pk *. xta.Mat.data.((t * n) + k));
+        pxa := !pxa +. (pk *. xa.Mat.data.((t * n) + k))
+      done;
+      let d = terms.Mat.data in
+      d.(4 * t) <- !aa *. !pp;
+      d.((4 * t) + 1) <- !ap *. !ap;
+      d.((4 * t) + 2) <- !axp;
+      d.((4 * t) + 3) <- !pxa
+    end
+  done
 
 (* Forward-fraction subproblem: X = f (A pᵀ - p Aᵀ) + p Aᵀ is linear in f;
    weighted scalar least squares, clamped into [bounds]. The slope
    A pᵀ - p Aᵀ has squared norm 2(‖A‖²‖p‖² - (A·p)²) and inner product
    Aᵀ X p - pᵀ X A - (A·p)² + ‖A‖²‖p‖² with X - p Aᵀ. *)
-let solve_f ~bounds:(f_lo, f_hi) d ~activities ~preferences ~weights prods =
+let solve_f ~bounds:(f_lo, f_hi) terms ~weights =
+  let d = terms.Mat.data in
   let num = ref 0. and den = ref 0. in
-  for t = 0 to Array.length activities - 1 do
+  for t = 0 to Array.length weights - 1 do
     let w = weights.(t) in
     if w > 0. then begin
-      bin_terms d prods t activities.(t) (preferences t);
-      let cross = d.(0) -. d.(1) in
-      num := !num +. (w *. (d.(2) -. d.(3) +. cross));
+      let cross = d.(4 * t) -. d.((4 * t) + 1) in
+      num := !num +. (w *. (d.((4 * t) + 2) -. d.((4 * t) + 3) +. cross));
       den := !den +. (w *. 2. *. cross)
     end
   done;
   if !den <= 0. then None
   else Some (Ic_linalg.Proj.box ~lo:f_lo ~hi:f_hi (!num /. !den))
 
-let bin_norms tms = Array.map (fun tm -> Vec.nrm2 (Tm.unsafe_data tm)) tms
+let bin_norms ~visit tms =
+  Array.map
+    (fun tm ->
+      visit ();
+      Vec.nrm2 (Tm.unsafe_data tm))
+    tms
 
 let weights_of_norms norms =
   Array.map (fun nrm -> if nrm > 0. then 1. /. (nrm *. nrm) else 0.) norms
@@ -177,18 +189,18 @@ let rel_l2 tm model norm =
    ‖M‖² = α‖A‖²‖p‖² + β(A·p)²; returns the sum of their squares, the
    surrogate objective. After a descent's last sweep [errs] holds its
    per-bin errors. *)
-let errors_into errs d ~f ~activities ~preferences norms prods =
+let errors_into errs terms ~f norms =
   let alpha = (f *. f) +. ((1. -. f) *. (1. -. f))
   and beta = 2. *. f *. (1. -. f) in
+  let d = terms.Mat.data in
   let obj = ref 0. in
   for t = 0 to Array.length errs - 1 do
     let norm = norms.(t) in
     let e =
       if norm <= 0. then 0.
       else begin
-        bin_terms d prods t activities.(t) (preferences t);
-        let xm = (f *. d.(2)) +. ((1. -. f) *. d.(3)) in
-        let mm = (alpha *. d.(0)) +. (beta *. d.(1)) in
+        let xm = (f *. d.((4 * t) + 2)) +. ((1. -. f) *. d.((4 * t) + 3)) in
+        let mm = (alpha *. d.(4 * t)) +. (beta *. d.((4 * t) + 1)) in
         Float.sqrt (Float.max 0. ((norm *. norm) -. (2. *. xm) +. mm)) /. norm
       end
     in
@@ -214,11 +226,12 @@ let fitted params per_bin_error sweeps =
 (* Initial preferences via the closed-form Equation 12 at the starting f:
    egress shares alone are dominated by the activity shape when f < 1/2 and
    would start the descent inside the mirrored basin (see pick_basin). *)
-let initial_preference ~f_init tms =
+let initial_preference ~visit ~f_init tms =
   let n = Tm.size tms.(0) in
   let ingress = Vec.create n and egress = Vec.create n in
   Array.iter
     (fun tm ->
+      visit ();
       Vec.axpy 1. (Ic_traffic.Marginals.ingress tm) ingress;
       Vec.axpy 1. (Ic_traffic.Marginals.egress tm) egress)
     tms;
@@ -243,22 +256,20 @@ let initial_preference ~f_init tms =
    bin t's preference vector. The descent then solves f, scores every bin,
    and stops once the surrogate improves by at most [tol] relative to the
    previous sweep's, or after [max_sweeps] sweeps (checked >= 1). *)
-let descend ws ~options ~sweep ~pref_at ~params p0 tms =
+let descend ws ~options ~visit ~sweep ~pref_at ~params p0 tms =
   let bins = Array.length tms and n = Tm.size tms.(0) in
-  let norms = bin_norms tms in
+  let norms = bin_norms ~visit tms in
   let weights = weights_of_norms norms in
   let errs = Ws.vec ws "fit.errs" bins in
-  let d = Ws.vec ws "fit.terms" 4 in
+  let terms = Ws.mat ws "fit.terms" bins 4 in
   let prods = (Ws.mat ws "fit.xa" bins n, Ws.mat ws "fit.xta" bins n) in
   let rec go f p prev sweeps =
     let p, activities = sweep ~weights ~prods f p in
-    let preferences = pref_at p in
+    terms_into terms norms prods ~activities ~preferences:(pref_at p);
     let f =
-      Option.value ~default:f
-        (solve_f ~bounds:options.f_bounds d ~activities ~preferences ~weights
-           prods)
+      Option.value ~default:f (solve_f ~bounds:options.f_bounds terms ~weights)
     in
-    let obj = errors_into errs d ~f ~activities ~preferences norms prods in
+    let obj = errors_into errs terms ~f norms in
     let sweeps = sweeps + 1 in
     if
       sweeps >= options.max_sweeps
@@ -270,25 +281,37 @@ let descend ws ~options ~sweep ~pref_at ~params p0 tms =
 
 let bins_of series = Array.init (Series.length series) (Series.tm series)
 
-let fit_stable_fp_single ws ~options series =
+(* [visit] runs before each bin's body in the norms, the initial
+   preference's marginals and both blocks of every sweep: the points at
+   which a caller may spread the fit over several calls (see
+   {!fit_stable_fp}). *)
+let fit_stable_fp_single ws ~options ~visit series =
   let tms = bins_of series in
   let n = Series.size series in
   let sweep ~weights ~prods f p =
-    let activities = Array.map (activity_solver ws ~f ~p) tms in
+    let solve = activity_solver ws ~f ~p in
+    let activities =
+      Array.map
+        (fun tm ->
+          visit ();
+          solve tm)
+        tms
+    in
     let g = Ws.zero_mat ws "fit.g" n n and c = Ws.zero_vec ws "fit.c" n in
     Array.iteri
       (fun t tm ->
+        visit ();
         add_preference ws prods ~g ~c ~f ~w:weights.(t) t tm activities.(t))
       tms;
     let p = nonneg_solver ws g c in
     normalize ~lo:0 ~hi:(Array.length tms) p activities prods;
     (p, activities)
   in
-  descend ws ~options ~sweep
+  descend ws ~options ~visit ~sweep
     ~pref_at:(fun p _ -> p)
     ~params:(fun f preference activity : Params.stable_fp ->
       { f; preference; activity })
-    (initial_preference ~f_init:options.f_init tms)
+    (initial_preference ~visit ~f_init:options.f_init tms)
     tms
 
 (* Per-bin preferences: bin t's preference block is its own one-bin
@@ -316,11 +339,11 @@ let fit_stable_f_single ws ~options series =
     in
     (prefs, acts)
   in
-  descend ws ~options ~sweep ~pref_at:Array.get
+  descend ws ~options ~visit:ignore ~sweep ~pref_at:Array.get
     ~params:(fun f preference activity : Params.stable_f ->
       { f; preference; activity })
     (Array.make (Array.length tms)
-       (initial_preference ~f_init:options.f_init tms))
+       (initial_preference ~visit:ignore ~f_init:options.f_init tms))
     tms
 
 (* The simplified IC model has a near-symmetry exchanging the roles of
@@ -379,9 +402,12 @@ let dual_start ?incumbent ~options fit f_of series =
 
 let f_of_stable_fp (p : Params.stable_fp) = p.f
 
-let fit_stable_fp ?(options = default_options) ?incumbent series =
+let fit_stable_fp ?(options = default_options) ?incumbent ?(visit = ignore)
+    series =
   let ws = Ws.create () in
-  dual_start ?incumbent ~options (fit_stable_fp_single ws) f_of_stable_fp series
+  dual_start ?incumbent ~options
+    (fit_stable_fp_single ws ~visit)
+    f_of_stable_fp series
 
 let fit_stable_f ?(options = default_options) series =
   let ws = Ws.create () in
@@ -399,7 +425,7 @@ let fit_time_varying ?(options = default_options) series =
   let ws = Ws.create () in
   let sweeps = ref 0 in
   let fit ~options window =
-    let r = fit_stable_fp_single ws ~options window in
+    let r = fit_stable_fp_single ws ~options ~visit:ignore window in
     sweeps := Stdlib.max !sweeps r.sweeps;
     r
   in

@@ -86,6 +86,7 @@ type 'p fitted = {
 val fit_stable_fp :
   ?options:options ->
   ?incumbent:float ->
+  ?visit:(unit -> unit) ->
   Ic_traffic.Series.t ->
   Params.stable_fp fitted
 (** Fit the stable-fP model (Equation 5): one [f], one preference vector,
@@ -99,7 +100,16 @@ val fit_stable_fp :
     the warm mean error exceeds [incumbent] by more than the 3% tie margin,
     or the warm [f] ends on the bound [1/2], the mirrored descent runs too
     and the two are picked exactly as a cold fit picks them. Without
-    [incumbent] or at [f_init = 1/2] the fit is cold. *)
+    [incumbent] or at [f_init = 1/2] the fit is cold.
+
+    [visit] (default: nothing) is called once before each bin visit: one
+    bin's body in the window norms, in the initial preference's marginals,
+    or in the activity or preference block of a sweep, in every descent
+    the fit runs. A warm fit of a 288-bin window makes about 4,000 visits,
+    a both-basin one twice that. The hook only observes: it changes no
+    arithmetic, so a caller may suspend the fit inside it (the streaming
+    engine does, through an effect, to spread a refit over several bins)
+    and still get this function's result bit for bit. *)
 
 val fit_stable_f :
   ?options:options ->

@@ -51,25 +51,6 @@ let stable_fp (params : Params.stable_fp) binning =
   in
   Ic_traffic.Series.make binning tms
 
-let stable_f (params : Params.stable_f) binning =
-  let tms =
-    Array.mapi
-      (fun k activity ->
-        simplified ~f:params.f ~activity ~preference:params.preference.(k))
-      params.activity
-  in
-  Ic_traffic.Series.make binning tms
-
-let time_varying (params : Params.time_varying) binning =
-  let tms =
-    Array.mapi
-      (fun k activity ->
-        simplified ~f:params.f.(k) ~activity
-          ~preference:params.preference.(k))
-      params.activity
-  in
-  Ic_traffic.Series.make binning tms
-
 let predicted_ingress ~f ~activity ~preference =
   let n = check_inputs "predicted_ingress" ~activity ~preference in
   let p = normalized "predicted_ingress" preference in

@@ -25,14 +25,6 @@ val stable_fp :
   Params.stable_fp -> Ic_timeseries.Timebin.t -> Ic_traffic.Series.t
 (** Equation 5 across bins. *)
 
-val stable_f :
-  Params.stable_f -> Ic_timeseries.Timebin.t -> Ic_traffic.Series.t
-(** Equation 4 across bins. *)
-
-val time_varying :
-  Params.time_varying -> Ic_timeseries.Timebin.t -> Ic_traffic.Series.t
-(** Equation 3 across bins. *)
-
 (** {2 Identities}
 
     These are the marginal identities (with normalized preferences,

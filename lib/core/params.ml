@@ -22,8 +22,6 @@ type general = {
   activity : Ic_linalg.Vec.t;
 }
 
-let bins (p : stable_fp) = Array.length p.activity
-
 let nodes (p : stable_fp) = Array.length p.preference
 
 let dof_gravity ~n ~t = (2 * n * t) - 1

@@ -35,8 +35,6 @@ type general = {
 (** Equation 1 for a single bin: per-OD-pair forward fractions, for networks
     with routing asymmetry (paper Section 5.6). *)
 
-val bins : stable_fp -> int
-
 val nodes : stable_fp -> int
 
 (** Degrees-of-freedom accounting from paper Section 5.1, used to make the

@@ -31,10 +31,6 @@ let get m i j = m.data.((i * m.cols) + j)
 
 let set m i j x = m.data.((i * m.cols) + j) <- x
 
-let unsafe_get m i j = Array.unsafe_get m.data ((i * m.cols) + j)
-
-let unsafe_set m i j x = Array.unsafe_set m.data ((i * m.cols) + j) x
-
 let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
 let update m i j f =
@@ -43,11 +39,7 @@ let update m i j f =
 
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
 
-let copy m = { m with data = Array.copy m.data }
-
 let dims m = (m.rows, m.cols)
-
-let row m i = Array.sub m.data (i * m.cols) m.cols
 
 let col m j = Array.init m.rows (fun i -> get m i j)
 
@@ -62,10 +54,6 @@ let check_same_dims name a b =
 let add a b =
   check_same_dims "add" a b;
   { a with data = Array.mapi (fun k x -> x +. b.data.(k)) a.data }
-
-let sub a b =
-  check_same_dims "sub" a b;
-  { a with data = Array.mapi (fun k x -> x -. b.data.(k)) a.data }
 
 let scale s a = { a with data = Array.map (fun x -> s *. x) a.data }
 
@@ -146,18 +134,3 @@ let approx_equal ?tol a b =
   a.rows = b.rows && a.cols = b.cols
   && Vec.approx_equal ?tol a.data b.data
 
-let map f m = { m with data = Array.map f m.data }
-
-let fold f acc m = Array.fold_left f acc m.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "|";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf ppf " %10.4g" (get m i j)
-    done;
-    Format.fprintf ppf " |";
-    if i < m.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

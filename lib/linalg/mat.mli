@@ -17,28 +17,16 @@ val of_arrays : float array array -> t
 
 val identity : int -> t
 
-val copy : t -> t
-
 val dims : t -> int * int
 
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 
-val unsafe_get : t -> int -> int -> float
-(** [get] without bounds checks. For inner loops that have already validated
-    their index ranges; out-of-range access is undefined behaviour. *)
-
-val unsafe_set : t -> int -> int -> float -> unit
-(** [set] without bounds checks (see {!unsafe_get}). *)
-
 val fill : t -> float -> unit
 (** Set every entry to the given value (in place). *)
 
 val update : t -> int -> int -> (float -> float) -> unit
-
-val row : t -> int -> Vec.t
-(** Copy of row [i]. *)
 
 val col : t -> int -> Vec.t
 (** Copy of column [j]. *)
@@ -46,8 +34,6 @@ val col : t -> int -> Vec.t
 val transpose : t -> t
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val scale : float -> t -> t
 
@@ -67,8 +53,3 @@ val frobenius : t -> float
 
 val approx_equal : ?tol:float -> t -> t -> bool
 
-val map : (float -> float) -> t -> t
-
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
-
-val pp : Format.formatter -> t -> unit

@@ -2,15 +2,9 @@ type t = float array
 
 let create n = Array.make n 0.
 
-let init = Array.init
 
-let make = Array.make
 
 let copy = Array.copy
-
-let dim = Array.length
-
-let fill v x = Array.fill v 0 (Array.length v) x
 
 let check_same_dim name x y =
   if Array.length x <> Array.length y then
@@ -103,12 +97,6 @@ let axpy a x y =
 
 let map = Array.map
 
-let mapi = Array.mapi
-
-let iteri = Array.iteri
-
-let fold = Array.fold_left
-
 let max_index v =
   if Array.length v = 0 then invalid_arg "Vec.max_index: empty vector";
   let best = ref 0 in
@@ -133,9 +121,3 @@ let approx_equal ?(tol = 1e-9) x y =
   done;
   !ok
 
-let pp ppf v =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf x -> Format.fprintf ppf "%g" x))
-    (Array.to_list v)

@@ -9,17 +9,7 @@ type t = float array
 val create : int -> t
 (** [create n] is the zero vector of length [n]. *)
 
-val init : int -> (int -> float) -> t
-(** [init n f] is [| f 0; ...; f (n-1) |]. *)
-
-val make : int -> float -> t
-(** [make n x] is the length-[n] vector with every entry [x]. *)
-
 val copy : t -> t
-
-val dim : t -> int
-
-val fill : t -> float -> unit
 
 val dot : t -> t -> float
 (** Inner product. *)
@@ -53,12 +43,6 @@ val axpy : float -> t -> t -> unit
 
 val map : (float -> float) -> t -> t
 
-val mapi : (int -> float -> float) -> t -> t
-
-val iteri : (int -> float -> unit) -> t -> unit
-
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
-
 val max_index : t -> int
 (** Index of the largest entry (first one on ties). Raises on empty input. *)
 
@@ -72,4 +56,3 @@ val normalize_sum : t -> t
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Componentwise comparison with absolute tolerance [tol] (default 1e-9). *)
 
-val pp : Format.formatter -> t -> unit

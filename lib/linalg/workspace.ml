@@ -108,4 +108,3 @@ let syr ~alpha x a =
       done
   done
 
-let axpy = Vec.axpy

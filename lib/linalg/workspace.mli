@@ -44,5 +44,3 @@ val syr : alpha:float -> Vec.t -> Mat.t -> unit
 (** [syr ~alpha x a] performs the symmetric rank-1 update
     [a <- a + alpha x xᵀ], writing both triangles. *)
 
-val axpy : float -> Vec.t -> Vec.t -> unit
-(** Re-export of {!Vec.axpy}: [axpy a x y] sets [y <- a*x + y]. *)

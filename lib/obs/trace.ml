@@ -136,15 +136,6 @@ let spans = function
 let recorded = function None -> 0 | Some e -> e.recorded
 let dropped = function None -> 0 | Some e -> max 0 (e.recorded - e.capacity)
 
-let clear = function
-  | None -> ()
-  | Some e ->
-      Mutex.lock e.lock;
-      Array.fill e.ring 0 e.capacity None;
-      e.head <- 0;
-      e.recorded <- 0;
-      Mutex.unlock e.lock
-
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

@@ -88,8 +88,6 @@ val recorded : t -> int
 val dropped : t -> int
 (** [max 0 (recorded - capacity)]: spans lost to ring eviction. *)
 
-val clear : t -> unit
-
 val to_jsonl : t -> string
 (** One JSON object per line, oldest span first, fields in a fixed order:
     [name], [id], [parent], [depth], [start_ns], [dur_ns], [attrs]. *)

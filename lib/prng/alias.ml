@@ -39,6 +39,3 @@ let draw t rng =
   let slot = Rng.int rng n in
   if Rng.float rng < t.prob.(slot) then slot else t.alias.(slot)
 
-let size t = Array.length t.prob
-
-let probability t i = t.normalized.(i)

@@ -13,7 +13,3 @@ val create : float array -> t
 val draw : t -> Rng.t -> int
 (** Sample an index with probability proportional to its weight. *)
 
-val size : t -> int
-
-val probability : t -> int -> float
-(** The normalized probability of an index, for testing. *)

@@ -103,6 +103,20 @@ let encode (s : Engine.snapshot) =
   (* The refit incumbent's error, only once the engine has refitted:
      checkpoints taken before the first refit keep their bytes. *)
   Option.iter (fun e -> line "fit_error %s" (hex_of_float e)) s.s_fit_error;
+  (* A refit the snapshot ran to its end ahead of its slices, with the bin
+     it takes effect at; only while one is pending, so other checkpoints
+     keep their bytes. *)
+  Option.iter
+    (fun (r : Engine.refit_result) ->
+      Buffer.add_string buf
+        (Printf.sprintf "refit %d %d %d %s %s %d" r.r_at
+           (if r.r_epoch then 1 else 0)
+           (if r.r_both_basins then 1 else 0)
+           (hex_of_float r.r_f) (hex_of_float r.r_mean_error)
+           (Array.length r.r_preference));
+      encode_floats buf r.r_preference;
+      Buffer.add_char buf '\n')
+    s.s_refit;
   (* Plugged-in estimator state: one header naming the owning estimator
      (caller-chosen, so percent-escaped like counter names) and its slab
      count, then one record per slab in insertion order. Emitted only when
@@ -371,6 +385,30 @@ let decode_exn text =
         cur.pos <- cur.pos - 1;
         None
   in
+  (* The settled refit postdates the incumbent; a checkpoint without it has
+     none pending. *)
+  let flag = function
+    | "0" -> false
+    | "1" -> true
+    | w -> raise (Bad ("bad refit flag " ^ w))
+  in
+  let s_refit =
+    match words (next_line cur) with
+    | "refit" :: at :: epoch :: both :: f :: err :: count :: rest ->
+        Some
+          {
+            Engine.r_at = parse_int at;
+            r_epoch = flag epoch;
+            r_both_basins = flag both;
+            r_f = parse_float_hex f;
+            r_mean_error = parse_float_hex err;
+            r_preference = parse_floats (parse_int count) rest;
+          }
+    | "refit" :: _ -> raise (Bad "bad refit record")
+    | _ ->
+        cur.pos <- cur.pos - 1;
+        None
+  in
   (* Estimator-tagged engine state postdates the resilience records; peek
      like [frozen] so legacy checkpoints (and every native-ic file, which
      never carries the record) keep decoding. *)
@@ -425,6 +463,7 @@ let decode_exn text =
     s_epoch_bin;
     s_epoch_due;
     s_estimator;
+    s_refit;
   }
 
 let decode text =

@@ -48,6 +48,51 @@ let miss_soft = 0.2
 let miss_hard = 0.5
 let fallback_f = 0.35
 
+(* A refit runs at most this many bin visits (see [Ic_core.Fit.fit_stable_fp]'s
+   [visit]) per step, 0.8-1 ms on Géant: a warm day refit (~4,000 visits)
+   spreads over 5-6 steps, a both-basin one over 10-11, and a cold fit of
+   [cold_fit_bins] bins (672 visits) completes in its first slice. *)
+let slice_visits = 768
+
+let slice_help =
+  Printf.sprintf
+    "wall-clock duration of one refit slice (a refit runs in slices of at \
+     most %d bin visits, one per step)"
+    slice_visits
+
+(* A native engine that has never fitted refits over its first bins once it
+   has seen this many: the paper finds f and P stable across windows, so a
+   short window already places them. *)
+let cold_fit_bins = 24
+
+(* A refit made due by [step]: the first bin of its window, whether
+   quarantined slots stay out of it, and whether it is an epoch refit. *)
+type due = { since : int; gated : bool; epoch : bool }
+
+type refit_result = {
+  r_at : int;
+  r_epoch : bool;
+  r_f : float;
+  r_preference : Vec.t;
+  r_mean_error : float;
+  r_both_basins : bool;
+}
+
+type running = {
+  due : due;
+  start : int;  (* bin of its first slice *)
+  job : Ic_core.Params.stable_fp Ic_core.Fit.fitted Sliced.t;
+  mutable ns : float;  (* wall time of its slices so far *)
+}
+
+type refit =
+  | Idle
+  | Due of due  (* its first slice runs at the start of the next step *)
+  | Running of running
+  | Ready of refit_result * float option
+      (* run to its end by a snapshot (with its slices' wall time) or
+         restored from one (without): takes effect at [r_at] *)
+
 type t = {
   config : config;
   mutable plugin : ((module Estimator.S) * Estimator.state) option;
@@ -90,7 +135,8 @@ type t = {
   mutable quarantine_streak : int;  (* consecutive quarantined bins *)
   mutable epoch_bin : int;  (* bin of the last live topology change *)
   mutable epoch_due : int;  (* bin at which the scheduled post-epoch early
-                               refit fires; max_int = none scheduled *)
+                               refit falls due; max_int = none scheduled *)
+  mutable refit : refit;
   last_loads : float array;  (* last trusted poll per link *)
   mutable have_last : bool;
   consec_missing : int array;
@@ -188,6 +234,7 @@ let create ?telemetry ?(tracer = Trace.noop) config =
     quarantine_streak = 0;
     epoch_bin = 0;
     epoch_due = max_int;
+    refit = Idle;
     last_loads = Array.make m 0.;
     have_last = false;
     consec_missing = Array.make m 0;
@@ -206,7 +253,13 @@ type output = {
   clamped : int;
 }
 
-(* --- sliding-window refit ---------------------------------------------- *)
+(* --- sliding-window refit ----------------------------------------------
+
+   [step] only makes a refit due; the refit runs at the start of the
+   following steps, [slice_visits] bin visits at a time, and takes effect
+   in the slice that completes it, before that step's bin is estimated.
+   The fit suspends inside its visit hook between slices ([Sliced]), so a
+   sliced refit computes exactly the synchronous fit of its window. *)
 
 (* The window bins eligible for a refit, chronological: bins in
    [max (bin - window) since, bin), minus quarantined slots when the gate
@@ -224,61 +277,220 @@ let window_slots t ~since ~skip_quarantined =
   done;
   !tms
 
+(* Whether [d]'s window carries traffic, from the cached slot totals summed
+   in [window_slots]'s order; counts the quarantined slots it leaves out,
+   and the refit skipped when it does not. *)
+let eligible t d =
+  let len = min t.bin (Array.length t.window_buf) in
+  let lo = Stdlib.max (t.bin - len) d.since in
+  let kept = ref 0 and total = ref 0. in
+  for b = lo to t.bin - 1 do
+    let slot = b mod Array.length t.window_buf in
+    if not (d.gated && t.quarantine_buf.(slot)) then begin
+      incr kept;
+      total := !total +. t.total_buf.(slot)
+    end
+  done;
+  if d.gated then
+    Telemetry.add t.tel "quarantine.excluded"
+      (Stdlib.max 0 (t.bin - lo) - !kept);
+  let ok = !kept > 0 && !total > 0. in
+  if not ok then Telemetry.incr t.tel "refit.skipped";
+  ok
+
+let set_gauge t name help v =
+  Ic_obs.Metrics.(set (gauge (Telemetry.registry t.tel) ~help name) v)
+
 (* The last fit's f and window mean RelL2, as gauges an operator can read
    without ground truth: the paper finds f in 0.2-0.3 (Figs 4-5) and the
    fit error stable from window to window (Fig 3), so a jump in either
-   flags model mismatch. They are created with the first fit, so an engine
-   that has none exposes neither. *)
+   flags model mismatch. Beside them, the bin the fit took effect at. They
+   are created with the first fit, so an engine that has none exposes
+   none. *)
 let set_fit_gauges t =
   match t.fit_error with
   | None -> ()
   | Some err ->
-      let set name help v =
-        Ic_obs.Metrics.(set (gauge (Telemetry.registry t.tel) ~help name) v)
-      in
-      set "refit.f" "forward fraction f of the last refit" t.f;
-      set "refit.mean_rel_l2" "window mean RelL2 of the last refit" err
+      set_gauge t "refit.f" "forward fraction f of the last refit" t.f;
+      set_gauge t "refit.mean_rel_l2" "window mean RelL2 of the last refit" err;
+      set_gauge t "refit.effect_bin" "bin the current fit took effect at"
+        (float_of_int (t.bin - t.fit_age))
+
+let take_effect t (r : refit_result) ~ns =
+  if Option.is_some t.fit_error && r.r_both_basins then
+    Telemetry.incr t.tel "refit.basin_check";
+  t.f <- r.r_f;
+  t.preference <- Some r.r_preference;
+  t.fit_age <- 0;
+  t.fit_error <- Some r.r_mean_error;
+  (* New (f, preference): the prior cache is stale and the next bin's
+     weights must refreeze against the new regime's prior. *)
+  t.prior_cache <- None;
+  t.frozen_weights <- None;
+  Tomogravity.plan_invalidate t.plan;
+  if r.r_epoch then begin
+    Degrade.note t.degrade ~bin:(t.bin - 1) ~reason:Degrade.Epoch_refit;
+    Telemetry.incr t.tel "refit.epoch"
+  end;
+  set_fit_gauges t;
+  Option.iter
+    (fun ns ->
+      set_gauge t "refit.seconds"
+        "wall-clock seconds of the last refit, summed over its slices"
+        (ns *. 1e-9))
+    ns;
+  Telemetry.incr t.tel "refit.count"
+
+let start_refit t due =
+  let series =
+    Series.make t.config.binning
+      (Array.of_list (window_slots t ~since:due.since ~skip_quarantined:due.gated))
+  in
+  let options =
+    {
+      Ic_core.Fit.default_options with
+      max_sweeps = t.config.refit_sweeps;
+      f_init =
+        (if t.preference = None then Ic_core.Fit.default_options.f_init
+         else t.f);
+    }
+  and incumbent = t.fit_error in
+  {
+    due;
+    start = t.bin;
+    job =
+      Sliced.create (fun visit ->
+          Ic_core.Fit.fit_stable_fp ~options ?incumbent ~visit series);
+    ns = 0.;
+  }
+
+(* One slice of [r], its own [engine.refit] span and stage observation;
+   once it completes the refit, its result, with the bin it takes effect
+   at had every slice run in its own step. *)
+let run_slice t r ~budget =
+  Trace.with_span t.tracer "engine.refit" (fun () ->
+      let clock = Telemetry.clock t.tel in
+      let t0 = clock () in
+      Sliced.run r.job ~budget;
+      let ns = Float.max 0. ((clock () -. t0) *. 1e9) in
+      Ic_obs.Metrics.observe
+        (Telemetry.stage t.tel "refit" ~help:slice_help)
+        ns;
+      r.ns <- r.ns +. ns);
+  Option.map
+    (fun (fit : Ic_core.Params.stable_fp Ic_core.Fit.fitted) ->
+      {
+        r_at = r.start + ((Sliced.visits r.job - 1) / slice_visits);
+        r_epoch = r.due.epoch;
+        r_f = fit.params.f;
+        r_preference = Array.copy fit.params.preference;
+        r_mean_error = fit.mean_error;
+        r_both_basins = fit.both_basins;
+      })
+    (Sliced.result r.job)
+
+(* A slice runs with the refit out of [t.refit], so a refit that raises is
+   dropped rather than resumed again. [advance_refit] is the refit's work
+   in one step: the next slice of a due or running refit, or a ready one
+   reaching its bin. [finish] runs an in-flight refit to its end and lets it
+   take effect now; [settle], which a snapshot runs first, runs it to its
+   end but holds it until the bin its slices would have reached. Either way
+   every later estimate is the one an engine slicing it would make. *)
+let advance_refit t =
+  let slice r =
+    t.refit <- Idle;
+    match run_slice t r ~budget:slice_visits with
+    | Some res -> take_effect t res ~ns:(Some r.ns)
+    | None -> t.refit <- Running r
+  in
+  match t.refit with
+  | Idle -> ()
+  | Due d -> slice (start_refit t d)
+  | Running r -> slice r
+  | Ready (res, ns) ->
+      if res.r_at = t.bin then begin
+        t.refit <- Idle;
+        take_effect t res ~ns
+      end
+
+let finish t =
+  match t.refit with
+  | Running r ->
+      t.refit <- Idle;
+      Option.iter
+        (fun res -> take_effect t res ~ns:(Some r.ns))
+        (run_slice t r ~budget:max_int)
+  | Ready (res, ns) ->
+      t.refit <- Idle;
+      take_effect t res ~ns
+  | Idle | Due _ -> ()
+
+let settle t =
+  let drain r =
+    t.refit <- Idle;
+    Option.iter
+      (fun res -> t.refit <- Ready (res, Some r.ns))
+      (run_slice t r ~budget:max_int)
+  in
+  match t.refit with
+  | Due d -> drain (start_refit t d)
+  | Running r -> drain r
+  | Idle | Ready _ -> ()
+
+(* The one refit-due rule, checked after every native bin: the epoch refit
+   scheduled by [set_routing] once it is due (restricted to post-change
+   bins), else the cadence refit every [refit_every] bins, else the cold
+   fit of a never-fitted engine at [cold_fit_bins]. A due refit whose
+   window carries no traffic is skipped, and the next rule applies. *)
+let refit_due t =
+  let gated = t.config.gate_refits in
+  let epoch () =
+    if t.bin < t.epoch_due then None
+    else begin
+      t.epoch_due <- max_int;
+      Some { since = t.epoch_bin; gated; epoch = true }
+    end
+  and cadence () =
+    if t.bin mod t.config.refit_every = 0 then begin
+      (* Escape hatch: a streak at the quarantine cap means either a
+         long-lived attack or a legitimately shifted baseline — the gate
+         cannot tell them apart, and fP must never be starved
+         indefinitely. Clear the flags and force this refit over the full
+         window. *)
+      let force = gated && t.quarantine_streak >= t.config.quarantine_limit in
+      if force then begin
+        Array.fill t.quarantine_buf 0 (Array.length t.quarantine_buf) false;
+        t.quarantine_streak <- 0;
+        Telemetry.incr t.tel "quarantine.forced_refit"
+      end;
+      Some { since = 0; gated = gated && not force; epoch = false }
+    end
+    else if
+      t.bin = cold_fit_bins && t.preference = None
+      && match t.refit with Idle -> true | _ -> false
+    then Some { since = 0; gated; epoch = false }
+    else None
+  in
+  let keep = function Some d when eligible t d -> Some d | _ -> None in
+  match keep (epoch ()) with Some d -> Some d | None -> keep (cadence ())
 
 let refit ?(since = 0) ?(ignore_quarantine = false) t =
-  let gated = t.config.gate_refits && not ignore_quarantine in
-  let tms = window_slots t ~since ~skip_quarantined:gated in
-  if gated then begin
-    let all = window_slots t ~since ~skip_quarantined:false in
-    Telemetry.add t.tel "quarantine.excluded"
-      (List.length all - List.length tms)
-  end;
-  let total = List.fold_left (fun acc tm -> acc +. Tm.total tm) 0. tms in
-  if tms = [] || total <= 0. then begin
-    Telemetry.incr t.tel "refit.skipped";
-    false
-  end
-  else begin
-    let series = Series.make t.config.binning (Array.of_list tms) in
-    Trace.stage t.tracer "engine.refit" ~clock:(Telemetry.clock t.tel)
-      (Telemetry.stage t.tel "refit") (fun () ->
-        let options =
-          {
-            Ic_core.Fit.default_options with
-            max_sweeps = t.config.refit_sweeps;
-            f_init =
-              (if t.preference = None then
-                 Ic_core.Fit.default_options.f_init
-               else t.f);
-          }
-        in
-        let fitted =
-          Ic_core.Fit.fit_stable_fp ~options ?incumbent:t.fit_error series
-        in
-        if Option.is_some t.fit_error && fitted.both_basins then
-          Telemetry.incr t.tel "refit.basin_check";
-        t.f <- fitted.params.f;
-        t.preference <- Some (Array.copy fitted.params.preference);
-        t.fit_age <- 0;
-        t.fit_error <- Some fitted.mean_error);
-    set_fit_gauges t;
-    Telemetry.incr t.tel "refit.count";
-    true
-  end
+  finish t;
+  let d =
+    {
+      since;
+      gated = t.config.gate_refits && not ignore_quarantine;
+      epoch = false;
+    }
+  in
+  eligible t d
+  && begin
+       let r = start_refit t d in
+       Option.iter
+         (fun res -> take_effect t res ~ns:(Some r.ns))
+         (run_slice t r ~budget:max_int);
+       true
+     end
 
 (* --- anomaly gate -------------------------------------------------------
 
@@ -510,6 +722,7 @@ let step t ~loads ~missing =
   Trace.with_span t.tracer "engine.step"
     ~attrs:[ ("bin", string_of_int t.bin) ]
   @@ fun () ->
+  advance_refit t;
   Telemetry.incr t.tel "bins";
   Telemetry.add t.tel "polls.total" t.m;
   (* Ingest: flag corrupt polls, impute by carry-forward, track budgets. *)
@@ -590,51 +803,15 @@ let step t ~loads ~missing =
   else t.quarantine_streak <- 0;
   t.bin <- t.bin + 1;
   if t.fit_age < max_int then t.fit_age <- t.fit_age + 1;
-  let invalidate_fit_caches () =
-    (* New (f, preference): the prior cache is stale and the next bin's
-       weights must refreeze against the new regime's prior. *)
-    t.prior_cache <- None;
-    t.frozen_weights <- None;
-    Tomogravity.plan_invalidate t.plan
-  in
-  (* Epoch-aware priors: the early refit scheduled by set_routing fires as
-     soon as it is due, restricted to post-change bins, so the engine stops
-     riding a pre-change fP ahead of the regular cadence. It replaces the
-     cadence refit for this bin. A plugged-in estimator has no stable-fP
-     parameters to refit — its [observe] hook above is the whole learning
-     loop — so both refit triggers stay idle. *)
-  let epoch_fired =
-    t.plugin = None
-    && t.bin >= t.epoch_due
-    && begin
-         t.epoch_due <- max_int;
-         if refit ~since:t.epoch_bin t then begin
-           invalidate_fit_caches ();
-           Degrade.note t.degrade ~bin:(t.bin - 1)
-             ~reason:Degrade.Epoch_refit;
-           Telemetry.incr t.tel "refit.epoch";
-           true
-         end
-         else false
-       end
-  in
-  if t.plugin = None && (not epoch_fired) && t.bin mod t.config.refit_every = 0
-  then begin
-    (* Escape hatch: a streak at the quarantine cap means either a
-       long-lived attack or a legitimately shifted baseline — the gate
-       cannot tell them apart, and fP must never be starved indefinitely.
-       Clear the flags and force this refit over the full window. *)
-    let force =
-      t.config.gate_refits
-      && t.quarantine_streak >= t.config.quarantine_limit
-    in
-    if force then begin
-      Array.fill t.quarantine_buf 0 (Array.length t.quarantine_buf) false;
-      t.quarantine_streak <- 0;
-      Telemetry.incr t.tel "quarantine.forced_refit"
-    end;
-    if refit ~ignore_quarantine:force t then invalidate_fit_caches ()
-  end;
+  (* A plugged-in estimator has no stable-fP parameters to refit: its
+     [observe] hook above is the whole learning loop. A refit falling due
+     while another is in flight lets the first take effect now. *)
+  (if t.plugin = None then
+     match refit_due t with
+     | Some d ->
+         finish t;
+         t.refit <- Due d
+     | None -> ());
   { estimate; level; clamped }
 
 (* --- accessors ---------------------------------------------------------- *)
@@ -706,9 +883,11 @@ type snapshot = {
   s_estimator : Estimator.state option;
       (* [Some] iff the engine runs a plugged-in estimator; [None] on the
          native ic path, so default-path checkpoint bytes are unchanged *)
+  s_refit : refit_result option;  (* a settled refit not yet in effect *)
 }
 
 let snapshot t =
+  settle t;
   let len = min t.bin (Array.length t.window_buf) in
   let window =
     Array.init len (fun k ->
@@ -739,6 +918,10 @@ let snapshot t =
     s_epoch_bin = t.epoch_bin;
     s_epoch_due = t.epoch_due;
     s_estimator = Option.map (fun (_, st) -> Estimator.state_copy st) t.plugin;
+    s_refit =
+      (match t.refit with
+      | Ready (r, _) -> Some { r with r_preference = Array.copy r.r_preference }
+      | Idle | Due _ | Running _ -> None);
   }
 
 let restore ?telemetry ?tracer config s =
@@ -769,6 +952,12 @@ let restore ?telemetry ?tracer config s =
     invalid_arg "Engine.restore: quarantine flags do not match the window";
   if s.s_quarantine_streak < 0 then
     invalid_arg "Engine.restore: negative quarantine streak";
+  (match s.s_refit with
+  | Some r when r.r_at < s.s_bin ->
+      invalid_arg "Engine.restore: settled refit takes effect before the bin"
+  | Some r when Array.length r.r_preference <> t.n ->
+      invalid_arg "Engine.restore: settled refit preference size mismatch"
+  | _ -> ());
   (match (t.plugin, s.s_estimator) with
   | None, None -> ()
   | Some _, None ->
@@ -816,6 +1005,10 @@ let restore ?telemetry ?tracer config s =
   t.quarantine_streak <- s.s_quarantine_streak;
   t.epoch_bin <- s.s_epoch_bin;
   t.epoch_due <- s.s_epoch_due;
+  Option.iter
+    (fun r ->
+      t.refit <- Ready ({ r with r_preference = Array.copy r.r_preference }, None))
+    s.s_refit;
   Array.blit s.s_last_loads 0 t.last_loads 0 t.m;
   Array.blit s.s_consec_missing 0 t.consec_missing 0 t.m;
   t.have_last <- s.s_have_last;

@@ -8,12 +8,23 @@
     {!Ic_estimation.Tomogravity.plan}, and (5) projects onto the measured
     marginals with IPF. Every [refit_every] bins it refits the stable-fP
     parameters over a sliding window of its own recent estimates, which is
-    what keeps the [Measured_ic] rung honest on a live feed. The engine's
-    first refit is a cold dual-start fit ({!Ic_core.Fit}); every later one
-    starts from the current [f] and descends only in its basin, guarded by
-    the previous refit's window mean RelL2 (the mirrored basin is searched
-    too, and [refit.basin_check] counted, when the warm fit is worse than
-    that error by more than the 3% tie margin or ends on [f = 1/2]).
+    what keeps the [Measured_ic] rung honest on a live feed; a native
+    engine that has never fitted also refits once it has seen its first
+    24 bins. The engine's first refit is a cold dual-start fit
+    ({!Ic_core.Fit}); every later one starts from the current [f] and
+    descends only in its basin, guarded by the previous refit's window mean
+    RelL2 (the mirrored basin is searched too, and [refit.basin_check]
+    counted, when the warm fit is worse than that error by more than the 3%
+    tie margin or ends on [f = 1/2]).
+
+    A step only makes a refit due. The refit runs at the start of the
+    following steps, at most 768 bin visits ({!Ic_core.Fit.fit_stable_fp}'s
+    [visit]) per step, and takes effect in the step whose slice completes
+    it, before that step's bin is estimated: a warm day refit of the
+    default config takes effect 4-5 bins after its window closes (a
+    both-basin one about 10), a 24-bin or shorter one in the next bin, as a
+    synchronous refit would. A sliced refit computes exactly the
+    synchronous fit of its window.
 
     The tomogravity weights are frozen at the first bin of each regime
     (refit / ladder-transition epoch) and passed to the refine stage as
@@ -110,10 +121,16 @@ val create : ?telemetry:Telemetry.t -> ?tracer:Ic_obs.Trace.t -> config -> t
     [tracer] (default: the no-op tracer) receives one [engine.step] span
     per bin with [engine.ingest]/[engine.prior]/[engine.estimate]/
     [engine.ipf] child spans (plus the tomogravity stage spans through the
-    engine's plan) and [engine.refit] around window refits. Each stage is
-    one [Ic_obs.Trace.stage] call: the span and the duration histogram
-    share it. Tracing only observes: estimates are bit-identical with it
-    on or off. *)
+    engine's plan) and an [engine.refit] span around each refit slice.
+    Each stage is one [Ic_obs.Trace.stage] call, and each refit slice one
+    span and one [refit] observation on the same clock reading. Tracing
+    only observes: estimates are bit-identical with it on or off.
+
+    Once the engine has refitted, the gauges [refit.f],
+    [refit.mean_rel_l2] and [refit.effect_bin] (the bin the current fit
+    took effect at) describe the fit in effect, and [refit.seconds] the
+    wall time of the last refit's slices, summed; each is set once per
+    refit. *)
 
 type output = {
   estimate : Ic_traffic.Tm.t;
@@ -122,21 +139,28 @@ type output = {
 }
 
 val step : t -> loads:Ic_linalg.Vec.t -> missing:bool array -> output
-(** Consume one bin of polls. [loads] has one entry per routing row;
+(** Consume one bin of polls: first the next slice of an in-flight refit,
+    then the bin itself. [loads] has one entry per routing row;
     [missing.(e)] marks polls the collector lost (imputed by carry-forward).
     Entries that are non-finite or negative are treated as corrupt and
     imputed the same way. Raises [Invalid_argument] on dimension
-    mismatches. *)
+    mismatches.
+
+    After the bin, one rule decides whether a refit falls due: the epoch
+    refit {!set_routing} scheduled, else the cadence refit every
+    [refit_every] bins, else the cold fit at bin 24 of a never-fitted
+    native engine; a refit whose window carries no traffic is skipped
+    ([refit.skipped]) and the next one considered. Nothing of the refit
+    runs in that step. A refit falling due while another is in flight lets
+    the first take effect at once. *)
 
 val refit : ?since:int -> ?ignore_quarantine:bool -> t -> bool
-(** Force a sliding-window refit now (normally triggered every
-    [refit_every] bins); cold or warm as described above, like every
-    cadence and epoch refit. [since] (default 0) restricts the window to bins
-    at or after that index — the epoch-refit path passes the topology
-    change's bin. [ignore_quarantine] (default [false]) bypasses the
-    anomaly gate, refitting over quarantined bins too — the escape-hatch
-    path. Returns false when the eligible window is empty or carries no
-    traffic. *)
+(** Refit over the sliding window now, synchronously, and let the fit take
+    effect at once; cold or warm as described above. An in-flight refit
+    takes effect first. [since] (default 0) restricts the window to bins at
+    or after that index. [ignore_quarantine] (default [false]) bypasses the
+    anomaly gate, refitting over quarantined bins too. Returns false when
+    the eligible window is empty or carries no traffic. *)
 
 val bins_seen : t -> int
 
@@ -183,8 +207,21 @@ val set_routing : ?degrade:bool -> t -> Ic_topology.Routing.t -> unit
     A snapshot is the full serializable engine state — everything that
     affects future estimates. Restoring it under the same config and
     replaying the same observations is bit-identical to never having
-    stopped. Timing histograms are deliberately excluded (wall-clock is not
-    state); counters round-trip. *)
+    stopped. Timing histograms and the [refit.seconds] gauge are
+    deliberately excluded (wall-clock is not state); counters round-trip. *)
+
+type refit_result = {
+  r_at : int;  (** the bin it takes effect at, before that bin's estimate *)
+  r_epoch : bool;
+      (** an epoch refit: noted on the ladder and counted in [refit.epoch]
+          when it takes effect *)
+  r_f : float;
+  r_preference : Ic_linalg.Vec.t;
+  r_mean_error : float;  (** the fit's window mean RelL2 *)
+  r_both_basins : bool;  (** both basins were searched *)
+}
+(** A refit run to its end ahead of its slices: what it sets when it takes
+    effect. *)
 
 type snapshot = {
   s_bin : int;
@@ -221,12 +258,20 @@ type snapshot = {
           path, which is what keeps default-path checkpoint bytes
           unchanged (and legacy checkpoints decoding). Restoring checks
           the state's owner against [config.estimator]. *)
+  s_refit : refit_result option;
+      (** a refit that was due or in flight, run to its end, with the bin
+          its slices would have reached; [None] when none was pending *)
 }
 
 val snapshot : t -> snapshot
+(** The engine's state. A refit that is due or in flight is first run to
+    its end (its remaining slices at once), and the engine keeps its result
+    until the bin it takes effect at, so taking a snapshot moves no
+    estimate. *)
 
 val restore :
   ?telemetry:Telemetry.t -> ?tracer:Ic_obs.Trace.t -> config -> snapshot -> t
 (** Rebuild an engine from a snapshot. The config must structurally match
     the one the snapshot was taken under (same routing shape and window
-    size); raises [Invalid_argument] otherwise. *)
+    size); raises [Invalid_argument] otherwise, or when [s_refit] takes
+    effect before [s_bin] or has the wrong preference size. *)

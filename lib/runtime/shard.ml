@@ -100,8 +100,6 @@ let create ?(tracer = Trace.noop) ?supervise ?chaos ~pool specs =
   in
   { pool; tracer; supervise; chaos; shards = Array.of_list shards }
 
-let names t = Array.to_list (Array.map (fun s -> s.name) t.shards)
-
 let engines t = Array.to_list (Array.map (fun s -> (s.name, s.engine)) t.shards)
 
 (* A crashed engine is restored from its last good snapshot under capped

@@ -75,9 +75,6 @@ val create :
     makes the step crash before touching the engine — how the crash paths
     are driven by tests and the chaos smoke without randomness. *)
 
-val names : t -> string list
-(** In spec order. *)
-
 val engines : t -> (string * Engine.t) list
 (** In spec order. Engines are live state — do not step them directly
     while a {!run} is in flight. *)

@@ -36,15 +36,16 @@ let set_counters t entries =
     (fun (name, v) -> Metrics.set_counter (Metrics.counter t.registry name) v)
     entries
 
-let stage t name =
+let stage ?help t name =
   match Hashtbl.find_opt t.stages name with
   | Some h -> h
   | None ->
-      let h =
-        Metrics.histogram t.registry
-          ~help:(Printf.sprintf "wall-clock duration of the %s stage" name)
-          (name ^ "_duration_ns")
+      let help =
+        match help with
+        | Some h -> h
+        | None -> Printf.sprintf "wall-clock duration of the %s stage" name
       in
+      let h = Metrics.histogram t.registry ~help (name ^ "_duration_ns") in
       Hashtbl.add t.stages name h;
       h
 

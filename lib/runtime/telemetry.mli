@@ -40,9 +40,11 @@ val registry : t -> Ic_obs.Metrics.t
 val clock : t -> unit -> float
 (** The sink's clock: the one its stage histograms are timed with. *)
 
-val stage : t -> string -> Ic_obs.Metrics.histogram
+val stage : ?help:string -> t -> string -> Ic_obs.Metrics.histogram
 (** [stage t name] is the [<name>_duration_ns] histogram (nanoseconds,
-    {!Ic_obs.Metrics.default_duration_buckets}), created on first use. *)
+    {!Ic_obs.Metrics.default_duration_buckets}), created on first use with
+    [help] as its HELP text (default: "wall-clock duration of the <name>
+    stage"). *)
 
 val incr : t -> string -> unit
 (** Add 1 to a named counter (created at 0 on first use). *)

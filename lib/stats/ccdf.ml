@@ -10,17 +10,6 @@ let of_sample sample =
   in
   { xs; probs }
 
-let eval t x =
-  (* P(X > x): fraction of sample strictly greater than x *)
-  let n = Array.length t.xs in
-  (* binary search for first index with xs.(i) > x *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.xs.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  float_of_int (n - !lo) /. float_of_int n
-
 let exponential ~rate x = if x < 0. then 1. else exp (-.rate *. x)
 
 (* Abramowitz & Stegun 7.1.26 erf approximation: max abs error 1.5e-7,

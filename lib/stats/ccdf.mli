@@ -9,9 +9,6 @@ type t = { xs : float array; probs : float array }
 val of_sample : float array -> t
 (** Raises [Invalid_argument] on empty input. *)
 
-val eval : t -> float -> float
-(** Step-function evaluation at an arbitrary point. *)
-
 val exponential : rate:float -> float -> float
 (** Analytic CCDF [exp (-rate x)] for [x >= 0] (1 below 0). *)
 

@@ -83,12 +83,3 @@ let is_connected g =
     Array.for_all (fun b -> b) seen
   end
 
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph with %d nodes, %d directed edges@,"
-    (node_count g) (edge_count g);
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "  %s -> %s (w=%g)@," g.names.(e.src) g.names.(e.dst)
-        e.weight)
-    (edges g);
-  Format.fprintf ppf "@]"

@@ -45,4 +45,3 @@ val is_connected : t -> bool
 (** Weak connectivity when treating edges as undirected. Vacuously true for
     graphs with at most one node. *)
 
-val pp : Format.formatter -> t -> unit

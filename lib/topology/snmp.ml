@@ -1,7 +1,5 @@
 type spec = { noise_sigma : float; loss_rate : float }
 
-let default = { noise_sigma = 0.01; loss_rate = 0.01 }
-
 let ideal = { noise_sigma = 0.; loss_rate = 0. }
 
 let validate spec =

@@ -12,9 +12,6 @@ type spec = {
   loss_rate : float;  (** probability that a poll is missing *)
 }
 
-val default : spec
-(** 1% noise, 1% lost polls. *)
-
 val ideal : spec
 (** No artifacts — for tests and ablation baselines. *)
 

@@ -19,11 +19,6 @@ let tm t k =
 
 let sub t ~pos ~len = make t.binning (Array.sub t.tms pos len)
 
-let weeks t =
-  let per_week = Ic_timeseries.Timebin.bins_per_week t.binning in
-  let n_weeks = length t / per_week in
-  List.init n_weeks (fun w -> sub t ~pos:(w * per_week) ~len:per_week)
-
 let od_series t i j = Array.map (fun tm -> Tm.get tm i j) t.tms
 
 let total_series t = Array.map Tm.total t.tms

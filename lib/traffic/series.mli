@@ -19,9 +19,6 @@ val tm : t -> int -> Tm.t
 val sub : t -> pos:int -> len:int -> t
 (** Slice of bins [pos .. pos+len-1]. *)
 
-val weeks : t -> t list
-(** Split into whole weeks (trailing partial week dropped). *)
-
 val od_series : t -> int -> int -> float array
 
 val total_series : t -> float array

@@ -50,36 +50,12 @@ let of_vector_clamped n v =
     invalid_arg "Tm.of_vector_clamped: length does not match size";
   { n; data = Array.map (fun x -> if x < 0. then 0. else x) v }
 
-let unsafe_get t i j = Array.unsafe_get t.data ((i * t.n) + j)
-
-let unsafe_set t i j v = Array.unsafe_set t.data ((i * t.n) + j) v
-
 let unsafe_data t = t.data
-
-let map2 f a b =
-  if a.n <> b.n then invalid_arg "Tm.map2: size mismatch";
-  {
-    a with
-    data =
-      Array.mapi (fun k x -> Float.max 0. (f x b.data.(k))) a.data;
-  }
 
 let scale s t =
   if s < 0. then invalid_arg "Tm.scale: negative factor";
   { t with data = Array.map (fun x -> s *. x) t.data }
 
-let add a b = map2 ( +. ) a b
-
 let approx_equal ?tol a b =
   a.n = b.n && Ic_linalg.Vec.approx_equal ?tol a.data b.data
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>TM %dx%d (total %.4g bytes)@," t.n t.n (total t);
-  for i = 0 to t.n - 1 do
-    Format.fprintf ppf " ";
-    for j = 0 to t.n - 1 do
-      Format.fprintf ppf " %9.3g" (get t i j)
-    done;
-    if i < t.n - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -37,26 +37,12 @@ val of_vector_clamped : int -> Ic_linalg.Vec.t -> t
     negative values from floating-point cancellation. Raises
     [Invalid_argument] when the length is not [n * n]. *)
 
-val unsafe_get : t -> int -> int -> float
-(** [get] without bounds checks, for inner loops that have validated their
-    ranges; out-of-range access is undefined behaviour. *)
-
-val unsafe_set : t -> int -> int -> float -> unit
-(** [set] without bounds or sign checks (see {!unsafe_get}). Callers must
-    keep entries non-negative. *)
-
 val unsafe_data : t -> float array
 (** The backing row-major array itself — not a copy. For read-mostly hot
     loops ({!to_vector} copies); writers must preserve non-negativity. *)
 
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Elementwise combination; result entries are clamped at zero. *)
-
 val scale : float -> t -> t
 (** Raises on negative scale factors. *)
 
-val add : t -> t -> t
-
 val approx_equal : ?tol:float -> t -> t -> bool
 
-val pp : Format.formatter -> t -> unit

@@ -162,6 +162,28 @@ let gen_snapshot =
     let* s_estimator =
       oneof [ return None; map Option.some gen_estimator_state ]
     in
+    let* s_refit =
+      oneof
+        [
+          return None;
+          (let* r_at = int_range 0 100_000 in
+           let* r_epoch = bool in
+           let* r_both_basins = bool in
+           let* r_f = gen_float in
+           let* r_mean_error = gen_float in
+           let* r_preference = array_size (int_range 1 4) gen_float in
+           return
+             (Some
+                {
+                  Engine.r_at;
+                  r_epoch;
+                  r_f;
+                  r_preference;
+                  r_mean_error;
+                  r_both_basins;
+                }));
+        ]
+    in
     return
       {
         Engine.s_bin;
@@ -181,6 +203,7 @@ let gen_snapshot =
         s_epoch_bin;
         s_epoch_due;
         s_estimator;
+        s_refit;
       })
 
 (* --- exact snapshot equality (floats compared bitwise) ------------------- *)
@@ -225,6 +248,15 @@ let snapshot_eq (a : Engine.snapshot) (b : Engine.snapshot) =
      | None, None -> true
      | Some x, Some y -> Estimator.state_equal x y
      | _ -> false)
+  && match (a.s_refit, b.s_refit) with
+     | None, None -> true
+     | Some x, Some y ->
+         x.r_at = y.r_at && x.r_epoch = y.r_epoch
+         && x.r_both_basins = y.r_both_basins
+         && bits x.r_f = bits y.r_f
+         && bits x.r_mean_error = bits y.r_mean_error
+         && float_array_eq x.r_preference y.r_preference
+     | _ -> false
 
 (* --- properties ---------------------------------------------------------- *)
 
@@ -275,6 +307,7 @@ let base_snapshot ?(counters = [ ("polls_total", 12) ]) () =
     s_epoch_bin = 0;
     s_epoch_due = max_int;
     s_estimator = None;
+    s_refit = None;
   }
 
 let test_adversarial_names_unit () =

@@ -75,13 +75,6 @@ let test_mat_transpose () =
     "double transpose" true
     (Mat.approx_equal a (Mat.transpose (Mat.transpose a)))
 
-let test_printers_smoke () =
-  (* pretty-printers must render something non-trivial without raising *)
-  let show pp v = Format.asprintf "%a" pp v in
-  Alcotest.(check bool) "vec" true (String.length (show Vec.pp [| 1.; 2. |]) > 3);
-  Alcotest.(check bool) "mat" true
-    (String.length (show Mat.pp (Mat.identity 2)) > 5)
-
 (* --- Chol --- *)
 
 let test_chol_solve () =
@@ -336,7 +329,6 @@ let () =
           Alcotest.test_case "mul" `Quick test_mat_mul;
           Alcotest.test_case "gram" `Quick test_mat_gram;
           Alcotest.test_case "transpose" `Quick test_mat_transpose;
-          Alcotest.test_case "printers" `Quick test_printers_smoke;
         ] );
       ( "chol",
         [

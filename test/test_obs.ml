@@ -30,8 +30,7 @@ let test_noop_tracer () =
   | exception Failure m -> Alcotest.(check string) "reraised" "boom" m);
   Alcotest.(check int) "nothing recorded" 0 (Trace.recorded Trace.noop);
   Alcotest.(check int) "no spans" 0 (List.length (Trace.spans Trace.noop));
-  Alcotest.(check string) "empty jsonl" "" (Trace.to_jsonl Trace.noop);
-  Trace.clear Trace.noop
+  Alcotest.(check string) "empty jsonl" "" (Trace.to_jsonl Trace.noop)
 
 let test_span_nesting () =
   let clock, advance = manual_clock () in
@@ -90,9 +89,6 @@ let test_ring_eviction () =
   Alcotest.(check (list string))
     "last 3 survive, oldest first" [ "s5"; "s6"; "s7" ]
     (List.map (fun s -> s.Trace.name) (Trace.spans t));
-  Trace.clear t;
-  Alcotest.(check int) "clear resets recorded" 0 (Trace.recorded t);
-  Alcotest.(check int) "clear empties ring" 0 (List.length (Trace.spans t));
   Alcotest.check_raises "capacity >= 1"
     (Invalid_argument "Trace.create: capacity must be >= 1") (fun () ->
       ignore (Trace.create ~capacity:0 ~clock ()))

@@ -159,8 +159,6 @@ let test_poisson () =
 let test_alias () =
   let rng = Rng.create 47 in
   let alias = Ic_prng.Alias.create [| 3.; 1.; 6. |] in
-  Alcotest.(check int) "size" 3 (Ic_prng.Alias.size alias);
-  feq_tol 1e-12 "probability" 0.3 (Ic_prng.Alias.probability alias 0);
   let counts = Array.make 3 0 in
   for _ = 1 to 30_000 do
     let k = Ic_prng.Alias.draw alias rng in

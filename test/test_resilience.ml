@@ -64,11 +64,11 @@ let test_degrade_retention_cap () =
 (* --- feed ingest guard ---------------------------------------------------- *)
 
 let test_of_loads_rejects_nonfinite () =
-  let ok = [| Vec.make 4 1e6; Vec.make 4 2e6 |] in
+  let ok = [| Array.make 4 1e6; Array.make 4 2e6 |] in
   ignore (Feed.of_loads ok ~seed:1);
   List.iter
     (fun (label, bad) ->
-      let loads = [| Vec.make 4 1e6; bad |] in
+      let loads = [| Array.make 4 1e6; bad |] in
       match Feed.of_loads loads ~seed:1 with
       | _ -> Alcotest.fail (label ^ " accepted")
       | exception Invalid_argument msg ->
@@ -77,10 +77,10 @@ let test_of_loads_rejects_nonfinite () =
             (String.length msg > 0
             && msg = "Feed.of_loads: non-finite load at bin 1 row 2"))
     [
-      ("nan", Vec.init 4 (fun r -> if r = 2 then Float.nan else 1e6));
-      ("inf", Vec.init 4 (fun r -> if r = 2 then Float.infinity else 1e6));
+      ("nan", Array.init 4 (fun r -> if r = 2 then Float.nan else 1e6));
+      ("inf", Array.init 4 (fun r -> if r = 2 then Float.infinity else 1e6));
       ( "-inf",
-        Vec.init 4 (fun r -> if r = 2 then Float.neg_infinity else 1e6) );
+        Array.init 4 (fun r -> if r = 2 then Float.neg_infinity else 1e6) );
     ]
 
 (* --- circuit breaker ------------------------------------------------------ *)
@@ -104,7 +104,7 @@ let test_breaker_opens_and_probes () =
      clean bin ever delivered there is nothing to carry, so carried = 0 and
      the faulted polls flow through for the engine's imputation to absorb. *)
   let tel = Telemetry.create () in
-  let loads = Array.make 12 (Vec.make 6 1e6) in
+  let loads = Array.make 12 (Array.make 6 1e6) in
   let feed =
     Feed.of_loads ~drop_rate:0.99 ~telemetry:tel
       ~breaker:{ open_after = 2; cooldown = 3; fault_frac = 0.5 }
@@ -134,7 +134,7 @@ let test_breaker_recloses () =
      range for one whose pattern exercises the full open -> carry -> probe
      -> reclose cycle (deterministically — the scan always lands on the
      same seed), then validate that run. *)
-  let loads = Array.make 20 (Vec.make 6 1e6) in
+  let loads = Array.make 20 (Array.make 6 1e6) in
   let run seed =
     let tel = Telemetry.create () in
     let feed =
@@ -175,7 +175,7 @@ let breaker_skip_prop (k, seed) =
   (* The breaker is replay-derived: a fresh feed fast-forwarded past k bins
      is in the identical state, and delivers the identical remainder, as
      the feed that delivered them. *)
-  let loads = Array.make 16 (Vec.make 5 2e6) in
+  let loads = Array.make 16 (Array.make 5 2e6) in
   let k = k mod 16 in
   let mk () =
     Feed.of_loads ~drop_rate:0.4 ~corrupt_rate:0.2

@@ -324,30 +324,47 @@ let test_snapshot_carries_fit_error () =
         (Int64.bits_of_float e' = Int64.bits_of_float err)
   | None -> Alcotest.fail "restore dropped the incumbent"
 
-(* The last fit's f and mean RelL2 are gauges, absent until there is a fit,
-   set by each refit and by restore from the checkpointed values. *)
+(* The last fit's f and mean RelL2 and the bin it took effect at are
+   gauges, absent until there is a fit, set by each refit and by restore
+   from the checkpointed values; the refit's wall time is a gauge too, set
+   by the refit only (wall-clock is not checkpointed state). *)
 let test_refit_gauges () =
   let gauges engine =
     List.filter
-      (fun (name, _) -> String.starts_with ~prefix:"refit." name)
+      (fun (name, _) ->
+        String.starts_with ~prefix:"refit." name && name <> "refit.seconds")
+      (Ic_obs.Metrics.gauges (Telemetry.registry (Engine.telemetry engine)))
+  in
+  let seconds engine =
+    List.assoc_opt "refit.seconds"
       (Ic_obs.Metrics.gauges (Telemetry.registry (Engine.telemetry engine)))
   in
   let pp = Alcotest.(list (pair string (float 0.))) in
   Alcotest.check pp "none before a fit" [] (gauges (Engine.create (config ())));
   let engine, _ = run_bins ~seed:21 12 in
   let snap = Engine.snapshot engine in
+  (* The refit due after bin 7 takes effect before bin 8. *)
   let expected =
     match snap.Engine.s_fit_error with
-    | Some err -> [ ("refit.f", snap.Engine.s_f); ("refit.mean_rel_l2", err) ]
+    | Some err ->
+        [
+          ("refit.effect_bin", 8.);
+          ("refit.f", snap.Engine.s_f);
+          ("refit.mean_rel_l2", err);
+        ]
     | None -> Alcotest.fail "no fit after a refit"
   in
   Alcotest.check pp "set by the refit" expected (gauges engine);
+  (match seconds engine with
+  | Some s -> Alcotest.(check bool) "refit wall time" true (s > 0.)
+  | None -> Alcotest.fail "no refit.seconds after a refit");
   let restored =
     match Checkpoint.decode (Checkpoint.encode snap) with
     | Ok s -> Engine.restore (config ()) s
     | Error e -> Alcotest.fail e
   in
-  Alcotest.check pp "set by restore" expected (gauges restored)
+  Alcotest.check pp "set by restore" expected (gauges restored);
+  Alcotest.(check bool) "no wall time restored" true (seconds restored = None)
 
 (* The tentpole property: save/restore through a real file, then N more
    bins, is bit-identical to an engine that never stopped. *)
@@ -382,6 +399,339 @@ let checkpoint_property =
       quad (int_range 0 1000) (int_range 1 20) (int_range 1 20)
         (oneofl [ 0.0; 0.05; 0.3 ]))
     resume_matches_uninterrupted
+
+(* --- sliced refits ---------------------------------------------------------
+
+   A refit runs in slices of at most [slice_visits] bin visits, one slice
+   per step, suspended inside the fit's visit hook in between. Slicing must
+   never change a fit: a sliced fit is the synchronous fit, bit for bit, at
+   every budget. *)
+
+let slice_visits = 768
+
+let fit_bits (r : Ic_core.Params.stable_fp Ic_core.Fit.fitted) =
+  let b = Int64.bits_of_float in
+  ( ( b r.params.f,
+      Array.map b r.params.preference,
+      Array.map (Array.map b) r.params.activity ),
+    (Array.map b r.per_bin_error, b r.mean_error, r.sweeps, r.both_basins) )
+
+let synth_series ~nodes ~bins ~seed =
+  let spec =
+    {
+      Ic_core.Synth.default_spec with
+      nodes;
+      binning;
+      bins;
+      mean_total_bytes = 1e9;
+    }
+  in
+  (Ic_core.Synth.generate spec (Ic_prng.Rng.create seed)).Ic_core.Synth.series
+
+(* Runs [fit] in slices of [budget] visits; returns its result, the
+   visits it made and the slices it took, failing if a slice ran more than
+   [budget] visits. *)
+let run_sliced ~budget fit =
+  let job = Ic_runtime.Sliced.create fit in
+  let slices = ref 0 in
+  while Ic_runtime.Sliced.result job = None do
+    let before = Ic_runtime.Sliced.visits job in
+    Ic_runtime.Sliced.run job ~budget;
+    incr slices;
+    let ran = Ic_runtime.Sliced.visits job - before in
+    if ran > budget then
+      QCheck2.Test.fail_reportf "a slice ran %d visits over a budget of %d" ran
+        budget
+  done;
+  (Option.get (Ic_runtime.Sliced.result job), Ic_runtime.Sliced.visits job, !slices)
+
+type mode = Cold | Warm_quiet | Warm_guard
+
+let sliced_matches_sync =
+  let tally = Hashtbl.create 4 in
+  let gen =
+    QCheck2.Gen.(
+      let* bins = int_range 8 300 in
+      let* nodes = int_range 3 7 in
+      let* seed = int_range 0 10_000 in
+      let* mode = oneofl [ Cold; Warm_quiet; Warm_guard ] in
+      let* f_init = float_range 0.05 0.45 in
+      let* budget = oneof [ int_range 1 slice_visits; oneofl [ 1; slice_visits ] ] in
+      return (bins, nodes, seed, mode, f_init, budget))
+  in
+  let prop (bins, nodes, seed, mode, f_init, budget) =
+    let series = synth_series ~nodes ~bins ~seed in
+    let options, incumbent =
+      let warm = { Ic_core.Fit.default_options with max_sweeps = 6; f_init } in
+      match mode with
+      | Cold -> ({ Ic_core.Fit.default_options with max_sweeps = 6 }, None)
+      | Warm_quiet -> (warm, Some 10.)
+      | Warm_guard -> (warm, Some 0.)
+    in
+    let sync = Ic_core.Fit.fit_stable_fp ~options ?incumbent series in
+    let sliced, visits, slices =
+      run_sliced ~budget (fun visit ->
+          Ic_core.Fit.fit_stable_fp ~options ?incumbent ~visit series)
+    in
+    Hashtbl.replace tally (mode, sync.both_basins) ();
+    if slices <> ((visits - 1) / budget) + 1 then
+      QCheck2.Test.fail_reportf "%d visits at budget %d took %d slices" visits
+        budget slices;
+    fit_bits sliced = fit_bits sync
+  in
+  fun () ->
+    QCheck2.Test.check_exn
+      (QCheck2.Test.make ~count:60
+         ~name:"a sliced fit is the synchronous fit at any budget" gen prop);
+    List.iter
+      (fun (shape, key) ->
+        Alcotest.(check bool) shape true (Hashtbl.mem tally key))
+      [
+        ("cold fits drawn", (Cold, true));
+        ("warm fits with the guard quiet drawn", (Warm_quiet, false));
+        ("warm fits with the guard firing drawn", (Warm_guard, true));
+      ]
+
+let test_every_budget () =
+  (* Every budget from one visit up to a whole slice, on one small window:
+     cold and warm, the same bits each time. *)
+  let series = synth_series ~nodes:4 ~bins:8 ~seed:3 in
+  let options = { Ic_core.Fit.default_options with max_sweeps = 6 } in
+  let warm = { options with f_init = 0.2 } in
+  let cold = fit_bits (Ic_core.Fit.fit_stable_fp ~options series) in
+  let hot = fit_bits (Ic_core.Fit.fit_stable_fp ~options:warm ~incumbent:0. series) in
+  for budget = 1 to slice_visits do
+    let r, _, _ =
+      run_sliced ~budget (fun visit ->
+          Ic_core.Fit.fit_stable_fp ~options ~visit series)
+    in
+    if fit_bits r <> cold then Alcotest.failf "cold fit differs at budget %d" budget;
+    let r, _, _ =
+      run_sliced ~budget (fun visit ->
+          Ic_core.Fit.fit_stable_fp ~options:warm ~incumbent:0. ~visit series)
+    in
+    if fit_bits r <> hot then Alcotest.failf "warm fit differs at budget %d" budget
+  done
+
+let test_dropped_slice_discontinued () =
+  (* A computation dropped while paused is discontinued by the GC: its
+     unwinding runs, so its fiber is released. *)
+  let unwound = ref false in
+  let job =
+    Ic_runtime.Sliced.create (fun visit ->
+        Fun.protect
+          ~finally:(fun () -> unwound := true)
+          (fun () ->
+            for _ = 1 to 10 do
+              visit ()
+            done))
+  in
+  Ic_runtime.Sliced.run job ~budget:3;
+  Alcotest.(check int) "paused after its budget" 3 (Ic_runtime.Sliced.visits job);
+  Alcotest.(check bool) "not unwound while held" false !unwound;
+  ignore (Sys.opaque_identity job);
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "unwound once dropped" true !unwound
+
+(* A default-config engine (day window and cadence) on a synthetic day and
+   a bit: the cold fit over the first 24 bins, then the day refit in
+   slices. *)
+let day_bins = 300
+
+let day_series = lazy (synth_series ~nodes:12 ~bins:day_bins ~seed:41)
+
+let day_config () =
+  let c = Engine.default_config routing binning in
+  assert (c.Engine.refit_every = 288 && c.Engine.window = 288);
+  c
+
+let day_feed ~seed =
+  Feed.create ~noise_sigma:0.01 ~drop_rate:0.02 ~corrupt_rate:0.01 routing
+    (Lazy.force day_series) ~seed
+
+let gauge engine name =
+  List.assoc_opt name
+    (Ic_obs.Metrics.gauges (Telemetry.registry (Engine.telemetry engine)))
+
+(* The fit a synchronous refit would make over [tms], and its visits. *)
+let sync_refit ~f_init ?incumbent tms =
+  let options =
+    { Ic_core.Fit.default_options with max_sweeps = 6; f_init }
+  in
+  let visits = ref 0 in
+  let fit =
+    Ic_core.Fit.fit_stable_fp ~options ?incumbent
+      ~visit:(fun () -> incr visits)
+      (Ic_traffic.Series.make binning tms)
+  in
+  (fit, !visits)
+
+let params_bits engine =
+  Option.map
+    (fun (f, p) -> (Int64.bits_of_float f, Array.map Int64.bits_of_float p))
+    (Engine.params engine)
+
+let test_cold_fit_at_24 () =
+  let engine = Engine.create (day_config ()) in
+  let feed = day_feed ~seed:2 in
+  let head = Replay.run ~max_bins:24 engine feed in
+  Alcotest.(check int) "nothing runs in the step that makes it due" 0
+    (Telemetry.count (Engine.telemetry engine) "refit.count");
+  Alcotest.(check bool) "not fitted yet" true (Engine.params engine = None);
+  ignore (Replay.run ~max_bins:1 engine feed);
+  Alcotest.(check int) "fitted before bin 24" 1
+    (Telemetry.count (Engine.telemetry engine) "refit.count");
+  let fit, visits =
+    sync_refit ~f_init:Ic_core.Fit.default_options.f_init head.Replay.estimates
+  in
+  Alcotest.(check int) "one slice" 672 visits;
+  Alcotest.(check bool) "the synchronous cold fit of bins [0, 24)" true
+    (params_bits engine
+    = Some
+        ( Int64.bits_of_float fit.params.f,
+          Array.map Int64.bits_of_float fit.params.preference ));
+  Alcotest.(check (option (float 0.))) "took effect at bin 24" (Some 24.)
+    (gauge engine "refit.effect_bin");
+  (* With a cadence of at most 24 bins the engine has fitted by then. *)
+  let engine = Engine.create (config ~refit_every:8 ~window:32 ()) in
+  ignore (Replay.run ~max_bins:25 engine (day_feed ~seed:2));
+  Alcotest.(check int) "no cold fit beside the cadence" 3
+    (Telemetry.count (Engine.telemetry engine) "refit.count")
+
+let test_day_refit_in_slices () =
+  (* The day refit falls due after bin 287 and runs one slice per step from
+     bin 288; it takes effect in the step whose slice completes it, with
+     the synchronous fit of its window, and every step before that one
+     estimates with the cold fit. *)
+  let tracer = Ic_obs.Trace.create ~capacity:100_000 () in
+  let engine = Engine.create ~tracer (day_config ()) in
+  let feed = day_feed ~seed:4 in
+  let head = Replay.run ~max_bins:288 engine feed in
+  let cold = params_bits engine in
+  let f_init = fst (Option.get (Engine.params engine)) in
+  let fit, visits =
+    sync_refit ~f_init ?incumbent:(gauge engine "refit.mean_rel_l2")
+      head.Replay.estimates
+  in
+  let lag = (visits - 1) / slice_visits in
+  Alcotest.(check bool) "a day refit needs several slices" true (lag >= 3);
+  for bin = 288 to 288 + lag do
+    Alcotest.(check bool)
+      (Printf.sprintf "cold fit in effect before bin %d" bin)
+      true
+      (params_bits engine = cold);
+    ignore (Replay.run ~max_bins:1 engine feed)
+  done;
+  Alcotest.(check bool) "the synchronous fit of the window" true
+    (params_bits engine
+    = Some
+        ( Int64.bits_of_float fit.params.f,
+          Array.map Int64.bits_of_float fit.params.preference ));
+  Alcotest.(check (option (float 0.))) "took effect in its last slice"
+    (Some (float_of_int (288 + lag)))
+    (gauge engine "refit.effect_bin");
+  (* One engine.refit span per step, inside it: the cold fit's one slice
+     at bin 24 and the day refit's at bins 288 .. 288 + lag. *)
+  let spans = Ic_obs.Trace.spans tracer in
+  let step_bin = Hashtbl.create 512 in
+  List.iter
+    (fun (s : Ic_obs.Trace.span) ->
+      if s.name = "engine.step" then
+        Hashtbl.replace step_bin s.id (int_of_string (List.assoc "bin" s.attrs)))
+    spans;
+  let refit_bins =
+    List.filter_map
+      (fun (s : Ic_obs.Trace.span) ->
+        if s.name = "engine.refit" then Hashtbl.find_opt step_bin s.parent
+        else None)
+      spans
+  in
+  Alcotest.(check (list int)) "one slice per step"
+    (24 :: List.init (lag + 1) (fun k -> 288 + k))
+    refit_bins
+
+(* Kill/resume through a checkpoint at every bin around the cold fit and
+   the day refit, in flight or not, is bit-identical to never stopping. *)
+let test_resume_inside_refit () =
+  let cfg = day_config () in
+  let full_engine = Engine.create cfg in
+  let full = Replay.run full_engine (day_feed ~seed:6) in
+  List.iter
+    (fun kill ->
+      let head_engine = Engine.create cfg in
+      let feed = day_feed ~seed:6 in
+      let head = Replay.run ~max_bins:kill head_engine feed in
+      let text = Checkpoint.encode (Engine.snapshot head_engine) in
+      let restored =
+        match Checkpoint.decode text with
+        | Ok s -> Engine.restore cfg s
+        | Error e -> Alcotest.fail e
+      in
+      let tail = Replay.run restored feed in
+      let label = Printf.sprintf "kill after %d" kill in
+      Alcotest.(check bool) (label ^ ": estimates") true
+        (Replay.bit_identical
+           (Array.append head.Replay.estimates tail.Replay.estimates)
+           full.Replay.estimates);
+      Alcotest.(check bool) (label ^ ": head engine unmoved") true
+        (Replay.bit_identical
+           (Replay.run head_engine (day_feed ~seed:6 |> fun f -> Feed.skip f kill; f))
+             .Replay.estimates
+           tail.Replay.estimates);
+      Alcotest.(check bool) (label ^ ": transitions") true
+        (Engine.transitions restored = Engine.transitions full_engine);
+      (* A restored plan has no cached factor: its first bin refactors
+         (to the same bits), so the fast-path counters are left out. *)
+      let counters engine =
+        List.filter
+          (fun (name, _) -> not (String.starts_with ~prefix:"fastpath." name))
+          (Telemetry.counters (Engine.telemetry engine))
+      in
+      Alcotest.(check (list (pair string int))) (label ^ ": counters")
+        (counters full_engine) (counters restored);
+      if kill = 290 then
+        Alcotest.(check bool) "an in-flight refit rides the checkpoint" true
+          (List.exists
+             (String.starts_with ~prefix:"refit ")
+             (String.split_on_char '\n' text)))
+    [ 20; 24; 25; 30; 288; 289; 290; 293; 297 ]
+
+(* Configs whose refits fit in one slice estimate exactly as when each refit
+   ran inside the step that made it due: digests of every estimate's bits
+   and rung, recorded on that engine. *)
+let test_one_slice_configs_unchanged () =
+  let digest (res : Replay.result) =
+    let buf = Buffer.create 4096 in
+    Array.iter
+      (fun tm ->
+        Array.iter
+          (fun v -> Buffer.add_int64_le buf (Int64.bits_of_float v))
+          (Tm.unsafe_data tm))
+      res.Replay.estimates;
+    Array.iter
+      (fun l -> Buffer.add_string buf (Degrade.level_name l))
+      res.Replay.levels;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  List.iter
+    (fun (seed, drop, refit_every, window, expected) ->
+      let engine = Engine.create (config ~refit_every ~window ()) in
+      let feed =
+        Feed.create ~noise_sigma:0.01 ~drop_rate:drop ~corrupt_rate:0.01
+          routing series ~seed
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, refit every %d over %d bins" seed
+           refit_every window)
+        expected
+        (digest (Replay.run engine feed)))
+    [
+      (21, 0.05, 8, 16, "604910468674bde7ffc26ee06f51f3fa");
+      (5, 0.3, 8, 16, "f336b363e0ef5d82b9605e58814a3654");
+      (9, 0.0, 16, 16, "94f72340d2f112a3c95aad268a9e8304");
+      (3, 0.05, 6, 24, "4165283607c3be7829a1cc53b65784ff");
+    ]
 
 let () =
   Alcotest.run "ic_runtime"
@@ -427,5 +777,21 @@ let () =
             test_snapshot_carries_fit_error;
           Alcotest.test_case "refit gauges" `Quick test_refit_gauges;
           QCheck_alcotest.to_alcotest checkpoint_property;
+          Alcotest.test_case "resume inside a refit is bit-identical" `Quick
+            test_resume_inside_refit;
+        ] );
+      ( "sliced refit",
+        [
+          Alcotest.test_case "sliced fit is the synchronous fit" `Quick
+            sliced_matches_sync;
+          Alcotest.test_case "every budget up to a slice" `Quick
+            test_every_budget;
+          Alcotest.test_case "dropped while paused is discontinued" `Quick
+            test_dropped_slice_discontinued;
+          Alcotest.test_case "cold fit after 24 bins" `Quick test_cold_fit_at_24;
+          Alcotest.test_case "day refit spreads over its slices" `Quick
+            test_day_refit_in_slices;
+          Alcotest.test_case "one-slice configs estimate as before" `Quick
+            test_one_slice_configs_unchanged;
         ] );
     ]

@@ -58,7 +58,7 @@ let test_rebuild_shape () =
     (Routing.row_count r);
   Alcotest.(check int) "od count" (Routing.od_count base) (Routing.od_count r);
   let n = Graph.node_count graph in
-  let x = Vec.make (n * n) 1. in
+  let x = Array.make (n * n) 1. in
   let y = Routing.link_loads r x in
   List.iter
     (fun e -> Alcotest.(check (float 0.)) "failed row empty" 0. y.(e))
@@ -101,7 +101,7 @@ let test_rebuild_reweight_moves_traffic () =
   let ids = link_ids graph "KSCY" "IPLS" in
   let r = Routing.rebuild ~reweight:(List.map (fun id -> (id, 50.)) ids) base in
   let n = Graph.node_count graph in
-  let x = Vec.make (n * n) 1. in
+  let x = Array.make (n * n) 1. in
   let y0 = Routing.link_loads base x and y = Routing.link_loads r x in
   List.iter
     (fun e ->
@@ -221,7 +221,7 @@ let test_timeline_epochs () =
     tl.Timeline.topo_notes;
   let down = link_ids graph "KSCY" "IPLS" in
   let n = Graph.node_count graph in
-  let x = Vec.make (n * n) 1. in
+  let x = Array.make (n * n) 1. in
   List.iter
     (fun (bin, failed) ->
       let y = Routing.link_loads (Timeline.routing_at tl bin) x in
